@@ -65,7 +65,7 @@ from .frames import (
     dual_parameterization,
     is_parseval_k_frame,
 )
-from .erasures import Measure, uniformity
+from .erasures import Measure, _pair_terms, uniformity
 
 # Absolute tolerance for membership in argmax sets and finished-diagonal sets.
 WEIGHT_TOL = 1e-8
@@ -242,31 +242,23 @@ def connected_decomposition(
     """
     syn = frame.synthesis
     N = frame.n_vectors
-    gram = syn.T @ syn
     norms = np.linalg.norm(syn, axis=0)
-    parent = list(range(N))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[max(ra, rb)] = min(ra, rb)
-
-    for a in range(N - 1):
-        for b in range(a + 1, N):
-            scale = max(1.0, norms[a] * norms[b])
-            if abs(gram[a, b]) > tol * scale:
-                union(a, b)
-
-    groups: dict[int, list[int]] = {}
-    for idx in range(N):
-        groups.setdefault(find(idx), []).append(idx)
-    blocks = tuple(tuple(groups[r]) for r in sorted(groups))
+    linked = np.abs(syn.T @ syn) > tol * np.maximum(1.0, np.outer(norms, norms))
+    unseen = np.ones(N, dtype=bool)
+    blocks = []
+    for start in range(N):
+        if not unseen[start]:
+            continue
+        # Breadth-first search, one vectorized step per graph distance.
+        block = np.zeros(N, dtype=bool)
+        frontier = block.copy()
+        frontier[start] = True
+        while frontier.any():
+            block |= frontier
+            frontier = linked[frontier].any(axis=0) & ~block
+        unseen &= ~block
+        blocks.append(tuple(int(i) for i in np.flatnonzero(block)))
+    blocks = tuple(blocks)
 
     K = op.matrix
     k_scale = max(1.0, float(np.linalg.norm(K)))
@@ -476,12 +468,16 @@ def _family_coefficient_space(
         return np.zeros((0, 0))
     top = list(part.top)
     if kind is Measure.OP_NORM:
-        # u_i = 0 for every top index.
-        rows = param.basis[:, :, top].reshape(dof, -1).T
+        # u_i = 0 for every top index: one row per entry (a, i), a-major.
+        rows = np.vstack(
+            [
+                param.column_jacobian(np.outer(e, np.ones(len(top))), top).T
+                for e in np.eye(frame.dim)
+            ]
+        )
     else:
         # <u_i, f_i> = 0 for every top index.
-        f_top = frame.synthesis[:, top]
-        rows = np.einsum("kat,at->tk", param.basis[:, :, top], f_top)
+        rows = param.column_jacobian(frame.synthesis[:, top], top).T
     return _null_space(np.atleast_2d(rows), dof)
 
 
@@ -549,7 +545,7 @@ def perturbation_family(
             radius=0.0,
             basis=np.zeros((0, frame.dim, frame.n_vectors)),
         )
-    basis = np.tensordot(coeff_rows, param.basis, axes=1)
+    basis = param.perturbation(coeff_rows)
     direction = basis[0]
     radius = _family_radius(frame, param.base, direction, part, kind)
     return PerturbationFamily(
@@ -755,10 +751,7 @@ def r2_special_closed_form(ds: DualSystem, tol: float = WEIGHT_TOL) -> float:
     diag = ds.diag
     if np.min(diag) < -tol:
         raise HypothesesNotMetError("diagonal inner products must be nonnegative")
-    alpha = ds.cross_gram
-    prods = np.array(
-        [alpha[i, j] * alpha[j, i] for i in range(N - 1) for j in range(i + 1, N)]
-    )
+    _, prods, _ = _pair_terms(ds.cross_gram)
     c = float(np.mean(prods))
     if np.max(np.abs(prods - c)) > tol:
         raise HypothesesNotMetError("off-diagonal products are not constant")

@@ -116,17 +116,24 @@ def r1_argmax(ds: DualSystem) -> int:
     return int(np.argmax(np.abs(ds.diag)))
 
 
-def _pair_radius(a_ii: float, a_jj: float, prod: float) -> float:
-    """Spectral radius of a two-erasure error operator from Gram data.
+def _pair_terms(
+    alpha: np.ndarray, diag: np.ndarray | None = None
+) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
+    """Pairs i < j, products ``alpha_ij alpha_ji`` and two-erasure radii.
 
-    The nonzero eigenvalues are ``(a_ii + a_jj +/- sqrt(disc)) / 2`` with
-    ``disc = (a_ii - a_jj)^2 + 4 prod``; the square root is the principal
-    complex branch and both signs are evaluated.
+    Pairs run over ``np.triu_indices(N, 1)``, i.e. lexicographically.  The
+    nonzero eigenvalues of the error operator of pair (i, j) are
+    ``(d_i + d_j +/- sqrt(disc)) / 2`` with ``disc = (d_i - d_j)^2 + 4 prod``
+    and d the diagonal of alpha (or ``diag`` when given); the square root is
+    the principal complex branch and both signs are evaluated.
     """
-    s = a_ii + a_jj
-    disc = (a_ii - a_jj) ** 2 + 4.0 * prod
-    root = np.sqrt(complex(disc))
-    return max(abs((s + root) / 2.0), abs((s - root) / 2.0))
+    d = np.diag(alpha) if diag is None else diag
+    iu, ju = np.triu_indices(alpha.shape[0], 1)
+    prods = alpha[iu, ju] * alpha[ju, iu]
+    s = d[iu] + d[ju]
+    root = np.sqrt(((d[iu] - d[ju]) ** 2 + 4.0 * prods).astype(complex))
+    radii = np.maximum(np.abs((s + root) / 2.0), np.abs((s - root) / 2.0))
+    return (iu, ju), prods, radii
 
 
 def r2_closed_form(ds: DualSystem) -> float:
@@ -137,19 +144,11 @@ def r2_closed_form(ds: DualSystem) -> float:
 
 def r2_closed_form_argmax(ds: DualSystem) -> tuple[float, tuple[int, int]]:
     """As :func:`r2_closed_form`, also returning the lexic. first argmax pair."""
-    N = ds.n_vectors
-    if N < 2:
+    if ds.n_vectors < 2:
         raise ValueError("two-erasure measure needs at least 2 vectors")
-    alpha = ds.cross_gram
-    best = -1.0
-    best_pair = (0, 1)
-    for i in range(N - 1):
-        for j in range(i + 1, N):
-            val = _pair_radius(alpha[i, i], alpha[j, j], alpha[i, j] * alpha[j, i])
-            if val > best:
-                best = val
-                best_pair = (i, j)
-    return best, best_pair
+    (iu, ju), _, radii = _pair_terms(ds.cross_gram)
+    k = int(np.argmax(radii))
+    return float(radii[k]), (int(iu[k]), int(ju[k]))
 
 
 def rm_bruteforce(
@@ -206,15 +205,8 @@ def uniformity(
             raise NumericalError(
                 f"uniform diagonal {c} deviates from trace(K)/N = {expected}"
             )
-        N = ds.n_vectors
-        if N >= 2:
-            prods = np.array(
-                [
-                    alpha[i, j] * alpha[j, i]
-                    for i in range(N - 1)
-                    for j in range(i + 1, N)
-                ]
-            )
+        if ds.n_vectors >= 2:
+            _, prods, _ = _pair_terms(alpha)
             p_center = float(np.mean(prods))
             if np.max(np.abs(prods - p_center)) <= tol:
                 c_prime = p_center
@@ -236,14 +228,8 @@ def r2_simplified_uniform(ds: DualSystem, tol: float = UNIFORMITY_TOL) -> float:
     N = ds.n_vectors
     if N < 2:
         raise ValueError("two-erasure measure needs at least 2 vectors")
-    alpha = ds.cross_gram
-    cc = ds.op.trace / N
-    best = 0.0
-    for i in range(N - 1):
-        for j in range(i + 1, N):
-            root = np.sqrt(complex(alpha[i, j] * alpha[j, i]))
-            best = max(best, abs(cc + root), abs(cc - root))
-    return float(best)
+    _, _, radii = _pair_terms(ds.cross_gram, np.full(N, ds.op.trace / N))
+    return float(np.max(radii))
 
 
 @dataclass(frozen=True, eq=False)

@@ -26,10 +26,6 @@ class NotDualError(FrameKitError):
     """Candidate sequence does not satisfy the duality relation."""
 
 
-class NotPairError(FrameKitError):
-    """Dual system does not have two-sided pair status."""
-
-
 class NotOneUniformError(FrameKitError):
     """Diagonal inner products are not constant."""
 

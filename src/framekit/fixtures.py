@@ -171,7 +171,7 @@ def verify_example_2() -> list[Assertion]:
     frame, op = example_2()
     out = []
     gap = float(
-        np.max(np.abs(frame_operator(frame) - op.matrix @ op.adjoint))
+        np.max(np.abs(frame_operator(frame) - op.matrix @ op.matrix.T))
     )
     out.append(_check("parseval", gap <= 1e-12, f"||S - K K^T|| gap {gap:.2e}"))
     canonical = canonical_k_dual(frame, op)

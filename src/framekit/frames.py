@@ -10,9 +10,10 @@ function of ``alpha``.
 Duality is the synthesis-level identity ``F G^T = K`` (equivalently
 ``K f = sum_i <f, g_i> f_i`` for all f).  For a Parseval K-frame, i.e.
 ``F F^T = K K^T``, the pseudoinverse image ``{K^+ f_i}`` is the canonical
-K-dual and the full K-dual set is the affine space ``K^+ F + U`` where each
-row of U lies in the null space of the synthesis matrix; that affine space is
-exposed through :func:`dual_parameterization`.
+K-dual and the full K-dual set is the affine space ``K^+ F + C W^T``, where
+the columns of W are an orthonormal basis of null(F) and C ranges over
+``R^{n x (N - rank F)}``; that chart is exposed through
+:func:`dual_parameterization`.
 
 All objects are immutable after construction (arrays are marked read-only),
 so values can be shared freely across threads; every operation here is a pure
@@ -101,14 +102,13 @@ def build_frame(vectors) -> Frame:
 
 @dataclass(frozen=True, eq=False)
 class OperatorSpec:
-    """Square operator K with cached adjoint, pseudoinverse, PSD root, traces.
+    """Square operator K with cached pseudoinverse, PSD root and traces.
 
     ``sqrt`` is populated only when K is PSD within ``tol``; ``rank`` counts
     singular values above ``tol * sigma_max``.
     """
 
     matrix: np.ndarray
-    adjoint: np.ndarray
     pinv: np.ndarray
     sqrt: np.ndarray | None
     trace: float
@@ -119,7 +119,6 @@ class OperatorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _readonly(self.matrix))
-        object.__setattr__(self, "adjoint", _readonly(self.adjoint))
         object.__setattr__(self, "pinv", _readonly(self.pinv))
         if self.sqrt is not None:
             object.__setattr__(self, "sqrt", _readonly(self.sqrt))
@@ -165,7 +164,6 @@ def build_operator(matrix, tol: float = RANK_TOL) -> OperatorSpec:
 
     return OperatorSpec(
         matrix=K,
-        adjoint=K.T.copy(),
         pinv=pinv,
         sqrt=sqrt,
         trace=float(np.trace(K)),
@@ -207,7 +205,7 @@ def k_frame_bounds(
     u, s, _ = np.linalg.svd(op.matrix)
     Q = u[:, : op.rank]
     S_r = Q.T @ S @ Q
-    KKt = op.matrix @ op.adjoint
+    KKt = op.matrix @ op.matrix.T
     KKt_r = Q.T @ KKt @ Q
     try:
         gen = scipy.linalg.eigh(S_r, KKt_r, eigvals_only=True)
@@ -228,7 +226,7 @@ def is_parseval_k_frame(
     if frame.dim != op.dim:
         return False
     S = frame_operator(frame)
-    KKt = op.matrix @ op.adjoint
+    KKt = op.matrix @ op.matrix.T
     scale = max(1.0, float(np.linalg.norm(op.matrix)) ** 2)
     return float(np.linalg.norm(S - KKt)) <= tol * scale
 
@@ -242,31 +240,26 @@ def canonical_k_dual(frame: Frame, op: OperatorSpec) -> Frame:
 
 class DualKind(enum.Enum):
     NOT_DUAL = "not_dual"
-    K_DUAL_ONLY = "k_dual_only"
     K_DUAL_PAIR = "k_dual_pair"
 
 
 def verify_k_dual(
     frame: Frame, dual: Frame, op: OperatorSpec, tol: float = DEFAULT_TOL
 ) -> DualKind:
-    """Classify (F, G) by the duality residuals.
+    """Classify (F, G) by the duality residual of ``F G^T = K``.
 
-    K_DUAL_ONLY needs ``F G^T = K``; K_DUAL_PAIR additionally needs the
-    reversed relation ``G F^T = K^T``.  Residuals are Frobenius norms
-    relative to ``max(1, ||K||)``.  Over the reals the two residuals are
-    transposes of each other, so a verified dual always has pair status.
+    The residual is a Frobenius norm relative to ``max(1, ||K||)``.  Over the
+    reals the reversed relation ``G F^T = K^T`` is its transpose, so a
+    verified K-dual always forms a K-dual pair.
     """
     if frame.dim != dual.dim or frame.n_vectors != dual.n_vectors:
         raise ValueError("frame and dual shapes disagree")
     if frame.dim != op.dim:
         raise ValueError("frame and operator dims disagree")
     scale = max(1.0, float(np.linalg.norm(op.matrix)))
-    forward = np.linalg.norm(frame.synthesis @ dual.synthesis.T - op.matrix)
-    if forward > tol * scale:
+    residual = np.linalg.norm(frame.synthesis @ dual.synthesis.T - op.matrix)
+    if residual > tol * scale:
         return DualKind.NOT_DUAL
-    backward = np.linalg.norm(dual.synthesis @ frame.synthesis.T - op.adjoint)
-    if backward > tol * scale:
-        return DualKind.K_DUAL_ONLY
     return DualKind.K_DUAL_PAIR
 
 
@@ -309,46 +302,62 @@ def build_dual_system(
 
 @dataclass(frozen=True, eq=False)
 class DualParameterization:
-    """Affine chart of all K-duals: ``G(c) = base + sum_k c_k basis[k]``.
+    """Affine chart of all K-duals: ``G(C) = K^+ F + C W^T``.
 
-    ``basis`` is Frobenius-orthonormal; each element U satisfies
-    ``F U^T = 0`` exactly to rounding, so every coefficient vector yields a
-    valid K-dual.  ``dof = n * (N - rank F)``.
+    ``base`` is the canonical dual ``K^+ F``.  ``basis`` is W, an
+    N x (N - rank F) matrix with orthonormal columns spanning null(F), so
+    ``F W = 0`` to rounding and every ``C in R^{n x (N - rank F)}`` yields a
+    valid K-dual.  A coefficient vector c of length ``dof = n (N - rank F)``
+    stands for ``C[a, m] = c[m n + a]``; the perturbations ``e_a w_m^T`` in
+    that order are Frobenius-orthonormal.
     """
 
     base: Frame
-    basis: np.ndarray  # dof x n x N
+    basis: np.ndarray  # N x (N - rank F)
     dof: int
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _readonly(self.basis))
 
+    def perturbation(self, coefficients) -> np.ndarray:
+        """``C W^T`` for a coefficient vector, or a stack of them.
+
+        Input of shape (..., dof) gives output of shape (..., n, N).
+        """
+        c = np.asarray(coefficients, dtype=float)
+        C = c.reshape(*c.shape[:-1], self.basis.shape[1], self.base.dim)
+        return np.swapaxes(C, -1, -2) @ self.basis.T
+
+    def column_jacobian(self, X: np.ndarray, columns=slice(None)) -> np.ndarray:
+        """Derivatives of the column inner products with X along the chart.
+
+        Entry ``[k, t]`` is the derivative of ``<g_j, x_t>`` in ``c_k``,
+        where ``j = columns[t]`` and x_t is column t of the n x T matrix X:
+        ``W[j, m] X[a, t]`` for ``k = m n + a``.
+        """
+        W = self.basis[columns]
+        J = (W.T[:, None, :] * X[None, :, :]).reshape(self.dof, X.shape[1])
+        # Store zeros as +0.0: the signs of zero entries steer the sign
+        # conventions of SVDs taken of these rows (family directions).
+        return J + 0.0
+
 
 def dual_parameterization(
     frame: Frame, op: OperatorSpec, tol: float = RANK_TOL
 ) -> DualParameterization:
-    """Orthonormal parameterization of the K-dual affine space of F.
+    """Orthonormal chart ``K^+ F + C W^T`` of the K-dual set of F.
 
-    The perturbation space is spanned by ``e_a w_k^T`` over the n standard
-    directions e_a and an orthonormal basis {w_k} of null(F) in coefficient
-    space; these matrices are already mutually orthonormal entrywise.
+    W holds the right singular vectors of the synthesis matrix beyond its
+    numerical rank, i.e. an orthonormal basis of null(F) in coefficient space.
     """
     if not is_parseval_k_frame(frame, op):
         raise NotParsevalError("dual parameterization requires a Parseval K-frame")
     base = canonical_k_dual(frame, op)
-    n, N = frame.synthesis.shape
     _, s, vt = np.linalg.svd(frame.synthesis)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * smax))
-    null_basis = vt[rank:]  # (N - rank) x N, orthonormal rows
-    dof = n * (N - rank)
-    basis = np.zeros((dof, n, N))
-    k = 0
-    for w in null_basis:
-        for a in range(n):
-            basis[k, a, :] = w
-            k += 1
-    return DualParameterization(base=base, basis=basis, dof=dof)
+    W = vt[rank:].T
+    return DualParameterization(base=base, basis=W, dof=frame.dim * W.shape[1])
 
 
 def reconstruct_dual(param: DualParameterization, coefficients) -> Frame:
@@ -356,7 +365,4 @@ def reconstruct_dual(param: DualParameterization, coefficients) -> Frame:
     c = np.asarray(coefficients, dtype=float)
     if c.shape != (param.dof,):
         raise ValueError(f"expected {param.dof} coefficients, got {c.shape}")
-    syn = param.base.synthesis.copy()
-    if param.dof:
-        syn = syn + np.tensordot(c, param.basis, axes=1)
-    return Frame(syn)
+    return Frame(param.base.synthesis + param.perturbation(c))

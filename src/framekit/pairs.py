@@ -32,10 +32,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InfeasibleError, NotPSDError, NotPairError
+from .errors import InfeasibleError, NotPSDError
 from .frames import (
     DEFAULT_TOL,
-    DualKind,
     DualSystem,
     Frame,
     OperatorSpec,
@@ -91,8 +90,6 @@ def pair_bounds(op: OperatorSpec, n_vectors: int) -> PairBounds:
 
 
 def _require_pair(ds: DualSystem) -> None:
-    if ds.kind is not DualKind.K_DUAL_PAIR:
-        raise NotPairError("operation requires two-sided pair status")
     if not ds.op.psd_flag:
         raise NotPSDError("pair optimality tests require a PSD operator")
 
@@ -121,7 +118,7 @@ def is_r2_optimal_pair(ds: DualSystem, tol: float = DEFAULT_TOL) -> bool:
     bounds = pair_bounds(ds.op, ds.n_vectors)
     if bounds.r2_min is None:
         return False
-    return abs(r2_closed_form(ds) - bounds.r2_min) <= tol
+    return bool(abs(r2_closed_form(ds) - bounds.r2_min) <= tol)
 
 
 def uniform_parseval_frame(dim: int, n_vectors: int) -> Frame:
@@ -207,7 +204,7 @@ def construct_optimal_self_dual(
     if r == 0:
         return Frame(np.zeros((n, N)))
 
-    w, q = np.linalg.eigh(0.5 * (op.matrix + op.adjoint))
+    w, q = np.linalg.eigh(0.5 * (op.matrix + op.matrix.T))
     w = np.clip(w, 0.0, None)
     order = np.argsort(w)[::-1][:r]
     root = q[:, order] * np.sqrt(w[order])

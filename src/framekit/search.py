@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.optimize
 
-from .errors import DofTooLargeError, InfeasibleError
+from .errors import DofTooLargeError, InfeasibleError, NumericalError
 from .frames import (
     DualKind,
     Frame,
@@ -36,7 +36,7 @@ from .frames import (
     reconstruct_dual,
     verify_k_dual,
 )
-from .erasures import Measure
+from .erasures import Measure, _pair_terms
 
 
 @dataclass(frozen=True)
@@ -78,21 +78,17 @@ class _Objective:
 
     def __init__(self, frame: Frame, param, kind: Measure):
         self.kind = kind
+        self.param = param
         self.fsyn = frame.synthesis
         self.fnorms = np.linalg.norm(self.fsyn, axis=0)
         self.base = param.base.synthesis
-        self.basis = param.basis  # dof x n x N
         self.dof = param.dof
         # Diagonal coefficients: diag(c) = a0 + D^T c.
         self.a0 = np.einsum("ij,ij->j", self.base, self.fsyn)
-        self.D = np.einsum("kij,ij->kj", self.basis, self.fsyn) if self.dof else (
-            np.zeros((0, frame.n_vectors))
-        )
+        self.D = param.column_jacobian(self.fsyn)
 
     def dual_syn(self, c: np.ndarray) -> np.ndarray:
-        if self.dof == 0:
-            return self.base
-        return self.base + np.tensordot(c, self.basis, axes=1)
+        return self.base + self.param.perturbation(c)
 
     def value(self, c: np.ndarray) -> float:
         if self.kind is Measure.SPECTRAL:
@@ -118,7 +114,8 @@ class _Objective:
         sub = np.zeros(self.dof)
         for i in ties:
             if gnorms[i] > 0:
-                sub += self.fnorms[i] * (self.basis[:, :, i] @ (G[:, i] / gnorms[i]))
+                u = G[:, [i]] / gnorms[i]
+                sub += self.fnorms[i] * self.param.column_jacobian(u, [i])[:, 0]
         return val, sub / len(ties)
 
 
@@ -184,7 +181,6 @@ def _polish_op_norm(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:
     t0 = obj.value(c0)
     x0 = np.concatenate([c0, [t0 + 1e-9]])
     fn2 = obj.fnorms**2
-    base, basis = obj.base, obj.basis
 
     def cons_f(x):
         c, t = x[:-1], x[-1]
@@ -195,10 +191,7 @@ def _polish_op_norm(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:
         c, t = x[:-1], x[-1]
         G = obj.dual_syn(c)
         jac = np.zeros((G.shape[1], x.size))
-        if obj.dof:
-            jac[:, :-1] = -2.0 * (fn2[None, :] * np.einsum(
-                "kij,ij->kj", basis, G
-            )).T
+        jac[:, :-1] = -2.0 * (fn2[None, :] * obj.param.column_jacobian(G)).T
         jac[:, -1] = 2.0 * t
         return jac
 
@@ -261,19 +254,9 @@ def minimize_measure(
                 best_trace = list(best_trace) + [val_new]
 
     dual = reconstruct_dual(param, best_c)
-    assert verify_k_dual(frame, dual, op) is not DualKind.NOT_DUAL
+    if verify_k_dual(frame, dual, op) is DualKind.NOT_DUAL:
+        raise NumericalError("search result fails the K-duality check")
     return MinimizeResult(dual, best_val, tuple(best_trace), best_idx)
-
-
-def _pairwise_r2(alpha: np.ndarray) -> float:
-    N = alpha.shape[0]
-    iu, ju = np.triu_indices(N, k=1)
-    s = alpha[iu, iu] + alpha[ju, ju]
-    disc = (alpha[iu, iu] - alpha[ju, ju]) ** 2 + 4.0 * alpha[iu, ju] * alpha[ju, iu]
-    root = np.sqrt(disc.astype(complex))
-    return float(
-        np.max(np.maximum(np.abs((s + root) / 2.0), np.abs((s - root) / 2.0)))
-    )
 
 
 def minimize_r2_within_uniform(
@@ -314,7 +297,8 @@ def minimize_r2_within_uniform(
     def r2_of(z: np.ndarray) -> float:
         c = c0 if Z.shape[0] == 0 else c0 + z @ Z
         alpha = obj.dual_syn(c).T @ fsyn
-        return _pairwise_r2(alpha)
+        _, _, radii = _pair_terms(alpha)
+        return float(np.max(radii))
 
     q = Z.shape[0]
     if q == 0:
@@ -397,7 +381,7 @@ def brute_force_grid_oracle(
     chunk = 1 << 16
     for lo in range(0, points.shape[0], chunk):
         pts = points[lo : lo + chunk]
-        G = obj.base[None, :, :] + np.tensordot(pts, obj.basis, axes=1)
+        G = obj.base[None, :, :] + param.perturbation(pts)
         if kind is Measure.SPECTRAL:
             diag = np.einsum("pij,ij->pj", G, frame.synthesis)
             values[lo : lo + chunk] = np.max(np.abs(diag), axis=1)

@@ -62,7 +62,7 @@ def test_criterion_1_rank_deficient_example_regression():
 
 def test_criterion_2_full_rank_example_regression():
     frame, op = fixtures.example_2()
-    gap = np.linalg.norm(fk.frame_operator(frame) - op.matrix @ op.adjoint)
+    gap = np.linalg.norm(fk.frame_operator(frame) - op.matrix @ op.matrix.T)
     assert gap <= 1e-12
 
     ds = canonical_system(frame, op)

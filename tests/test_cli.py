@@ -156,6 +156,16 @@ class TestAnalyze:
         assert doc["optimal_pair_flags"]["r1_optimal"] is True
         assert doc["canonical_dual_report"]["c"] == pytest.approx(1.0)
 
+    @pytest.mark.parametrize("name", ["example-1", "example-2", "mercedes"])
+    def test_bundled_examples(self, name, tmp_path, capsys):
+        from framekit import fixtures
+
+        path = tmp_path / f"{name}.json"
+        save_frame_file(path, *fixtures.get_example(name))
+        assert main(["analyze", "--frame", str(path)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["optimal_pair_flags"]["r2_optimal"] is (name == "mercedes")
+
     def test_tol_override(self, ex1_file, capsys):
         assert main(["analyze", "--frame", ex1_file, "--tol", "1e-6"]) == 0
         doc = json.loads(capsys.readouterr().out)

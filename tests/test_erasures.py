@@ -123,6 +123,15 @@ class TestTwoErasures:
         ds = fk.build_dual_system(frame, frame, op)
         assert abs(fk.r2_closed_form(ds) - 1.0) < 1e-14
 
+    def test_argmax_ties_break_to_first_pair(self):
+        # every pair of the ONB self-dual attains r2 = 1
+        frame = fk.build_frame(np.eye(4))
+        op = fk.build_operator(np.eye(4))
+        ds = fk.build_dual_system(frame, frame, op)
+        value, pair = fk.erasures.r2_closed_form_argmax(ds)
+        assert pair == (0, 1)
+        assert type(value) is float and value == 1.0
+
     def test_mercedes(self, mb):
         ds = canonical_system(mb)
         # oracle: brute-force eigenvalues over all three 2-patterns
@@ -147,6 +156,26 @@ class TestTwoErasures:
         ds = fk.build_dual_system(frame, frame, op)
         with pytest.raises(ValueError):
             fk.r2_closed_form(ds)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_pair_kernel_matches_pair_loop(self, seed):
+        # reference: the scalar two-erasure formula, one pair at a time
+        ds = random_system(np.random.default_rng(seed))
+        alpha = ds.cross_gram
+        best, best_pair, prods = -1.0, None, []
+        for i in range(ds.n_vectors - 1):
+            for j in range(i + 1, ds.n_vectors):
+                prod = alpha[i, j] * alpha[j, i]
+                s = alpha[i, i] + alpha[j, j]
+                root = np.sqrt(complex((alpha[i, i] - alpha[j, j]) ** 2 + 4.0 * prod))
+                val = max(abs((s + root) / 2.0), abs((s - root) / 2.0))
+                prods.append(prod)
+                if val > best:
+                    best, best_pair = val, (i, j)
+        assert fk.erasures.r2_closed_form_argmax(ds) == (best, best_pair)
+        _, kernel_prods, _ = fk.erasures._pair_terms(alpha)
+        assert np.array_equal(kernel_prods, prods)
 
     @settings(max_examples=60, deadline=None)
     @given(seed=st.integers(0, 10**6))

@@ -168,7 +168,7 @@ class TestKFrameBounds:
         frame, op = ex1
         A, _ = fk.k_frame_bounds(frame, op)
         S = fk.frame_operator(frame)
-        KKt = op.matrix @ op.adjoint
+        KKt = op.matrix @ op.matrix.T
         rng = np.random.default_rng(0)
         for _ in range(200):
             f = np.concatenate([rng.normal(size=2), [0.0]])
@@ -221,7 +221,7 @@ class TestVerifyKDual:
         assert fk.verify_k_dual(frame, dual, op) is fk.DualKind.K_DUAL_PAIR
         # oracle: direct products
         assert np.allclose(frame.synthesis @ dual.synthesis.T, op.matrix)
-        assert np.allclose(dual.synthesis @ frame.synthesis.T, op.adjoint)
+        assert np.allclose(dual.synthesis @ frame.synthesis.T, op.matrix.T)
 
     def test_onb_self_dual(self):
         frame = fk.build_frame(np.eye(4))
@@ -256,15 +256,25 @@ class TestDualParameterization:
         op = fk.build_operator(np.eye(3))
         param = fk.dual_parameterization(frame, op)
         assert param.dof == 0
-        assert param.basis.shape == (0, 3, 3)
+        assert param.basis.shape == (3, 0)
 
     def test_basis_orthonormal_and_admissible(self, ex1):
         frame, op = ex1
         param = fk.dual_parameterization(frame, op)
-        flat = param.basis.reshape(param.dof, -1)
-        assert np.allclose(flat @ flat.T, np.eye(param.dof), atol=1e-12)
-        for U in param.basis:
-            assert np.linalg.norm(frame.synthesis @ U.T) <= 1e-12
+        W = param.basis
+        assert W.shape == (4, 2)
+        assert np.allclose(W.T @ W, np.eye(2), atol=1e-12)
+        assert np.linalg.norm(frame.synthesis @ W) <= 1e-12
+
+    def test_chart_stores_only_the_null_basis(self):
+        rng = np.random.default_rng(3)
+        n, N = 20, 600
+        op = fk.build_operator(random_psd(rng, n))
+        frame = random_parseval_frame(rng, op, N)
+        param = fk.dual_parameterization(frame, op)
+        assert param.basis.shape == (N, N - n)
+        assert param.basis.nbytes == 8 * N * (N - n)
+        assert param.dof == n * (N - n)
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -278,6 +288,13 @@ class TestDualParameterization:
         coeffs = rng.normal(size=param.dof) * 3.0
         dual = fk.reconstruct_dual(param, coeffs)
         assert fk.verify_k_dual(frame, dual, op) is not fk.DualKind.NOT_DUAL
+        # dense reference: sum_k c_k e_a w_m^T with k = m n + a
+        W = param.basis
+        ref = param.base.synthesis.copy()
+        for m in range(W.shape[1]):
+            for a in range(n):
+                ref[a, :] += coeffs[m * n + a] * W[:, m]
+        assert np.max(np.abs(dual.synthesis - ref)) <= 1e-12
 
     def test_zero_dof_unique_dual(self):
         # with no admissible perturbations the canonical dual is the only dual

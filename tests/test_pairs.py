@@ -114,13 +114,6 @@ class TestOptimalityPredicates:
                 assert c is not None
                 assert c == pytest.approx(op.trace / N, abs=1e-9)
 
-    def test_requires_pair(self, ex1):
-        frame, op = ex1
-        ds = fk.build_dual_system(frame, fk.canonical_k_dual(frame, op), op)
-        object.__setattr__(ds, "kind", fk.DualKind.K_DUAL_ONLY)
-        with pytest.raises(fk.NotPairError):
-            fk.is_o1_optimal_pair(ds)
-
 
 class TestUniformParsevalFrame:
     def test_square_is_onb(self):

@@ -39,6 +39,14 @@ class TestMinimizeMeasure:
             is not fk.DualKind.NOT_DUAL
         )
 
+    def test_unverified_result_is_numerical_error(self, ex1, monkeypatch):
+        import framekit.search as search_mod
+
+        frame, op = ex1
+        monkeypatch.setattr(search_mod, "reconstruct_dual", lambda param, c: frame)
+        with pytest.raises(fk.NumericalError):
+            fk.minimize_measure(frame, op, Measure.OP_NORM, CFG)
+
     def test_polyak_target_does_not_undershoot(self, ex1):
         frame, op = ex1
         result = fk.minimize_measure(
