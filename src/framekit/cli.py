@@ -26,7 +26,6 @@ from .duals import (
     canonical_certificate,
     connected_decomposition,
     construct_spectrally_optimal_dual,
-    min_r1_fixed_frame,
     perturbation_family,
 )
 from .erasures import build_report, report_to_dict
@@ -187,7 +186,7 @@ def cmd_optimal_dual(args) -> int:
     search = minimize_measure(frame, op, kind, cfg)
 
     if kind is Measure.SPECTRAL and all(decomp.k_invariant):
-        minimal = min_r1_fixed_frame(frame, op)
+        minimal = float(max(decomp.deltas))
         constructed = construct_spectrally_optimal_dual(frame, op)
     else:
         minimal = search.value

@@ -31,22 +31,24 @@ index set splits into blocks spanning mutually orthogonal subspaces H_j,
 and when each H_j is K-invariant the minimum equals the largest block ratio
 ``delta_j = trace(K restricted to H_j) / |block j|``, attained by an
 explicitly constructed dual (:func:`construct_spectrally_optimal_dual`).
+Linear connectivity of i and j holds exactly when they lie in a common
+circuit of the vector matroid of F (Oxley, *Matroid Theory*, ch. 4).
 """
 
 from __future__ import annotations
 
 import enum
-import itertools
 import math
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .errors import (
-    BudgetExceededError,
     DependentInputError,
     HypothesesNotMetError,
+    InfeasibleError,
     NoConnectedPairAvailableError,
     NotKInvariantError,
     NotPSDError,
@@ -61,17 +63,14 @@ from .frames import (
     Frame,
     OperatorSpec,
     build_dual_system,
-    build_operator,
     dual_parameterization,
     is_parseval_k_frame,
+    reconstruct_dual,
 )
-from .erasures import Measure, _pair_terms, uniformity
+from .erasures import Measure, _pair_products, uniformity
 
 # Absolute tolerance for membership in argmax sets and finished-diagonal sets.
 WEIGHT_TOL = 1e-8
-
-# is_linearly_connected_pair enumerates subsets; refuse above this many vectors.
-SUBSET_SEARCH_CAP = 16
 
 
 # ---------------------------------------------------------------------------
@@ -172,51 +171,80 @@ class ConnectionWitness:
     coefficients: np.ndarray
 
 
+def _components(linked: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Connected components of a symmetric boolean adjacency, sorted."""
+    N = linked.shape[0]
+    unseen = np.ones(N, dtype=bool)
+    components = []
+    for start in range(N):
+        if not unseen[start]:
+            continue
+        # Breadth-first search, one vectorized step per graph distance.
+        component = np.zeros(N, dtype=bool)
+        frontier = component.copy()
+        frontier[start] = True
+        while frontier.any():
+            component |= frontier
+            frontier = linked[frontier].any(axis=0) & ~component
+        unseen &= ~component
+        components.append(tuple(int(i) for i in np.flatnonzero(component)))
+    return tuple(components)
+
+
+def _matroid_components(syn: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
+    """Components of the vector matroid on the columns of ``syn``.
+
+    Pivoted QR picks a basis B; linking each basis index to the columns with
+    a coordinate above ``tol`` on it in ``B^+ F`` (the fundamental circuits)
+    gives a graph with the same components.  Zero columns stay singletons.
+    """
+    N = syn.shape[1]
+    _, R, piv = scipy.linalg.qr(syn, mode="economic", pivoting=True)
+    pivots = np.abs(np.diag(R))
+    basis = piv[: np.count_nonzero(pivots > RANK_TOL * pivots[0])]
+    coords, *_ = np.linalg.lstsq(syn[:, basis], syn, rcond=None)
+    linked = np.zeros((N, N), dtype=bool)
+    linked[basis] = np.abs(coords) > tol
+    return _components(linked | linked.T)
+
+
 def is_linearly_connected_pair(
-    frame: Frame,
-    i: int,
-    j: int,
-    tol: float = DEFAULT_TOL,
-    max_n: int = SUBSET_SEARCH_CAP,
+    frame: Frame, i: int, j: int, tol: float = DEFAULT_TOL
 ) -> tuple[bool, ConnectionWitness | None]:
     """Decide whether f_i can be written over f_j plus an independent subset.
 
-    Searches subsets S of the remaining indices in increasing size, requiring
-    {f_j} union {f_l : l in S} independent, an exact representation of f_i,
-    and every coefficient bounded away from zero.  First success (smallest
-    subset, then lexicographic) wins.
+    True exactly when i and j lie in one matroid component.  The witness
+    comes from support reduction: starting from that component, every other
+    index, highest first, is dropped when i and j stay in one component
+    without it.  What remains is a circuit through i and j, and the
+    coefficients of f_i over it are all nonzero.
     """
     N = frame.n_vectors
     if i == j:
         raise ValueError("indices must differ")
     if not (0 <= i < N and 0 <= j < N):
         raise IndexError(f"indices ({i}, {j}) out of range for N={N}")
-    if N > max_n:
-        raise BudgetExceededError(
-            f"subset search disabled for N={N} > cap {max_n}"
-        )
     syn = frame.synthesis
-    f_i = syn[:, i]
-    others = [k for k in range(N) if k not in (i, j)]
-    max_size = min(len(others), frame.dim - 1)
-    for size in range(0, max_size + 1):
-        for subset in itertools.combinations(others, size):
-            cols = syn[:, [j, *subset]]
-            s = np.linalg.svd(cols, compute_uv=False)
-            if s[-1] <= RANK_TOL * s[0]:
-                continue
-            coeffs, *_ = np.linalg.lstsq(cols, f_i, rcond=None)
-            residual = np.linalg.norm(cols @ coeffs - f_i)
-            if residual > tol * max(1.0, np.linalg.norm(f_i)):
-                continue
-            if np.min(np.abs(coeffs)) <= tol:
-                continue
-            return True, ConnectionWitness(
-                c=float(coeffs[0]),
-                support=subset,
-                coefficients=coeffs[1:].copy(),
-            )
-    return False, None
+
+    def joined(keep: list[int]) -> bool:
+        ends = {keep.index(i), keep.index(j)}
+        return any(ends <= set(c) for c in _matroid_components(syn[:, keep], tol))
+
+    component = next(c for c in _matroid_components(syn, tol) if i in c)
+    if j not in component:
+        return False, None
+    keep = list(component)
+    for l in reversed(component):
+        trial = [k for k in keep if k != l]
+        if l not in (i, j) and joined(trial):
+            keep = trial
+    support = [k for k in keep if k not in (i, j)]
+    cols = syn[:, [j, *support]]
+    coeffs, *_ = np.linalg.lstsq(cols, syn[:, i], rcond=None)
+    residual = np.linalg.norm(cols @ coeffs - syn[:, i])
+    if residual > tol * max(1.0, np.linalg.norm(syn[:, i])) or min(abs(coeffs)) <= tol:
+        raise NumericalError(f"support reduction left no circuit through {i}, {j}")
+    return True, ConnectionWitness(float(coeffs[0]), tuple(support), coeffs[1:].copy())
 
 
 @dataclass(frozen=True, eq=False)
@@ -227,7 +255,7 @@ class ConnectedDecomposition:
     bases: tuple[np.ndarray, ...]  # orthonormal basis of each H_j
     k_invariant: tuple[bool, ...]
     deltas: tuple[float, ...]  # trace(K restricted to H_j) / |block j|
-    connectivity_verified: tuple[bool | None, ...]  # None = search skipped
+    connectivity_verified: tuple[bool, ...]  # block j is one matroid component
 
 
 def connected_decomposition(
@@ -236,36 +264,22 @@ def connected_decomposition(
     """Orthogonality-closure blocks with per-block invariance and ratios.
 
     Blocks are connected components of the graph joining indices with
-    non-orthogonal vectors.  Pairwise linear connectivity inside each block
-    is verified when the subset-search budget allows; failures are reported
-    as diagnostics rather than errors.
+    non-orthogonal vectors.  ``connectivity_verified[j]`` reports, without
+    rejecting, whether block j is one matroid component, i.e. whether every
+    pair in it is linearly connected.
     """
     syn = frame.synthesis
-    N = frame.n_vectors
     norms = np.linalg.norm(syn, axis=0)
-    linked = np.abs(syn.T @ syn) > tol * np.maximum(1.0, np.outer(norms, norms))
-    unseen = np.ones(N, dtype=bool)
-    blocks = []
-    for start in range(N):
-        if not unseen[start]:
-            continue
-        # Breadth-first search, one vectorized step per graph distance.
-        block = np.zeros(N, dtype=bool)
-        frontier = block.copy()
-        frontier[start] = True
-        while frontier.any():
-            block |= frontier
-            frontier = linked[frontier].any(axis=0) & ~block
-        unseen &= ~block
-        blocks.append(tuple(int(i) for i in np.flatnonzero(block)))
-    blocks = tuple(blocks)
+    blocks = _components(
+        np.abs(syn.T @ syn) > tol * np.maximum(1.0, np.outer(norms, norms))
+    )
+    matroid = _matroid_components(syn, tol)
 
     K = op.matrix
     k_scale = max(1.0, float(np.linalg.norm(K)))
     bases = []
     invariant = []
     deltas = []
-    verified = []
     for block in blocks:
         Q = _orthonormal_span(syn[:, list(block)])
         bases.append(Q)
@@ -274,23 +288,12 @@ def connected_decomposition(
             bool(np.linalg.norm(K @ P - P @ K @ P) <= tol * k_scale)
         )
         deltas.append(float(np.trace(Q.T @ K @ Q)) / len(block))
-        if N > SUBSET_SEARCH_CAP:
-            verified.append(None)
-            continue
-        ok = True
-        for a, b in itertools.combinations(block, 2):
-            conn_ab, _ = is_linearly_connected_pair(frame, a, b, tol)
-            conn_ba, _ = is_linearly_connected_pair(frame, b, a, tol)
-            if not (conn_ab and conn_ba):
-                ok = False
-                break
-        verified.append(ok)
     return ConnectedDecomposition(
         blocks=blocks,
         bases=tuple(bases),
         k_invariant=tuple(invariant),
         deltas=tuple(deltas),
-        connectivity_verified=tuple(verified),
+        connectivity_verified=tuple(block in matroid for block in blocks),
     )
 
 
@@ -326,7 +329,7 @@ def min_r1_fixed_frame(
 
 
 # ---------------------------------------------------------------------------
-# iterative dual improvement
+# spectrally optimal duals
 
 
 def _diag_inner(frame: Frame, dual: Frame) -> np.ndarray:
@@ -341,10 +344,10 @@ def improve_dual_step(
 ) -> Frame:
     """One correction step driving another diagonal to trace(K)/N.
 
-    Picks a linearly connected pair (i1, i2) among the unfinished indices and
-    adds the admissible correction that sets ``<g_i2, f_i2>`` to the target
-    while leaving every finished diagonal untouched.  Returns the dual
-    unchanged when all diagonals are already on target.
+    Picks the first linearly connected pair (i1, i2) of unfinished indices
+    and adds the admissible correction that sets ``<g_i2, f_i2>`` to the
+    target while leaving every finished diagonal untouched.  Returns the
+    dual unchanged when all diagonals are already on target.
     """
     N = frame.n_vectors
     target = op.trace / N
@@ -358,26 +361,21 @@ def improve_dual_step(
             "exactly one off-target diagonal contradicts the trace identity"
         )
     syn = frame.synthesis
-    for i1, i2 in itertools.permutations(pending, 2):
-        connected, witness = is_linearly_connected_pair(frame, i1, i2, tol)
-        if not connected:
-            continue
-        support = list(witness.support)
-        gap = target - diag[i2]
-        rows = [syn[:, i2], *(syn[:, l] for l in support)]
-        rhs = np.zeros(len(rows))
-        rhs[0] = gap / witness.c
-        A = np.asarray(rows)
-        v, *_ = np.linalg.lstsq(A, rhs, rcond=None)
-        correction = np.zeros_like(dual.synthesis)
-        correction[:, i1] = -v
-        correction[:, i2] = witness.c * v
-        for l, coef in zip(support, witness.coefficients):
-            correction[:, l] = coef * v
-        return Frame(dual.synthesis + correction)
-    raise NoConnectedPairAvailableError(
-        f"no linearly connected pair among unfinished indices {pending}"
-    )
+    component = {k: c for c in _matroid_components(syn, tol) for k in c}
+    pairs = [(a, b) for a in pending for b in component[a] if b != a and b in pending]
+    if not pairs:
+        raise NoConnectedPairAvailableError(
+            f"no linearly connected pair among unfinished indices {pending}"
+        )
+    i1, i2 = pairs[0]
+    _, witness = is_linearly_connected_pair(frame, i1, i2, tol)
+    cols = [i2, *witness.support]
+    rhs = np.zeros(len(cols))
+    rhs[0] = (target - diag[i2]) / witness.c
+    v, *_ = np.linalg.lstsq(syn[:, cols].T, rhs, rcond=None)
+    weights = np.zeros(N)
+    weights[[i1, *cols]] = [-1.0, witness.c, *witness.coefficients]
+    return Frame(dual.synthesis + np.outer(v, weights))
 
 
 def construct_spectrally_optimal_dual(
@@ -385,47 +383,23 @@ def construct_spectrally_optimal_dual(
 ) -> Frame:
     """K-dual achieving ``<g_i, f_i> = delta_j`` on every block.
 
-    Works block by block in the block's own coordinates: the initial dual
-    ``g_i = K_j^T S_j^{-1} f_i`` (K_j, S_j the restricted operator and frame
-    operator) is corrected by :func:`improve_dual_step` until all diagonals
-    hit the block ratio; the block duals embed back and concatenate.  Every
-    block subspace must be K-invariant.
+    One chart solve gives the K-dual closest to the canonical dual among
+    those with this diagonal; it is unique, so it follows any reordering of
+    the frame.  The frame must be Parseval and every block subspace
+    K-invariant; InfeasibleError when no dual has that diagonal.
     """
     decomp = connected_decomposition(frame, op, tol)
     if not all(decomp.k_invariant):
         bad = [j for j, ok in enumerate(decomp.k_invariant) if not ok]
         raise NotKInvariantError(f"blocks {bad} are not K-invariant")
-    n, N = frame.synthesis.shape
-    out = np.zeros((n, N))
-    for block, Q in zip(decomp.blocks, decomp.bases):
-        idx = list(block)
-        if Q.shape[1] == 0:
-            continue
-        f_red = Q.T @ frame.synthesis[:, idx]
-        K_red = Q.T @ op.matrix @ Q
-        S_red = f_red @ f_red.T
-        try:
-            g_red = K_red.T @ np.linalg.solve(S_red, f_red)
-        except np.linalg.LinAlgError as exc:
-            raise NumericalError(
-                f"block frame operator is singular on block {block}"
-            ) from exc
-        op_red = build_operator(K_red, op.tol)
-        frame_red = Frame(f_red)
-        dual_red = Frame(g_red)
-        for _ in range(len(idx)):
-            diag = _diag_inner(frame_red, dual_red)
-            if np.max(np.abs(diag - op_red.trace / len(idx))) <= tol:
-                break
-            dual_red = improve_dual_step(frame_red, dual_red, op_red, tol)
-        else:
-            diag = _diag_inner(frame_red, dual_red)
-            if np.max(np.abs(diag - op_red.trace / len(idx))) > tol:
-                raise NumericalError(
-                    f"diagonal equalization did not finish on block {block}"
-                )
-        out[:, idx] = Q @ dual_red.synthesis
-    return Frame(out)
+    target = np.empty(frame.n_vectors)
+    for block, delta in zip(decomp.blocks, decomp.deltas):
+        target[list(block)] = delta
+    param = dual_parameterization(frame, op)
+    c = param.diagonal_coefficients(frame, target, tol)
+    if c is None:
+        raise InfeasibleError("no K-dual attains the block-ratio diagonal")
+    return reconstruct_dual(param, c)
 
 
 # ---------------------------------------------------------------------------
@@ -751,7 +725,7 @@ def r2_special_closed_form(ds: DualSystem, tol: float = WEIGHT_TOL) -> float:
     diag = ds.diag
     if np.min(diag) < -tol:
         raise HypothesesNotMetError("diagonal inner products must be nonnegative")
-    _, prods, _ = _pair_terms(ds.cross_gram)
+    _, prods = _pair_products(ds.cross_gram)
     c = float(np.mean(prods))
     if np.max(np.abs(prods - c)) > tol:
         raise HypothesesNotMetError("off-diagonal products are not constant")

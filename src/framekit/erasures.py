@@ -116,6 +116,12 @@ def r1_argmax(ds: DualSystem) -> int:
     return int(np.argmax(np.abs(ds.diag)))
 
 
+def _pair_products(alpha: np.ndarray):
+    """Pairs i < j, lexicographically, and products ``alpha_ij alpha_ji``."""
+    iu, ju = np.triu_indices(alpha.shape[0], 1)
+    return (iu, ju), alpha[iu, ju] * alpha[ju, iu]
+
+
 def _pair_terms(
     alpha: np.ndarray, diag: np.ndarray | None = None
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
@@ -128,8 +134,7 @@ def _pair_terms(
     the principal complex branch and both signs are evaluated.
     """
     d = np.diag(alpha) if diag is None else diag
-    iu, ju = np.triu_indices(alpha.shape[0], 1)
-    prods = alpha[iu, ju] * alpha[ju, iu]
+    (iu, ju), prods = _pair_products(alpha)
     s = d[iu] + d[ju]
     root = np.sqrt(((d[iu] - d[ju]) ** 2 + 4.0 * prods).astype(complex))
     radii = np.maximum(np.abs((s + root) / 2.0), np.abs((s - root) / 2.0))
@@ -206,7 +211,7 @@ def uniformity(
                 f"uniform diagonal {c} deviates from trace(K)/N = {expected}"
             )
         if ds.n_vectors >= 2:
-            _, prods, _ = _pair_terms(alpha)
+            _, prods = _pair_products(alpha)
             p_center = float(np.mean(prods))
             if np.max(np.abs(prods - p_center)) <= tol:
                 c_prime = p_center

@@ -341,6 +341,19 @@ class DualParameterization:
         # conventions of SVDs taken of these rows (family directions).
         return J + 0.0
 
+    def diagonal_coefficients(self, frame: Frame, target, tol: float = DEFAULT_TOL):
+        """Minimum-norm c whose dual has ``<g_i, f_i> = target_i``, or None.
+
+        The diagonal is affine in c, so this is the dual with that diagonal
+        closest to the canonical dual in Frobenius norm.  None when the
+        residual exceeds ``tol * max(1, max |target|)``.
+        """
+        rhs = target - np.einsum("ij,ij->j", self.base.synthesis, frame.synthesis)
+        D = self.column_jacobian(frame.synthesis)
+        c, *_ = np.linalg.lstsq(D.T, rhs, rcond=None)
+        ok = np.max(np.abs(D.T @ c - rhs)) <= tol * max(1.0, np.max(np.abs(target)))
+        return c if ok else None
+
 
 def dual_parameterization(
     frame: Frame, op: OperatorSpec, tol: float = RANK_TOL

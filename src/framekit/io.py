@@ -21,6 +21,19 @@ class ParseError(Exception):
     """Malformed input file or schema violation (CLI exit code 2)."""
 
 
+def _parse_tol(value) -> float | None:
+    """None, or a number strictly between 0 and 1 (NaN and inf fail)."""
+    if value is None:
+        return None
+    try:
+        tol = float(value)
+    except (TypeError, ValueError):
+        tol = math.nan
+    if not 0.0 < tol < 1.0:
+        raise ParseError(f"tol must be a number in (0, 1), got {value!r}")
+    return tol
+
+
 def frame_from_data(
     data: dict, tol_override: float | None = None
 ) -> tuple[Frame, OperatorSpec, float | None]:
@@ -32,16 +45,16 @@ def frame_from_data(
     if not isinstance(data, dict):
         raise ParseError("top-level JSON value must be an object")
     try:
-        dim = int(data["dim"])
+        dim = data["dim"]
         vectors = data["vectors"]
         K = data["K"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"missing or malformed field: {exc}") from exc
-    tol = data.get("tol")
-    if tol is not None:
-        tol = float(tol)
+    except KeyError as exc:
+        raise ParseError(f"missing field: {exc}") from exc
+    if type(dim) is not int:  # a JSON integer; bool and float do not count
+        raise ParseError(f"dim must be an integer, got {dim!r}")
+    tol = _parse_tol(data.get("tol"))
     if tol_override is not None:
-        tol = float(tol_override)
+        tol = _parse_tol(tol_override)
     try:
         frame = build_frame(vectors)
     except ValueError as exc:
@@ -88,9 +101,7 @@ def load_operator_file(path) -> tuple[OperatorSpec, float | None]:
         raise ParseError(f"K must be square, got {K.shape}")
     if not np.all(np.isfinite(K)):
         raise ParseError("K has a non-finite entry")
-    tol = data.get("tol")
-    if tol is not None:
-        tol = float(tol)
+    tol = _parse_tol(data.get("tol"))
     return build_operator(K, tol if tol is not None else RANK_TOL), tol
 
 

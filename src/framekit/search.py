@@ -204,7 +204,10 @@ def _polish_op_norm(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:
         method="SLSQP",
         options={"maxiter": 200, "ftol": 1e-12},
     )
-    if not res.success:
+    # SLSQP can report failure (e.g. status 8, a line search that stalls)
+    # at a point better than c0; minimize_measure keeps a point only when
+    # its exact objective improves, so any finite point is worth returning.
+    if not np.all(np.isfinite(res.x)):
         return None
     return res.x[:-1]
 
@@ -277,20 +280,12 @@ def minimize_r2_within_uniform(
         raise ValueError("two-erasure search needs at least 2 vectors")
     param = dual_parameterization(frame, op)
     obj = _Objective(frame, param, Measure.SPECTRAL)
-    target = op.trace / N
-    rhs = np.full(N, target) - obj.a0
-    if param.dof == 0:
-        if np.max(np.abs(rhs)) > 1e-8 * max(1.0, abs(target)):
-            raise InfeasibleError("no 1-uniform dual exists for this frame")
-        c0 = np.zeros(0)
-        Z = np.zeros((0, 0))
-    else:
-        c0, *_ = np.linalg.lstsq(obj.D.T, rhs, rcond=None)
-        if np.max(np.abs(obj.D.T @ c0 - rhs)) > 1e-8 * max(1.0, abs(target)):
-            raise InfeasibleError("no 1-uniform dual exists for this frame")
-        _, s, vt = np.linalg.svd(obj.D.T, full_matrices=True)
-        rank = int(np.count_nonzero(s > 1e-12 * (s[0] if s.size else 1.0)))
-        Z = vt[rank:]  # rows span the feasible directions
+    c0 = param.diagonal_coefficients(frame, np.full(N, op.trace / N))
+    if c0 is None:
+        raise InfeasibleError("no 1-uniform dual exists for this frame")
+    _, s, vt = np.linalg.svd(obj.D.T, full_matrices=True)
+    rank = int(np.count_nonzero(s > 1e-12 * (s[0] if s.size else 1.0)))
+    Z = vt[rank:]  # rows span the feasible directions
 
     fsyn = frame.synthesis
 

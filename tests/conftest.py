@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -102,3 +104,46 @@ def random_block_frame(rng, specs=None):
         row += dim
         col += size
     return fk.Frame(syn), fk.build_operator(K), deltas
+
+
+def subset_search_connected_pair(frame, i, j, tol=1e-8, rank_tol=1e-10):
+    """Reference linear-connectivity test by exhaustive subset search.
+
+    Searches subsets S of the remaining indices in increasing size, requiring
+    {f_j} union {f_l : l in S} independent, an exact representation of f_i,
+    and every coefficient bounded away from zero.  First success (smallest
+    subset, then lexicographic) wins; returns (connected, (c, S, coeffs)).
+    Exponential in N: tests only.
+    """
+    syn = frame.synthesis
+    f_i = syn[:, i]
+    others = [k for k in range(frame.n_vectors) if k not in (i, j)]
+    for size in range(0, min(len(others), frame.dim - 1) + 1):
+        for subset in itertools.combinations(others, size):
+            cols = syn[:, [j, *subset]]
+            s = np.linalg.svd(cols, compute_uv=False)
+            if s[-1] <= rank_tol * s[0]:
+                continue
+            coeffs, *_ = np.linalg.lstsq(cols, f_i, rcond=None)
+            residual = np.linalg.norm(cols @ coeffs - f_i)
+            if residual > tol * max(1.0, np.linalg.norm(f_i)):
+                continue
+            if np.min(np.abs(coeffs)) <= tol:
+                continue
+            return True, (float(coeffs[0]), subset, coeffs[1:])
+    return False, None
+
+
+def degenerate_frame(rng, n_max=4, N_max=12):
+    """Small frame with exact dependencies: parallel and zero vectors and
+    {-1, 0, 1} entries mixed with generic columns."""
+    n = int(rng.integers(1, n_max + 1))
+    N = int(rng.integers(2, N_max + 1))
+    kind = rng.integers(0, 3, size=N)
+    syn = np.where(kind == 0, rng.normal(size=(n, N)), rng.integers(-1, 2, size=(n, N)))
+    for k in range(1, N):
+        if rng.random() < 0.2:
+            syn[:, k] = rng.choice([-2.0, 0.5, 1.0]) * syn[:, int(rng.integers(0, k))]
+        elif rng.random() < 0.1:
+            syn[:, k] = 0.0
+    return fk.Frame(syn.astype(float))

@@ -13,6 +13,7 @@ from framekit.io import (
     round_floats,
     save_frame_file,
 )
+from conftest import random_parseval_frame, random_psd
 
 S2 = math.sqrt(2.0)
 
@@ -116,6 +117,27 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert main(["analyze", "--frame", str(path)]) == 3
         assert "domain error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "field, value, flag",
+        [
+            ("tol", "abc", None),
+            ("tol", -1, None),
+            ("tol", float("nan"), None),
+            ("tol", 1e300, None),
+            ("dim", 3.7, None),
+            (None, None, "-1"),
+        ],
+    )
+    def test_bad_tol_or_dim_is_parse_error(self, tmp_path, capsys, field, value, flag):
+        path = tmp_path / "bad.json"
+        data = dict(EX1_DATA) if value is None else dict(EX1_DATA, **{field: value})
+        path.write_text(json.dumps(data))
+        argv = ["analyze", "--frame", str(path)]
+        if flag is not None:
+            argv += ["--tol", flag]
+        assert main(argv) == 2
+        assert "parse error" in capsys.readouterr().err
 
     def test_domain_error_not_parseval(self, tmp_path, capsys):
         data = {"dim": 2, "vectors": [[1, 0], [0, 1]], "K": [[2, 0], [0, 2]]}
@@ -243,6 +265,20 @@ class TestOtherCommands:
             pytest.approx(1.0),
         ]
         assert doc["certificate"]["verdict"] == "undetermined"
+
+    def test_optimal_dual_spectral_one_block_fifty_vectors(self, tmp_path, capsys):
+        rng = np.random.default_rng(50)
+        op = fk.build_operator(random_psd(rng, 5))
+        frame = random_parseval_frame(rng, op, 50)
+        path = tmp_path / "ob5x50.json"
+        save_frame_file(path, frame, op)
+        argv = ["optimal-dual", "--frame", str(path), "--measure", "spectral"]
+        assert main(argv + ["--max-iters", "20", "--restarts", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert len(doc["decomposition"]["blocks"]) == 1
+        G = np.asarray(doc["optimal_dual"]).T
+        diag = np.einsum("ij,ij->j", G, frame.synthesis)
+        assert np.max(np.abs(diag - max(doc["decomposition"]["deltas"]))) <= 1e-9
 
     def test_optimal_dual_opnorm_unique(self, ex2_file, capsys):
         assert (

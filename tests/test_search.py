@@ -78,6 +78,17 @@ class TestMinimizeMeasure:
             result = fk.minimize_measure(frame, op, Measure.SPECTRAL, CFG)
             assert result.value >= op.trace / N - 1e-9
 
+    def test_op_norm_keeps_slsqp_point_on_status_8(self):
+        # SLSQP stops with status 8 here at a point worth 0.4365755248; the
+        # subgradient runs alone reach 0.5718972807.
+        rng = np.random.default_rng(0)
+        rank = 4 if rng.random() < 0.7 else int(rng.integers(1, 4))
+        op = fk.build_operator(random_psd(rng, 4, rank))
+        frame = random_parseval_frame(rng, op, 6)
+        cfg = fk.SearchConfig(max_iters=300, restarts=2, seed=0)
+        result = fk.minimize_measure(frame, op, Measure.OP_NORM, cfg)
+        assert result.value == pytest.approx(0.4365755248, abs=1e-9)
+
     def test_block_frame_accuracy(self):
         rng = np.random.default_rng(5)
         frame, op, _ = random_block_frame(rng)
