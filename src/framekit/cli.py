@@ -29,7 +29,7 @@ from .duals import (
     perturbation_family,
 )
 from .erasures import build_report, report_to_dict
-from .errors import FrameKitError, NotPSDError, NumericalError
+from .errors import FrameKitError, NotParsevalError, NotPSDError, NumericalError
 from .frames import (
     OperatorSpec,
     build_dual_system,
@@ -57,6 +57,13 @@ def _nonneg_int(text: str) -> int:
     value = int(text)
     if value < 0:
         raise argparse.ArgumentTypeError("must be a non-negative integer")
+    return value
+
+
+def _pos_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError("must be a positive integer")
     return value
 
 
@@ -116,8 +123,6 @@ def _load_system(path, tol_override=None):
     frame, op, tol = load_frame_file(path, tol_override)
     k_frame_bounds(frame, op)
     if not is_parseval_k_frame(frame, op):
-        from .errors import NotParsevalError
-
         raise NotParsevalError(
             "input is a K-frame but not Parseval; canonical-dual analysis "
             "requires the Parseval property"
@@ -191,14 +196,7 @@ def cmd_optimal_dual(args) -> int:
     else:
         minimal = search.value
         constructed = (
-            canonical
-            if cert.verdict
-            in (
-                Verdict.OPTIMAL_SUFFICIENT,
-                Verdict.OPTIMAL_UNCOUNTABLE_FAMILY,
-                Verdict.UNIQUE_OPTIMAL,
-            )
-            else search.frame
+            canonical if cert.verdict is not Verdict.NOT_OPTIMAL else search.frame
         )
     family = perturbation_family(frame, op, kind)
     doc = {
@@ -318,13 +316,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--measure", choices=("opnorm", "spectral"), required=True)
     p.add_argument("--seed", type=_nonneg_int, default=20240)
-    p.add_argument("--max-iters", type=int, default=1500)
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--max-iters", type=_pos_int, default=1500)
+    p.add_argument("--restarts", type=_pos_int, default=4)
     p.set_defaults(func=cmd_optimal_dual)
 
     p = sub.add_parser("pair-bounds", help="lower bounds over all dual pairs")
     p.add_argument("--k", required=True, help="JSON file with a K field")
-    p.add_argument("--n-vectors", type=int, required=True)
+    p.add_argument("--n-vectors", type=_pos_int, required=True)
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.set_defaults(func=cmd_pair_bounds)
 
@@ -332,8 +330,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--measure", choices=("o1", "r1", "r2u"), required=True)
     p.add_argument("--seed", type=_nonneg_int, default=20240)
-    p.add_argument("--max-iters", type=int, default=1500)
-    p.add_argument("--restarts", type=int, default=4)
+    p.add_argument("--max-iters", type=_pos_int, default=1500)
+    p.add_argument("--restarts", type=_pos_int, default=4)
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(

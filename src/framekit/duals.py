@@ -21,9 +21,12 @@ an uncountable family of optimal duals:
   The certificate reports UniqueOptimal when that space is zero and an
   uncountable family (with an explicit direction and safety radius) when it
   is not.
-* If the top vectors are independent yet participate in a frame dependence
-  with all-nonzero top coefficients, a descent direction exists and the
-  canonical dual is not optimal; the certificate carries the witness.
+* Otherwise the certificate decides exactly.  Both measures are maxima of
+  convex terms on the dual chart, so the canonical dual is optimal iff 0
+  lies in the convex hull of the top terms' gradients there (Boyd and
+  Vandenberghe, *Convex Optimization*, 5.5).  One NNLS solve of the
+  least-distance problem returns either the multipliers of that convex
+  combination or an exact descent direction with a verified step.
 
 Separately, the linearly-connected decomposition machinery computes the
 exact minimum of the spectral-radius measure for decomposable frames: the
@@ -44,6 +47,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
+import scipy.optimize
 
 from .errors import (
     DependentInputError,
@@ -68,6 +72,7 @@ from .frames import (
     reconstruct_dual,
 )
 from .erasures import Measure, _pair_products, uniformity
+from .search import SearchConfig, _Objective, minimize_measure
 
 # Absolute tolerance for membership in argmax sets and finished-diagonal sets.
 WEIGHT_TOL = 1e-8
@@ -320,8 +325,6 @@ def min_r1_fixed_frame(
         raise NotKInvariantError(
             "closed form inapplicable and frame is not Parseval; cannot search"
         )
-    from .search import SearchConfig, minimize_measure
-
     result = minimize_measure(
         frame, op, Measure.SPECTRAL, SearchConfig(max_iters=800, restarts=3, seed=0)
     )
@@ -494,23 +497,9 @@ def _family_radius(
     return radius
 
 
-def perturbation_family(
-    frame: Frame,
-    op: OperatorSpec,
-    kind: Measure,
-    tol: float = WEIGHT_TOL,
+def _family(
+    frame: Frame, param, part: WeightPartition, kind: Measure
 ) -> PerturbationFamily:
-    """Optimality-preserving perturbation directions of the canonical dual.
-
-    Operator norm: admissible perturbations supported off the top set (the
-    top vectors are untouched, so their weights stay pinned at the maximum).
-    Spectral radius: admissible perturbations whose top diagonal inner
-    products vanish (the top diagonals stay pinned).  Either way rest
-    weights stay strictly below the top value for steps inside ``radius``,
-    so the measure is constant on the whole interval.
-    """
-    part = weight_partition(frame, op, kind, tol)
-    param = dual_parameterization(frame, op)
     coeff_rows = _family_coefficient_space(frame, param, part, kind)
     if coeff_rows.shape[0] == 0:
         return PerturbationFamily(
@@ -527,12 +516,30 @@ def perturbation_family(
     )
 
 
+def perturbation_family(
+    frame: Frame,
+    op: OperatorSpec,
+    kind: Measure,
+    tol: float = WEIGHT_TOL,
+) -> PerturbationFamily:
+    """Optimality-preserving perturbation directions of the canonical dual.
+
+    Operator norm: admissible perturbations supported off the top set (the
+    top vectors are untouched, so their weights stay pinned at the maximum).
+    Spectral radius: admissible perturbations whose top diagonal inner
+    products vanish (the top diagonals stay pinned).  Either way rest
+    weights stay strictly below the top value for steps inside ``radius``,
+    so the measure is constant on the whole interval.
+    """
+    part = weight_partition(frame, op, kind, tol)
+    return _family(frame, dual_parameterization(frame, op), part, kind)
+
+
 class Verdict(enum.Enum):
-    OPTIMAL_SUFFICIENT = "optimal_sufficient"
     OPTIMAL_UNCOUNTABLE_FAMILY = "optimal_uncountable_family"
     UNIQUE_OPTIMAL = "unique_optimal"
+    OPTIMAL_KKT = "optimal_kkt"
     NOT_OPTIMAL = "not_optimal"
-    UNDETERMINED = "undetermined"
 
 
 @dataclass(frozen=True, eq=False)
@@ -541,85 +548,56 @@ class OptimalityCertificate:
     evidence: dict
 
 
-def _independent(columns: np.ndarray, tol: float = RANK_TOL) -> bool:
-    if columns.shape[1] == 0:
-        return True
-    s = np.linalg.svd(columns, compute_uv=False)
-    return s[-1] > tol * s[0] and columns.shape[1] <= columns.shape[0]
+def _kkt_certificate(
+    frame: Frame, param, part: WeightPartition, kind: Measure
+) -> OptimalityCertificate:
+    """Exact first-order optimality test at the canonical dual (c = 0).
 
-
-def _dependence_with_nonzero_top(
-    frame: Frame, top: tuple[int, ...], tol: float
-) -> np.ndarray | None:
-    """A frame dependence whose coefficients are nonzero on every top index."""
-    _, s, vt = np.linalg.svd(frame.synthesis)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > RANK_TOL * smax))
-    null_rows = vt[rank:]
-    if null_rows.shape[0] == 0:
-        return None
-    cols = null_rows[:, list(top)]
-    if np.any(np.linalg.norm(cols, axis=0) <= tol):
-        return None
-    rng = np.random.default_rng(0)
-    z = np.ones(null_rows.shape[0])
-    for _ in range(32):
-        w = z @ null_rows
-        if np.min(np.abs(w[list(top)])) > 1e-6 * np.linalg.norm(w):
-            return w
-        z = rng.standard_normal(null_rows.shape[0])
-    return None
-
-
-def _measure_value(frame: Frame, dual_syn: np.ndarray, kind: Measure) -> float:
-    if kind is Measure.OP_NORM:
-        w = np.linalg.norm(frame.synthesis, axis=0) * np.linalg.norm(
-            dual_syn, axis=0
+    The measure is the maximum of convex terms, so its subdifferential at
+    c = 0 is the convex hull of the top terms' gradients S.  The
+    least-distance problem ``min ||d||`` subject to ``S^T d <= -1`` (S
+    scaled by its longest column) is one NNLS solve of ``[-S; 1^T] u = e``
+    (Lawson and Hanson, ch. 23).  A zero residual means ``S u = 0`` with
+    ``u >= 0`` summing to 1: the multipliers of ``0 in conv(S)``.  Otherwise
+    ``d = -r[:-1] / r[-1]`` from the residual r is a descent direction, and
+    halving from the step where the linear model reaches 0 finds a step
+    meeting the Armijo condition.
+    """
+    obj = _Objective(frame, param, kind)
+    top = list(part.top)
+    _, state = obj.terms(np.zeros(param.dof))
+    S = obj.gradients(state, top)
+    scale = float(np.max(np.linalg.norm(S, axis=0)))
+    E = np.vstack([-S / scale if scale > 0 else S, np.ones(len(top))])
+    e = np.zeros(param.dof + 1)
+    e[-1] = 1.0
+    u, residual = scipy.optimize.nnls(E, e)
+    if residual <= RANK_TOL:
+        multipliers = np.zeros(frame.n_vectors)
+        multipliers[top] = u / u.sum()
+        return OptimalityCertificate(
+            Verdict.OPTIMAL_KKT, {"hypothesis": "kkt", "multipliers": multipliers}
         )
-        return float(np.max(w))
-    return float(np.max(np.abs(np.einsum("ij,ij->j", dual_syn, frame.synthesis))))
-
-
-def _not_optimal_witness(
-    frame: Frame,
-    op: OperatorSpec,
-    part: WeightPartition,
-    base_dual: Frame,
-    kind: Measure,
-    tol: float,
-) -> dict | None:
-    """Descent witness: dependence coefficients, direction h, step, new value."""
-    top = part.top
-    if not _independent(frame.synthesis[:, list(top)]):
-        return None
-    w = _dependence_with_nonzero_top(frame, top, tol)
-    if w is None:
-        return None
-    if kind is Measure.OP_NORM:
-        scaled = [w[i] * (op.pinv @ frame.vector(i)) for i in top]
-    else:
-        scaled = [w[i] * frame.vector(i) for i in top]
-    try:
-        h = solve_equal_inner_products(scaled, -1.0)
-    except DependentInputError:
-        return None
-    direction = np.outer(h, w)  # u_i = w_i h
+    r = E @ u - e
+    d = -r[:-1] / r[-1]
+    slope = float(np.max(d @ S))
     canonical_value = part.top_value
-    scale = max(1.0, float(np.linalg.norm(base_dual.synthesis)))
-    best_t, best_val = 0.0, canonical_value
-    for t in np.geomspace(1e-8, 1.0, 80) * scale:
-        val = _measure_value(frame, base_dual.synthesis + t * direction, kind)
-        if val < best_val:
-            best_t, best_val = float(t), val
-    if best_val >= canonical_value - 1e-12:
-        return None
-    return {
-        "dependence": w,
-        "direction_vector": h,
-        "step": best_t,
-        "improved_value": best_val,
-        "canonical_value": canonical_value,
-    }
+    step = canonical_value / -slope
+    for _ in range(60):
+        improved = obj.value(step * d)
+        if improved <= canonical_value + 0.5 * step * slope:
+            return OptimalityCertificate(
+                Verdict.NOT_OPTIMAL,
+                {
+                    "direction": param.perturbation(d),
+                    "slope": slope,
+                    "step": step,
+                    "improved_value": improved,
+                    "canonical_value": canonical_value,
+                },
+            )
+        step /= 2.0
+    raise NumericalError("no Armijo step along the KKT descent direction")
 
 
 def canonical_certificate(
@@ -630,18 +608,22 @@ def canonical_certificate(
 ) -> OptimalityCertificate:
     """Decide optimality status of the canonical K-dual under one measure.
 
-    Cascade (first hypothesis that verifies wins):
+    Cascade (the first rung that applies answers):
 
-    1. no admissible perturbations at all -> UniqueOptimal;
-    2. trivially intersecting spans and zero weight-preserving space
-       (operator norm: rest vectors independent; spectral: no admissible
-       direction keeps the top diagonals) -> UniqueOptimal;
-    3. trivially intersecting spans and a nonzero weight-preserving space
-       -> OptimalUncountableFamily, with direction and radius;
-    4. trivially intersecting spans alone -> OptimalSufficient;
-    5. independent top vectors inside an all-nonzero-top dependence
-       -> NotOptimal, with an explicit descent witness;
-    6. otherwise Undetermined, with numerical search evidence attached.
+    1. no admissible perturbations at all -> UNIQUE_OPTIMAL, evidence
+       ``hypothesis`` and ``dof``;
+    2. trivially intersecting top and rest spans (the paper's sufficient
+       condition) -> UNIQUE_OPTIMAL when no admissible direction preserves
+       the top weights (operator norm: rest vectors independent; spectral:
+       no direction keeps the top diagonals), evidence ``hypothesis`` and
+       ``uniqueness_reason``; otherwise OPTIMAL_UNCOUNTABLE_FAMILY, evidence
+       ``hypothesis``, ``direction``, ``radius`` and ``family_dim``;
+    3. the exact KKT test at c = 0 -> OPTIMAL_KKT, evidence ``hypothesis``
+       and ``multipliers`` (length N, zero off the top set, summing to 1);
+       or NOT_OPTIMAL, evidence ``direction`` (an n x N admissible
+       perturbation), ``slope`` (the measure's directional derivative along
+       it), ``step``, ``improved_value`` (the exact measure of
+       ``canonical + step * direction``) and ``canonical_value``.
     """
     if not is_parseval_k_frame(frame, op):
         raise NotParsevalError("certificate requires a Parseval K-frame")
@@ -656,46 +638,30 @@ def canonical_certificate(
             {"hypothesis": "no_admissible_perturbations", "dof": 0},
         )
 
-    if spans_intersect_trivially(part):
-        family = perturbation_family(frame, op, kind, tol)
-        if not family.exists:
-            reason = (
-                "rest_vectors_independent"
-                if kind is Measure.OP_NORM
-                else "no_diagonal_preserving_direction"
-            )
-            return OptimalityCertificate(
-                Verdict.UNIQUE_OPTIMAL,
-                {
-                    "hypothesis": "trivial_span_intersection",
-                    "uniqueness_reason": reason,
-                },
-            )
+    if not spans_intersect_trivially(part):
+        return _kkt_certificate(frame, param, part, kind)
+
+    family = _family(frame, param, part, kind)
+    if not family.exists:
+        reason = (
+            "rest_vectors_independent"
+            if kind is Measure.OP_NORM
+            else "no_diagonal_preserving_direction"
+        )
         return OptimalityCertificate(
-            Verdict.OPTIMAL_UNCOUNTABLE_FAMILY,
+            Verdict.UNIQUE_OPTIMAL,
             {
                 "hypothesis": "trivial_span_intersection",
-                "direction": family.direction,
-                "radius": family.radius,
-                "family_dim": int(family.basis.shape[0]),
+                "uniqueness_reason": reason,
             },
         )
-
-    witness = _not_optimal_witness(frame, op, part, param.base, kind, tol)
-    if witness is not None:
-        return OptimalityCertificate(Verdict.NOT_OPTIMAL, witness)
-
-    from .search import SearchConfig, minimize_measure
-
-    result = minimize_measure(
-        frame, op, kind, SearchConfig(max_iters=600, restarts=3, seed=0)
-    )
     return OptimalityCertificate(
-        Verdict.UNDETERMINED,
+        Verdict.OPTIMAL_UNCOUNTABLE_FAMILY,
         {
-            "search_value": result.value,
-            "canonical_value": part.top_value,
-            "gap": part.top_value - result.value,
+            "hypothesis": "trivial_span_intersection",
+            "direction": family.direction,
+            "radius": family.radius,
+            "family_dim": int(family.basis.shape[0]),
         },
     )
 

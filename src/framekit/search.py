@@ -11,7 +11,10 @@ optional exact polish tightens the best point: an epigraph LP for the
 spectral objective and an SLSQP epigraph solve for the operator norm.  The
 polished point is only accepted when the exact re-evaluated objective
 strictly improves, so reported values are always true measure values of
-verified duals.
+verified duals.  The per-term gradients (:meth:`_Objective.gradients`) are
+shared with :func:`framekit.duals.canonical_certificate`, whose exact
+optimality test at the canonical dual uses the same formula as the
+subgradient loop.
 
 ``minimize_r2_within_uniform`` restricts the chart to duals with constant
 diagonal trace(K)/N (an affine constraint) and minimizes the two-erasure
@@ -37,6 +40,7 @@ from .frames import (
     verify_k_dual,
 )
 from .erasures import Measure, _pair_terms
+from .pairs import pair_bounds
 
 
 @dataclass(frozen=True)
@@ -91,31 +95,43 @@ class _Objective:
         return self.base + self.param.perturbation(c)
 
     def value(self, c: np.ndarray) -> float:
-        if self.kind is Measure.SPECTRAL:
-            return float(np.max(np.abs(self.a0 + c @ self.D)))
-        G = self.dual_syn(c)
-        return float(np.max(self.fnorms * np.linalg.norm(G, axis=0)))
+        return float(np.max(self.terms(c)[0]))
 
-    def value_and_subgrad(self, c: np.ndarray) -> tuple[float, np.ndarray]:
+    def terms(self, c: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Per-index terms at c, whose maximum is the objective, and the
+        state :meth:`gradients` needs."""
         if self.kind is Measure.SPECTRAL:
             diag = self.a0 + c @ self.D
-            mags = np.abs(diag)
-            val = float(np.max(mags))
-            ties = np.flatnonzero(mags >= val - 1e-14)
-            sub = np.zeros(self.dof)
-            for i in ties:
-                sub += np.sign(diag[i]) * self.D[:, i]
-            return val, sub / len(ties)
+            return np.abs(diag), (diag,)
         G = self.dual_syn(c)
         gnorms = np.linalg.norm(G, axis=0)
-        w = self.fnorms * gnorms
+        return self.fnorms * gnorms, (G, gnorms)
+
+    def gradients(self, state: tuple, indices) -> np.ndarray:
+        """Gradients (dof x len(indices)) of the terms at the given indices.
+
+        Spectral: ``sign(<g_i, f_i>) D[:, i]``.  Operator norm:
+        ``||f_i||`` times the chart derivative of ``||g_i||``, i.e. of
+        ``<g_i, g_i / ||g_i||>``; zero where ``g_i = 0``.
+        """
+        if self.kind is Measure.SPECTRAL:
+            (diag,) = state
+            return self.D[:, indices] * np.sign(diag[indices])
+        G, gnorms = state
+        norms = gnorms[indices]
+        U = G[:, indices] / np.where(norms > 0, norms, 1.0)
+        return self.fnorms[indices] * self.param.column_jacobian(U, indices)
+
+    def value_and_subgrad(self, c: np.ndarray) -> tuple[float, np.ndarray]:
+        """Objective and the mean gradient of the terms tied at the max."""
+        w, state = self.terms(c)
         val = float(np.max(w))
         ties = np.flatnonzero(w >= val - 1e-14)
-        sub = np.zeros(self.dof)
-        for i in ties:
-            if gnorms[i] > 0:
-                u = G[:, [i]] / gnorms[i]
-                sub += self.fnorms[i] * self.param.column_jacobian(u, [i])[:, 0]
+        grads = self.gradients(state, ties)
+        # Summed in tie order: a reordered sum would perturb seeded results.
+        sub = grads[:, 0]
+        for k in range(1, len(ties)):
+            sub = sub + grads[:, k]
         return val, sub / len(ties)
 
 
@@ -329,8 +345,6 @@ def minimize_r2_within_uniform(
     dual = reconstruct_dual(param, c_best)
     comparison = None
     if op.psd_flag and N >= 2:
-        from .pairs import pair_bounds
-
         bounds = pair_bounds(op, N)
         comparison = {
             "pair_r2_min": bounds.r2_min,

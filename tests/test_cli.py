@@ -139,6 +139,24 @@ class TestExitCodes:
         assert main(argv) == 2
         assert "parse error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--measure", "r1", "--max-iters", "0"],
+            ["search", "--measure", "o1", "--restarts", "-1"],
+            ["optimal-dual", "--measure", "spectral", "--max-iters", "0"],
+            ["optimal-dual", "--measure", "opnorm", "--restarts", "-1"],
+            ["pair-bounds", "--n-vectors", "0"],
+            ["pair-bounds", "--n-vectors", "-3"],
+        ],
+    )
+    def test_nonpositive_count_is_usage_error(self, ex1_file, capsys, argv):
+        flag = "--k" if argv[0] == "pair-bounds" else "--frame"
+        with pytest.raises(SystemExit) as exc:
+            main([argv[0], flag, ex1_file, *argv[1:]])
+        assert exc.value.code == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
     def test_domain_error_not_parseval(self, tmp_path, capsys):
         data = {"dim": 2, "vectors": [[1, 0], [0, 1]], "K": [[2, 0], [0, 2]]}
         path = tmp_path / "np.json"
@@ -250,7 +268,7 @@ class TestOtherCommands:
         assert main(["search", "--frame", ex2_file, "--measure", "r2u"]) == 0
         capsys.readouterr()
 
-    def test_optimal_dual_spectral(self, ex1_file, capsys):
+    def test_optimal_dual_spectral_kkt(self, ex1_file, capsys):
         assert (
             main(
                 ["optimal-dual", "--frame", ex1_file, "--measure", "spectral"]
@@ -264,7 +282,8 @@ class TestOtherCommands:
             pytest.approx(2 / 3),
             pytest.approx(1.0),
         ]
-        assert doc["certificate"]["verdict"] == "undetermined"
+        assert doc["certificate"]["verdict"] == "optimal_kkt"
+        assert doc["certificate"]["evidence"]["multipliers"] == [0, 0, 0, 1]
 
     def test_optimal_dual_spectral_one_block_fifty_vectors(self, tmp_path, capsys):
         rng = np.random.default_rng(50)

@@ -12,6 +12,8 @@ from conftest import (
     degenerate_frame,
     random_block_frame,
     random_orthonormal_rows,
+    random_parseval_frame,
+    random_psd,
     random_system,
     subset_search_connected_pair,
 )
@@ -27,9 +29,9 @@ def canonical_system(pair):
 def not_optimal_instance(seed=3):
     """Parseval frame (K = I) in the plane with distinct vector norms.
 
-    The top weight vector lies in the span of the others, and the frame
-    dependence has a nonzero top coefficient, so the canonical dual is not
-    one-erasure optimal under either measure.
+    The top weight vector lies in the span of the others and its weight
+    gradient is nonzero, so the canonical dual is not one-erasure optimal
+    under either measure.
     """
     rng = np.random.default_rng(seed)
     while True:
@@ -400,13 +402,145 @@ class TestPerturbationFamily:
         assert not fam.exists and fam.basis.shape[0] == 0
 
 
+def parseval_operator(frame):
+    """PSD K with K K^T equal to the frame operator (tiny eigenvalues cut)."""
+    w, q = np.linalg.eigh(frame.synthesis @ frame.synthesis.T)
+    w = np.where(w > 1e-12 * np.max(w, initial=0.0), w, 0.0)
+    return fk.build_operator((q * np.sqrt(w)) @ q.T)
+
+
+def kkt_instance(rng, kind):
+    """A block of four vectors in the plane plus an orthogonal singleton
+    whose weight ties with the block's top weight.
+
+    No dual moves the singleton's weight, so its gradient is zero and the
+    canonical dual is optimal with multiplier 1 on it; the other top vector
+    lies in the span of its block, so the span hypotheses do not apply.
+    """
+    frame, op, _ = random_block_frame(rng, [(2, 4)])
+    top = float(np.max(fk.weight_partition(frame, op, kind).weights))
+    syn = np.zeros((3, 5))
+    syn[:2, :4] = frame.synthesis
+    syn[2, 4] = top
+    K = np.zeros((3, 3))
+    K[:2, :2] = op.matrix
+    K[2, 2] = top
+    return fk.Frame(syn), fk.build_operator(K)
+
+
+def certificate_systems(rng, kind, count):
+    """One-block, block, degenerate and KKT-tied Parseval K-frames."""
+    for k in range(count):
+        if k % 4 == 0:
+            n = int(rng.integers(2, 5))
+            rank = n if rng.random() < 0.7 else int(rng.integers(1, n))
+            op = fk.build_operator(random_psd(rng, n, rank))
+            yield random_parseval_frame(rng, op, int(rng.integers(n + 1, 10))), op
+        elif k % 4 == 1:
+            frame, op, _ = random_block_frame(rng)
+            yield frame, op
+        elif k % 4 == 2:
+            frame = degenerate_frame(rng)
+            yield frame, parseval_operator(frame)
+        else:
+            yield kkt_instance(rng, kind)
+
+
+def measure_of(frame, dual, op, kind):
+    ds = fk.build_dual_system(frame, dual, op)
+    return fk.o1(ds) if kind is Measure.OP_NORM else fk.r1(ds)
+
+
 class TestCanonicalCertificate:
-    def test_rank_deficient_example_undetermined_but_tight(self, ex1):
+    def test_rank_deficient_example_optimal_kkt(self, ex1):
         frame, op = ex1
         for kind in (Measure.OP_NORM, Measure.SPECTRAL):
             cert = fk.canonical_certificate(frame, op, kind)
-            assert cert.verdict is Verdict.UNDETERMINED
-            assert abs(cert.evidence["gap"]) <= 1e-9
+            assert cert.verdict is Verdict.OPTIMAL_KKT
+            assert cert.evidence["hypothesis"] == "kkt"
+            assert np.allclose(cert.evidence["multipliers"], [0, 0, 0, 1], atol=1e-9)
+
+    def test_verdict_members(self):
+        assert {v.name for v in Verdict} == {
+            "UNIQUE_OPTIMAL",
+            "OPTIMAL_UNCOUNTABLE_FAMILY",
+            "OPTIMAL_KKT",
+            "NOT_OPTIMAL",
+        }
+
+    def test_never_runs_the_search(self, ex1, monkeypatch):
+        import framekit.duals as duals_mod
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the certificate must not search")
+
+        monkeypatch.setattr(duals_mod, "minimize_measure", refuse)
+        for kind in (Measure.OP_NORM, Measure.SPECTRAL):
+            assert fk.canonical_certificate(*ex1, kind).verdict is Verdict.OPTIMAL_KKT
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_agrees_with_search(self, kind):
+        rng = np.random.default_rng(41)
+        cfg = SearchConfig(max_iters=300, restarts=2, seed=5)
+        seen = set()
+        for frame, op in certificate_systems(rng, kind, 32):
+            cert = fk.canonical_certificate(frame, op, kind)
+            seen.add(cert.verdict)
+            ev = cert.evidence
+            if cert.verdict is Verdict.NOT_OPTIMAL:
+                dual = fk.Frame(
+                    fk.canonical_k_dual(frame, op).synthesis
+                    + ev["step"] * ev["direction"]
+                )
+                assert fk.verify_k_dual(frame, dual, op) is fk.DualKind.K_DUAL_PAIR
+                value = measure_of(frame, dual, op, kind)
+                assert abs(value - ev["improved_value"]) <= 1e-12 * max(1.0, value)
+                assert ev["improved_value"] < ev["canonical_value"]
+                assert ev["slope"] < 0
+            else:
+                top_value = fk.weight_partition(frame, op, kind).top_value
+                result = minimize_measure(frame, op, kind, cfg)
+                assert result.value >= top_value - 1e-7
+            if cert.verdict is Verdict.OPTIMAL_KKT:
+                lam = ev["multipliers"]
+                assert np.all(lam >= 0) and abs(lam.sum() - 1.0) <= 1e-12
+        assert {Verdict.OPTIMAL_KKT, Verdict.NOT_OPTIMAL} <= seen
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_permutation_permutes_multipliers(self, kind):
+        rng = np.random.default_rng(7)
+        for _ in range(5):
+            frame, op = kkt_instance(rng, kind)
+            cert = fk.canonical_certificate(frame, op, kind)
+            perm = rng.permutation(frame.n_vectors)
+            moved = fk.canonical_certificate(
+                fk.Frame(frame.synthesis[:, perm]), op, kind
+            )
+            assert moved.verdict is cert.verdict is Verdict.OPTIMAL_KKT
+            assert np.allclose(
+                moved.evidence["multipliers"],
+                cert.evidence["multipliers"][perm],
+                atol=1e-9,
+            )
+        frame, op = not_optimal_instance()
+        perm = [2, 0, 1]
+        moved = fk.Frame(frame.synthesis[:, perm])
+        assert fk.canonical_certificate(moved, op, kind).verdict is Verdict.NOT_OPTIMAL
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_scaling_keeps_verdicts(self, ex1, scale):
+        frame, op = ex1
+        scaled = fk.Frame(scale * frame.synthesis)
+        scaled_op = fk.build_operator(scale * op.matrix)
+        for kind in (Measure.OP_NORM, Measure.SPECTRAL):
+            cert = fk.canonical_certificate(scaled, scaled_op, kind)
+            assert cert.verdict is Verdict.OPTIMAL_KKT
+        frame, op = not_optimal_instance()
+        scaled = fk.Frame(scale * frame.synthesis)
+        scaled_op = fk.build_operator(scale * op.matrix)
+        for kind in (Measure.OP_NORM, Measure.SPECTRAL):
+            cert = fk.canonical_certificate(scaled, scaled_op, kind)
+            assert cert.verdict is Verdict.NOT_OPTIMAL
 
     def test_full_rank_example_op_norm_unique(self, ex2):
         frame, op = ex2
@@ -444,7 +578,7 @@ class TestCanonicalCertificate:
             if cert.verdict in (
                 Verdict.UNIQUE_OPTIMAL,
                 Verdict.OPTIMAL_UNCOUNTABLE_FAMILY,
-                Verdict.OPTIMAL_SUFFICIENT,
+                Verdict.OPTIMAL_KKT,
             ):
                 assert abs(result.value - part.top_value) <= 1e-6
 
