@@ -74,7 +74,8 @@ from .frames import (
 from .erasures import Measure, _pair_products, uniformity
 from .search import SearchConfig, _Objective, minimize_measure
 
-# Absolute tolerance for membership in argmax sets and finished-diagonal sets.
+# Tolerance for membership in argmax sets, relative to the top weight, and
+# in finished-diagonal sets.
 WEIGHT_TOL = 1e-8
 
 
@@ -108,7 +109,11 @@ def _orthonormal_span(columns: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
 def weight_partition(
     frame: Frame, op: OperatorSpec, kind: Measure, tol: float = WEIGHT_TOL
 ) -> WeightPartition:
-    """Per-index canonical-dual weights with argmax set and span bases."""
+    """Per-index canonical-dual weights with argmax set and span bases.
+
+    Index i is top when ``w_i >= top_value - tol * |top_value|``: relative,
+    so scaling F and K together keeps the partition.
+    """
     if not is_parseval_k_frame(frame, op):
         raise NotParsevalError("weight partition requires a Parseval K-frame")
     if kind is Measure.SPECTRAL and not op.psd_flag:
@@ -120,7 +125,8 @@ def weight_partition(
     else:
         weights = np.einsum("ij,ij->j", dual_syn, syn)
     top_value = float(np.max(weights))
-    top = tuple(int(i) for i in np.flatnonzero(weights >= top_value - tol))
+    cut = top_value - tol * abs(top_value)
+    top = tuple(int(i) for i in np.flatnonzero(weights >= cut))
     rest = tuple(i for i in range(frame.n_vectors) if i not in top)
     return WeightPartition(
         measure_kind=kind,

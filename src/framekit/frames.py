@@ -362,10 +362,23 @@ def dual_parameterization(
 
     W holds the right singular vectors of the synthesis matrix beyond its
     numerical rank, i.e. an orthonormal basis of null(F) in coefficient space.
+    Raises NotDualError when the canonical dual fails :func:`verify_k_dual`,
+    which happens when F passes the Parseval test but K keeps a
+    rounding-level singular value in its rank.
     """
     if not is_parseval_k_frame(frame, op):
         raise NotParsevalError("dual parameterization requires a Parseval K-frame")
     base = canonical_k_dual(frame, op)
+    if verify_k_dual(frame, base, op) is DualKind.NOT_DUAL:
+        # F F^T = K K^T holds within tol, yet K^+ F misses F G^T = K: K
+        # counts in its rank a singular value that F F^T only has as noise.
+        s = np.linalg.svd(op.matrix, compute_uv=False)
+        raise NotDualError(
+            "the canonical dual K^+ F is not a K-dual of this frame; the "
+            f"smallest singular value counted in rank(K), {s[op.rank - 1]:.3e}"
+            f" ({s[op.rank - 1] / s[0]:.1e} of the largest), is likely rounding"
+            " noise"
+        )
     _, s, vt = np.linalg.svd(frame.synthesis)
     smax = s[0] if s.size else 0.0
     rank = int(np.count_nonzero(s > tol * smax))

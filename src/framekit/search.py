@@ -7,8 +7,11 @@ coefficients (a norm of an affine map for the operator norm, the absolute
 value of an affine functional for the spectral radius), so a subgradient
 scheme with diminishing steps converges to the global infimum.  Each restart
 runs the subgradient loop (restart 0 starts at the canonical dual) and an
-optional exact polish tightens the best point: an epigraph LP for the
-spectral objective and an SLSQP epigraph solve for the operator norm.  The
+optional exact polish tightens the best point.  For the spectral objective
+it is an epigraph LP on the N diagonal inner products, which are all the
+objective sees: N + 1 variables, with the reachable diagonals written as
+equality rows, instead of the n (N - rank F) chart coefficients.  For the
+operator norm it is an SLSQP epigraph solve on the chart.  The
 polished point is only accepted when the exact re-evaluated objective
 strictly improves, so reported values are always true measure values of
 verified duals.  The per-term gradients (:meth:`_Objective.gradients`) are
@@ -32,6 +35,7 @@ import scipy.optimize
 
 from .errors import DofTooLargeError, InfeasibleError, NumericalError
 from .frames import (
+    RANK_TOL,
     DualKind,
     Frame,
     OperatorSpec,
@@ -173,23 +177,41 @@ def _subgradient_run(
 
 
 def _polish_spectral(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:
-    """Exact epigraph LP: min t with -t <= a0 + D^T c <= t."""
+    """Exact epigraph LP on the diagonal d = a0 + D^T c.
+
+    The objective depends on c only through d, and the reachable diagonals
+    are ``a0 + range(D^T)``.  So the LP is min t with ``|d_i| <= t`` and
+    ``P d = P a0``, where the rows of P span null(D): N + 1 variables and
+    p = N - rank D equality rows (p >= 1, since the all-ones vector lies in
+    null(D): ``sum_i D[k, i] = (F W)[a, m] = 0``).  One SVD of D gives P and
+    the minimum-norm coefficients of the optimal diagonal.
+    """
     dof, N = obj.dof, obj.a0.shape[0]
-    cost = np.zeros(dof + 1)
+    top = float(np.max(np.abs(obj.a0)))
+    if top == 0.0:
+        return None  # the canonical dual already has value 0
+    # Vt needs N rows to hold a basis of null(D); the thin SVD keeps only
+    # min(dof, N), and the full one costs nothing more when dof < N.
+    U, s, Vt = np.linalg.svd(obj.D, full_matrices=dof < N)
+    # The rank cut is relative to ||F||_F >= ||D||, not to s[0]: D can be
+    # all rounding noise (null(F) spanned by zero vectors of F).
+    rank = int(np.count_nonzero(s > RANK_TOL * np.linalg.norm(obj.fsyn)))
+    P = Vt[rank:]
+    # Scaled to unit size, so HiGHS's absolute tolerances act relatively.
+    a0 = obj.a0 / top
+    cost = np.zeros(N + 1)
     cost[-1] = 1.0
-    A = np.zeros((2 * N, dof + 1))
-    A[:N, :dof] = obj.D.T
-    A[:N, -1] = -1.0
-    A[N:, :dof] = -obj.D.T
-    A[N:, -1] = -1.0
-    b = np.concatenate([-obj.a0, obj.a0])
+    ones = np.ones((N, 1))
+    A_ub = np.block([[np.eye(N), -ones], [-np.eye(N), -ones]])
+    A_eq = np.hstack([P, np.zeros((P.shape[0], 1))])
     res = scipy.optimize.linprog(
-        cost, A_ub=A, b_ub=b, bounds=[(None, None)] * dof + [(0, None)],
-        method="highs",
+        cost, A_ub=A_ub, b_ub=np.zeros(2 * N), A_eq=A_eq, b_eq=P @ a0,
+        bounds=[(None, None)] * N + [(0, None)], method="highs",
     )
     if not res.success:
         return None
-    return res.x[:dof]
+    shift = top * (res.x[:N] - a0)
+    return U[:, :rank] @ ((Vt[:rank] @ shift) / s[:rank])
 
 
 def _polish_op_norm(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:

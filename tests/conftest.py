@@ -2,6 +2,7 @@ import itertools
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import framekit as fk
 from framekit import fixtures
@@ -147,3 +148,70 @@ def degenerate_frame(rng, n_max=4, N_max=12):
         elif rng.random() < 0.1:
             syn[:, k] = 0.0
     return fk.Frame(syn.astype(float))
+
+
+def parseval_operator(frame):
+    """PSD K with K K^T equal to the frame operator (tiny eigenvalues cut)."""
+    w, q = np.linalg.eigh(frame.synthesis @ frame.synthesis.T)
+    w = np.where(w > 1e-12 * np.max(w, initial=0.0), w, 0.0)
+    return fk.build_operator((q * np.sqrt(w)) @ q.T)
+
+
+def kkt_instance(rng, kind):
+    """A block of four vectors in the plane plus an orthogonal singleton
+    whose weight ties with the block's top weight.
+
+    No dual moves the singleton's weight, so its gradient is zero and the
+    canonical dual is optimal with multiplier 1 on it; the other top vector
+    lies in the span of its block, so the span hypotheses do not apply.
+    """
+    frame, op, _ = random_block_frame(rng, [(2, 4)])
+    top = float(np.max(fk.weight_partition(frame, op, kind).weights))
+    syn = np.zeros((3, 5))
+    syn[:2, :4] = frame.synthesis
+    syn[2, 4] = top
+    K = np.zeros((3, 3))
+    K[:2, :2] = op.matrix
+    K[2, 2] = top
+    return fk.Frame(syn), fk.build_operator(K)
+
+
+def certificate_systems(rng, kind, count):
+    """One-block, block, degenerate and KKT-tied Parseval K-frames."""
+    for k in range(count):
+        if k % 4 == 0:
+            n = int(rng.integers(2, 5))
+            rank = n if rng.random() < 0.7 else int(rng.integers(1, n))
+            op = fk.build_operator(random_psd(rng, n, rank))
+            yield random_parseval_frame(rng, op, int(rng.integers(n + 1, 10))), op
+        elif k % 4 == 1:
+            frame, op, _ = random_block_frame(rng)
+            yield frame, op
+        elif k % 4 == 2:
+            frame = degenerate_frame(rng)
+            yield frame, parseval_operator(frame)
+        else:
+            yield kkt_instance(rng, kind)
+
+
+def coefficient_space_polish(obj):
+    """Reference spectral polish: the epigraph LP over all chart coefficients.
+
+    min t subject to -t <= a0 + D^T c <= t, with the dof coefficients c and t
+    as variables: a dense 2N x (dof + 1) constraint matrix.  Returns the
+    coefficients, or None when HiGHS reports failure.
+    """
+    dof, N = obj.dof, obj.a0.shape[0]
+    cost = np.zeros(dof + 1)
+    cost[-1] = 1.0
+    A = np.zeros((2 * N, dof + 1))
+    A[:N, :dof] = obj.D.T
+    A[:N, -1] = -1.0
+    A[N:, :dof] = -obj.D.T
+    A[N:, -1] = -1.0
+    b = np.concatenate([-obj.a0, obj.a0])
+    res = scipy.optimize.linprog(
+        cost, A_ub=A, b_ub=b, bounds=[(None, None)] * dof + [(0, None)],
+        method="highs",
+    )
+    return res.x[:dof] if res.success else None

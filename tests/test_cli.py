@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 import framekit as fk
 from framekit.cli import main
@@ -13,7 +14,7 @@ from framekit.io import (
     round_floats,
     save_frame_file,
 )
-from conftest import random_parseval_frame, random_psd
+from conftest import degenerate_frame, random_parseval_frame, random_psd
 
 S2 = math.sqrt(2.0)
 
@@ -163,6 +164,22 @@ class TestExitCodes:
         path.write_text(json.dumps(data))
         assert main(["analyze", "--frame", str(path)]) == 3
         capsys.readouterr()
+
+    def test_domain_error_canonical_dual_not_k_dual(self, tmp_path, capsys):
+        # F F^T has a rounding-level eigenvalue (about 1e-15).  Its square
+        # root stays in rank(K), so F passes the Parseval test while K^+ F
+        # misses F G^T = K.
+        frame = degenerate_frame(np.random.default_rng(18))
+        K = scipy.linalg.sqrtm(frame.synthesis @ frame.synthesis.T)
+        K = 0.5 * (K + K.T)
+        data = {"dim": frame.dim, "vectors": frame.vectors.tolist(), "K": K.tolist()}
+        path = tmp_path / "rounding.json"
+        path.write_text(json.dumps(data))
+        argv = ["optimal-dual", "--frame", str(path), "--measure", "spectral"]
+        assert main(argv) == 3
+        err = capsys.readouterr().err
+        smallest = np.linalg.svd(K, compute_uv=False)[-1]
+        assert "domain error" in err and f"{smallest:.3e}" in err
 
 
 class TestAnalyze:

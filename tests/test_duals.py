@@ -9,7 +9,9 @@ from framekit.erasures import Measure
 from framekit.duals import Verdict, _diag_inner
 from framekit.search import SearchConfig, minimize_measure
 from conftest import (
+    certificate_systems,
     degenerate_frame,
+    kkt_instance,
     random_block_frame,
     random_orthonormal_rows,
     random_parseval_frame,
@@ -402,50 +404,6 @@ class TestPerturbationFamily:
         assert not fam.exists and fam.basis.shape[0] == 0
 
 
-def parseval_operator(frame):
-    """PSD K with K K^T equal to the frame operator (tiny eigenvalues cut)."""
-    w, q = np.linalg.eigh(frame.synthesis @ frame.synthesis.T)
-    w = np.where(w > 1e-12 * np.max(w, initial=0.0), w, 0.0)
-    return fk.build_operator((q * np.sqrt(w)) @ q.T)
-
-
-def kkt_instance(rng, kind):
-    """A block of four vectors in the plane plus an orthogonal singleton
-    whose weight ties with the block's top weight.
-
-    No dual moves the singleton's weight, so its gradient is zero and the
-    canonical dual is optimal with multiplier 1 on it; the other top vector
-    lies in the span of its block, so the span hypotheses do not apply.
-    """
-    frame, op, _ = random_block_frame(rng, [(2, 4)])
-    top = float(np.max(fk.weight_partition(frame, op, kind).weights))
-    syn = np.zeros((3, 5))
-    syn[:2, :4] = frame.synthesis
-    syn[2, 4] = top
-    K = np.zeros((3, 3))
-    K[:2, :2] = op.matrix
-    K[2, 2] = top
-    return fk.Frame(syn), fk.build_operator(K)
-
-
-def certificate_systems(rng, kind, count):
-    """One-block, block, degenerate and KKT-tied Parseval K-frames."""
-    for k in range(count):
-        if k % 4 == 0:
-            n = int(rng.integers(2, 5))
-            rank = n if rng.random() < 0.7 else int(rng.integers(1, n))
-            op = fk.build_operator(random_psd(rng, n, rank))
-            yield random_parseval_frame(rng, op, int(rng.integers(n + 1, 10))), op
-        elif k % 4 == 1:
-            frame, op, _ = random_block_frame(rng)
-            yield frame, op
-        elif k % 4 == 2:
-            frame = degenerate_frame(rng)
-            yield frame, parseval_operator(frame)
-        else:
-            yield kkt_instance(rng, kind)
-
-
 def measure_of(frame, dual, op, kind):
     ds = fk.build_dual_system(frame, dual, op)
     return fk.o1(ds) if kind is Measure.OP_NORM else fk.r1(ds)
@@ -527,7 +485,7 @@ class TestCanonicalCertificate:
         moved = fk.Frame(frame.synthesis[:, perm])
         assert fk.canonical_certificate(moved, op, kind).verdict is Verdict.NOT_OPTIMAL
 
-    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e6, 1e8])
     def test_scaling_keeps_verdicts(self, ex1, scale):
         frame, op = ex1
         scaled = fk.Frame(scale * frame.synthesis)

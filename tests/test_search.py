@@ -1,11 +1,21 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 import framekit as fk
 from framekit.erasures import Measure
-from conftest import random_block_frame, random_psd, random_parseval_frame
+from framekit.search import _Objective, _polish_spectral
+from conftest import (
+    certificate_systems,
+    coefficient_space_polish,
+    random_block_frame,
+    random_psd,
+    random_parseval_frame,
+)
 
 CFG = fk.SearchConfig(max_iters=500, restarts=3, seed=99)
+BUDGET = fk.SearchConfig(max_iters=300, restarts=2, seed=0)
 
 
 def reference_subgradient(obj, c):
@@ -29,8 +39,6 @@ class TestObjective:
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
     def test_subgradient_matches_per_term_reference(self, mb, kind):
         # All three Mercedes weights tie at the canonical dual (c = 0).
-        from framekit.search import _Objective
-
         frame, op = mb
         obj = _Objective(frame, fk.dual_parameterization(frame, op), kind)
         rng = np.random.default_rng(4)
@@ -125,12 +133,87 @@ class TestMinimizeMeasure:
         result = fk.minimize_measure(frame, op, Measure.OP_NORM, cfg)
         assert result.value == pytest.approx(0.4365755248, abs=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_spectral_value_scales_with_input(self, scale):
+        for frame, op in scaling_systems():
+            value = fk.minimize_measure(frame, op, Measure.SPECTRAL, BUDGET).value
+            scaled = fk.minimize_measure(
+                fk.Frame(scale * frame.synthesis),
+                fk.build_operator(scale * op.matrix),
+                Measure.SPECTRAL,
+                BUDGET,
+            ).value
+            assert scaled / scale == pytest.approx(value, rel=1e-9, abs=0)
+
+    def test_one_block_ten_by_two_hundred(self):
+        rng = np.random.default_rng(11)
+        op = fk.build_operator(random_psd(rng, 10))
+        frame = random_parseval_frame(rng, op, 200)
+        result = fk.minimize_measure(frame, op, Measure.SPECTRAL, BUDGET)
+        deltas = fk.connected_decomposition(frame, op).deltas
+        assert result.value == pytest.approx(max(deltas), rel=1e-9, abs=0)
+
     def test_block_frame_accuracy(self):
         rng = np.random.default_rng(5)
         frame, op, _ = random_block_frame(rng)
         closed = fk.min_r1_fixed_frame(frame, op)
         result = fk.minimize_measure(frame, op, Measure.SPECTRAL, CFG)
         assert result.value == pytest.approx(closed, abs=1e-6)
+
+
+def scaling_systems():
+    """A (5,50) one-block frame, an n=12 frame of four blocks and a (4,12)
+    frame of a rank-3 K."""
+    rng = np.random.default_rng(3)
+    op = fk.build_operator(random_psd(rng, 5))
+    yield random_parseval_frame(rng, op, 50), op
+    frame, op, _ = random_block_frame(rng, [(3, 6), (3, 8), (3, 10), (3, 12)])
+    yield frame, op
+    op = fk.build_operator(random_psd(rng, 4, rank=3))
+    yield random_parseval_frame(rng, op, 12), op
+
+
+class TestPolishSpectral:
+    def test_matches_coefficient_space_reference(self):
+        rng = np.random.default_rng(23)
+        checked = 0
+        for frame, op in certificate_systems(rng, Measure.SPECTRAL, 140):
+            param = fk.dual_parameterization(frame, op)
+            obj = _Objective(frame, param, Measure.SPECTRAL)
+            if param.dof == 0 or not np.any(obj.a0):
+                continue  # minimize_measure polishes only when dof > 0
+            reference = coefficient_space_polish(obj)
+            assert reference is not None
+            c = _polish_spectral(obj, np.zeros(param.dof))
+            assert c is not None
+            expected = obj.value(reference)
+            assert abs(obj.value(c) - expected) <= 1e-9 * expected
+            checked += 1
+        assert checked >= 100
+
+    def test_matches_reference_on_generic_charts(self):
+        # On a frame's chart null(D) is spanned by the indicators of the
+        # matroid components of F, so the minimum-norm lift of any diagonal
+        # lands on the component means, an optimum.  A generic low-rank D
+        # has no such structure: only the exact LP reaches the optimum.
+        rng = np.random.default_rng(29)
+        for _ in range(40):
+            N = int(rng.integers(3, 15))
+            rank = int(rng.integers(1, N))
+            dof = int(rng.integers(rank, 2 * N))
+            D = rng.normal(size=(dof, rank)) @ rng.normal(size=(rank, N))
+            a0 = rng.normal(size=N)
+            # fsyn only sets the scale of the rank cut; ||D||_F bounds ||D||.
+            reference = coefficient_space_polish(
+                SimpleNamespace(D=D, a0=a0, dof=dof, fsyn=D)
+            )
+            expected = np.max(np.abs(a0 + reference @ D))
+            # The reference runs at unit scale; the polish must not need to.
+            scale = 10.0 ** rng.integers(-9, 10)
+            obj = SimpleNamespace(D=D, a0=scale * a0, dof=dof, fsyn=D)
+            c = _polish_spectral(obj, np.zeros(dof))
+            value = np.max(np.abs(obj.a0 + c @ D)) / scale
+            assert value == pytest.approx(expected, rel=1e-9)
 
 
 class TestMinimizeR2WithinUniform:
