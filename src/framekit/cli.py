@@ -212,7 +212,7 @@ def cmd_optimal_dual(args) -> int:
         },
         "perturbation_family": {
             "exists": family.exists,
-            "dimension": int(family.basis.shape[0]),
+            "dimension": family.dimension,
             "radius": family.radius,
         },
     }

@@ -43,7 +43,9 @@ from __future__ import annotations
 import enum
 import math
 import warnings
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -419,49 +421,53 @@ def construct_spectrally_optimal_dual(
 class PerturbationFamily:
     """Directions along which the canonical dual stays optimal.
 
-    ``basis`` stacks an orthonormal basis of the full direction space
-    (each element an n x N admissible perturbation); ``direction`` is its
-    first element and ``radius`` the largest symmetric interval of step
-    sizes keeping every rest weight strictly below the top value (infinite
-    when nothing constrains it).
+    ``dimension`` is the dimension of the direction space (0 when there is
+    none).  ``direction`` is its member closest to a chart axis: the chart
+    coordinate vector e_k projected onto the space and scaled to unit norm,
+    for the first k with the largest diagonal entry of the orthogonal
+    projector onto the space.  ``radius`` is the largest symmetric interval
+    of step sizes along it keeping every rest weight strictly below the top
+    value (infinite when nothing constrains it).  ``basis`` stacks an
+    orthonormal basis of the space, each element an n x N admissible
+    perturbation, with ``basis[0] == direction``.  It needs a dense
+    factorization in the dof chart coordinates, so it is built on first
+    access.
     """
 
-    exists: bool
     direction: np.ndarray | None
     radius: float
-    basis: np.ndarray
+    dimension: int
+    _build_basis: Callable[[], np.ndarray] = field(repr=False)
+
+    @property
+    def exists(self) -> bool:
+        return self.dimension > 0
+
+    @cached_property
+    def basis(self) -> np.ndarray:
+        return self._build_basis()
 
 
-def _null_space(rows: np.ndarray, dof: int, tol: float = RANK_TOL) -> np.ndarray:
-    """Orthonormal basis (as rows) of the null space of a constraint matrix."""
-    if rows.size == 0:
-        return np.eye(dof)
-    _, s, vt = np.linalg.svd(rows)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > max(tol * smax, tol)))
-    return vt[rank:]
+def _projected_axis(Q: np.ndarray) -> np.ndarray:
+    """Unit projection of the axis e_k onto the orthogonal complement of
+    range(Q), Q with orthonormal columns, for the first k maximizing the
+    projector's diagonal entry ``1 - ||Q[k]||^2``."""
+    k = int(np.argmax(1.0 - np.einsum("ij,ij->i", Q, Q)))
+    u = -(Q @ Q[k])
+    u[k] += 1.0
+    return u / np.linalg.norm(u)
 
 
-def _family_coefficient_space(
-    frame: Frame, param, part: WeightPartition, kind: Measure
-) -> np.ndarray:
-    """Coefficient directions preserving the top weights, as rows."""
-    dof = param.dof
-    if dof == 0:
-        return np.zeros((0, 0))
-    top = list(part.top)
-    if kind is Measure.OP_NORM:
-        # u_i = 0 for every top index: one row per entry (a, i), a-major.
-        rows = np.vstack(
-            [
-                param.column_jacobian(np.outer(e, np.ones(len(top))), top).T
-                for e in np.eye(frame.dim)
-            ]
-        )
-    else:
-        # <u_i, f_i> = 0 for every top index.
-        rows = param.column_jacobian(frame.synthesis[:, top], top).T
-    return _null_space(np.atleast_2d(rows), dof)
+def _complement_rows(u: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    """Orthonormal rows completing u to a basis of the complement of
+    range(Q).
+
+    u is a unit vector orthogonal to the orthonormal columns of Q, so
+    ``[u, Q]`` has full column rank and its remaining left singular vectors
+    span the rest.
+    """
+    U = np.linalg.svd(np.column_stack([u, Q]))[0]
+    return U[:, 1 + Q.shape[1] :].T
 
 
 def _family_radius(
@@ -473,52 +479,82 @@ def _family_radius(
 ) -> float:
     """Largest delta with all rest weights < top value for |t| < delta."""
     L = part.top_value
-    radius = float("inf")
-    for i in part.rest:
-        f = frame.synthesis[:, i]
-        v = base_dual.synthesis[:, i]
-        u = direction[:, i]
-        if kind is Measure.OP_NORM:
-            fn = float(np.linalg.norm(f))
-            if fn == 0.0:
-                continue
-            a = float(u @ u)
-            b = float(v @ u)
-            d = float(v @ v) - (L / fn) ** 2
-            if a == 0.0:
-                if b == 0.0:
-                    continue
-                radius = min(radius, -d / (2.0 * abs(b)))
-                continue
-            disc = math.sqrt(max(b * b - a * d, 0.0))
-            t_plus = (-b + disc) / a
-            t_minus = (-b - disc) / a
-            radius = min(radius, min(abs(t_plus), abs(t_minus)))
-        else:
-            s = float(u @ f)
-            if s == 0.0:
-                continue
-            a0 = float(v @ f)
-            radius = min(radius, (part.top_value - abs(a0)) / abs(s))
-    return radius
+    rest = list(part.rest)
+    f = frame.synthesis[:, rest]
+    v = base_dual.synthesis[:, rest]
+    u = direction[:, rest]
+    if kind is Measure.OP_NORM:
+        # ||g_i(t)||^2 = a t^2 + 2 b t + ||v||^2 meets (L / ||f_i||)^2 at the
+        # roots t of a t^2 + 2 b t + d; it stays put where u = 0 or f_i = 0.
+        fn = np.linalg.norm(f, axis=0)
+        a = np.einsum("ij,ij->j", u, u)
+        moving = (fn > 0.0) & (a > 0.0)
+        a, fn, u, v = a[moving], fn[moving], u[:, moving], v[:, moving]
+        b = np.einsum("ij,ij->j", v, u)
+        d = np.einsum("ij,ij->j", v, v) - (L / fn) ** 2
+        disc = np.sqrt(np.maximum(b * b - a * d, 0.0))
+        bounds = np.minimum(np.abs(-b + disc), np.abs(-b - disc)) / a
+    else:
+        slopes = np.einsum("ij,ij->j", u, f)
+        moving = slopes != 0.0
+        a0 = np.einsum("ij,ij->j", v[:, moving], f[:, moving])
+        bounds = (L - np.abs(a0)) / np.abs(slopes[moving])
+    return float(np.min(bounds, initial=math.inf))
 
 
 def _family(
     frame: Frame, param, part: WeightPartition, kind: Measure
 ) -> PerturbationFamily:
-    coeff_rows = _family_coefficient_space(frame, param, part, kind)
-    if coeff_rows.shape[0] == 0:
-        return PerturbationFamily(
-            exists=False,
-            direction=None,
-            radius=0.0,
-            basis=np.zeros((0, frame.dim, frame.n_vectors)),
-        )
-    basis = param.perturbation(coeff_rows)
-    direction = basis[0]
-    radius = _family_radius(frame, param.base, direction, part, kind)
+    """The family from a factorization of the top constraints alone.
+
+    Operator norm: ``C W_T^T = 0`` says each row of C is orthogonal to
+    range(W_T^T); with R an orthonormal basis of that range, the chart
+    constraint space is spanned by the orthonormal columns ``kron(R, I_n)``
+    and the family has dimension ``n (N - rank F - rank W_T)``.  Spectral:
+    ``<u_i, f_i> = 0`` on the top set are the columns D_T of the diagonal
+    map, so the family is the complement of range(D_T), of dimension
+    ``dof - rank D_T``.
+    """
+    n, N = frame.dim, frame.n_vectors
+    top = list(part.top)
+    if kind is Measure.OP_NORM:
+        _, s, vt = np.linalg.svd(param.basis[top], full_matrices=False)
+        # W has orthonormal columns, so ||W_T|| <= 1 and the cut is absolute.
+        R = vt[: np.count_nonzero(s > RANK_TOL)].T
+        dimension = n * (R.shape[0] - R.shape[1])
+
+        def axis():
+            # The projector's diagonal is the same for every row a of C, so
+            # the first largest entry has a = 0: c[m n] = p[m].
+            return np.kron(_projected_axis(R), np.eye(n)[0])
+
+        def constraints():
+            return np.kron(R, np.eye(n))
+
+    else:
+        D_T = param.column_jacobian(frame.synthesis[:, top], top)
+        U, s, _ = np.linalg.svd(D_T, full_matrices=False)
+        # Relative to ||F||_F >= ||D_T||: D_T can be all rounding noise.
+        Q = U[:, : np.count_nonzero(s > RANK_TOL * np.linalg.norm(frame.synthesis))]
+        dimension = param.dof - Q.shape[1]
+
+        def axis():
+            return _projected_axis(Q)
+
+        def constraints():
+            return Q
+
+    if not dimension:
+        return PerturbationFamily(None, 0.0, 0, lambda: np.zeros((0, n, N)))
+    u = axis()
+    direction = param.perturbation(u)
     return PerturbationFamily(
-        exists=True, direction=direction, radius=radius, basis=basis
+        direction=direction,
+        radius=_family_radius(frame, param.base, direction, part, kind),
+        dimension=dimension,
+        _build_basis=lambda: np.concatenate(
+            [direction[None], param.perturbation(_complement_rows(u, constraints()))]
+        ),
     )
 
 
@@ -535,7 +571,10 @@ def perturbation_family(
     Spectral radius: admissible perturbations whose top diagonal inner
     products vanish (the top diagonals stay pinned).  Either way rest
     weights stay strictly below the top value for steps inside ``radius``,
-    so the measure is constant on the whole interval.
+    so the measure is constant on the whole interval.  ``dimension``,
+    ``direction`` (the projected chart axis with the largest projector
+    diagonal entry) and ``radius`` come from a thin factorization of the
+    top constraints; ``basis`` is built only when read.
     """
     part = weight_partition(frame, op, kind, tol)
     return _family(frame, dual_parameterization(frame, op), part, kind)
@@ -667,7 +706,7 @@ def canonical_certificate(
             "hypothesis": "trivial_span_intersection",
             "direction": family.direction,
             "radius": family.radius,
-            "family_dim": int(family.basis.shape[0]),
+            "family_dim": family.dimension,
         },
     )
 

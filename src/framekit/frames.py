@@ -222,12 +222,19 @@ def k_frame_bounds(
 def is_parseval_k_frame(
     frame: Frame, op: OperatorSpec, tol: float = DEFAULT_TOL
 ) -> bool:
-    """True iff the frame operator equals ``K K^T`` within scale-free tol."""
+    """True iff the frame operator equals ``K K^T`` within scale-free tol.
+
+    The Frobenius residual is compared with ``tol * ||K||^2``, so scaling F
+    and K together keeps the verdict.  For K = 0 only the zero frame is
+    Parseval.
+    """
     if frame.dim != op.dim:
         return False
+    if not np.any(op.matrix):
+        return not np.any(frame.synthesis)
     S = frame_operator(frame)
     KKt = op.matrix @ op.matrix.T
-    scale = max(1.0, float(np.linalg.norm(op.matrix)) ** 2)
+    scale = float(np.linalg.norm(op.matrix)) ** 2
     return float(np.linalg.norm(S - KKt)) <= tol * scale
 
 
@@ -248,17 +255,21 @@ def verify_k_dual(
 ) -> DualKind:
     """Classify (F, G) by the duality residual of ``F G^T = K``.
 
-    The residual is a Frobenius norm relative to ``max(1, ||K||)``.  Over the
-    reals the reversed relation ``G F^T = K^T`` is its transpose, so a
-    verified K-dual always forms a K-dual pair.
+    The residual is a Frobenius norm relative to ``||K||``, so scaling F and
+    K by the same factor keeps the verdict.  For K = 0 the product
+    ``F G^T`` must vanish exactly.  Over the reals the reversed relation
+    ``G F^T = K^T`` is its transpose, so a verified K-dual always forms a
+    K-dual pair.
     """
     if frame.dim != dual.dim or frame.n_vectors != dual.n_vectors:
         raise ValueError("frame and dual shapes disagree")
     if frame.dim != op.dim:
         raise ValueError("frame and operator dims disagree")
-    scale = max(1.0, float(np.linalg.norm(op.matrix)))
-    residual = np.linalg.norm(frame.synthesis @ dual.synthesis.T - op.matrix)
-    if residual > tol * scale:
+    product = frame.synthesis @ dual.synthesis.T
+    if not np.any(op.matrix):
+        return DualKind.NOT_DUAL if np.any(product) else DualKind.K_DUAL_PAIR
+    residual = np.linalg.norm(product - op.matrix)
+    if residual > tol * float(np.linalg.norm(op.matrix)):
         return DualKind.NOT_DUAL
     return DualKind.K_DUAL_PAIR
 

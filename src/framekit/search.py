@@ -7,17 +7,23 @@ coefficients (a norm of an affine map for the operator norm, the absolute
 value of an affine functional for the spectral radius), so a subgradient
 scheme with diminishing steps converges to the global infimum.  Each restart
 runs the subgradient loop (restart 0 starts at the canonical dual) and an
-optional exact polish tightens the best point.  For the spectral objective
-it is an epigraph LP on the N diagonal inner products, which are all the
-objective sees: N + 1 variables, with the reachable diagonals written as
-equality rows, instead of the n (N - rank F) chart coefficients.  For the
-operator norm it is an SLSQP epigraph solve on the chart.  The
-polished point is only accepted when the exact re-evaluated objective
-strictly improves, so reported values are always true measure values of
-verified duals.  The per-term gradients (:meth:`_Objective.gradients`) are
-shared with :func:`framekit.duals.canonical_certificate`, whose exact
-optimality test at the canonical dual uses the same formula as the
-subgradient loop.
+optional exact polish tightens the best point.
+
+The spectral objective sees a dual only through its diagonal
+``d = a0 + D^T c``, and each of its subgradients is ``D s`` for an N-vector
+s of signs on the tied terms.  So the loop never leaves ``start + D lam``:
+it steps through lam in R^N, with ``d = a0 + D^T start + M lam`` and step
+norms ``s^T M s``, where ``M = D^T D = (F^T F) o (W W^T)`` is an N x N
+Hadamard product.  No iteration touches the n (N - rank F) chart
+coefficients.  The spectral polish is an epigraph LP on the same diagonal:
+N + 1 variables, with the reachable diagonals written as equality rows.
+For the operator norm the loop runs on the chart coefficients and the
+polish is an SLSQP epigraph solve there.  The polished point is only
+accepted when the exact re-evaluated objective strictly improves, so
+reported values are always true measure values of verified duals.  The
+per-term gradients (:meth:`_Objective.gradients`) are shared with
+:func:`framekit.duals.canonical_certificate`, whose exact optimality test
+at the canonical dual uses the same formula as the subgradient loop.
 
 ``minimize_r2_within_uniform`` restricts the chart to duals with constant
 diagonal trace(K)/N (an affine constraint) and minimizes the two-erasure
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.optimize
@@ -126,17 +133,57 @@ class _Objective:
         U = G[:, indices] / np.where(norms > 0, norms, 1.0)
         return self.fnorms[indices] * self.param.column_jacobian(U, indices)
 
+    @cached_property
+    def M(self) -> np.ndarray:
+        """``D^T D``, whose entry (i, j) is ``<f_i, f_j> <w_i, w_j>``."""
+        W = self.param.basis
+        return (self.fsyn.T @ self.fsyn) * (W @ W.T)
+
     def value_and_subgrad(self, c: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and the mean gradient of the terms tied at the max."""
         w, state = self.terms(c)
-        val = float(np.max(w))
-        ties = np.flatnonzero(w >= val - 1e-14)
+        val, ties = _tied(w)
         grads = self.gradients(state, ties)
         # Summed in tie order: a reordered sum would perturb seeded results.
         sub = grads[:, 0]
         for k in range(1, len(ties)):
             sub = sub + grads[:, k]
         return val, sub / len(ties)
+
+    def descent_chart(self, start: np.ndarray):
+        """Loop variable, step oracle and coefficient map of a run from start.
+
+        The oracle maps the loop variable x to the objective, a subgradient
+        in x and its squared norm as a chart step.  Operator norm: x is the
+        chart point c.  Spectral: x is lam in R^N with ``c = start + D lam``;
+        the subgradient is the tie-sign vector s / |T| and its norm
+        ``s^T M s = ||D s||^2``.
+        """
+        if self.kind is not Measure.SPECTRAL:
+
+            def oracle(c):
+                val, sub = self.value_and_subgrad(c)
+                return val, sub, float(sub @ sub)
+
+            return start, oracle, lambda c: c
+
+        d0 = self.a0 + start @ self.D
+        M = self.M
+
+        def oracle(lam):
+            diag = d0 + lam @ M
+            val, ties = _tied(np.abs(diag))
+            s = np.zeros_like(diag)
+            s[ties] = np.sign(diag[ties]) / len(ties)
+            return val, s, float(s[ties] @ (M[ties] @ s))
+
+        return np.zeros_like(d0), oracle, lambda lam: start + self.D @ lam
+
+
+def _tied(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """The largest term and the indices tied with it."""
+    val = float(np.max(w))
+    return val, np.flatnonzero(w >= val - 1e-14)
 
 
 def _subgradient_run(
@@ -145,26 +192,27 @@ def _subgradient_run(
     cfg: SearchConfig,
     target: float | None,
 ) -> tuple[np.ndarray, float, list[float]]:
-    c = start.copy()
-    best_c = c.copy()
-    best = obj.value(c)
+    x, oracle, coefficients = obj.descent_chart(start)
+    best_x = x
+    best = oracle(x)[0]
     trace = [best]
     stall_ref = best
     stall_count = 0
     for it in range(1, cfg.max_iters + 1):
-        val, sub = obj.value_and_subgrad(c)
+        val, sub, norm_sq = oracle(x)
         if val < best:
             best = val
-            best_c = c.copy()
-        norm_sq = float(sub @ sub)
-        if norm_sq == 0.0:
+            best_x = x
+        # Zero means D s = 0: the point is optimal.  s^T M s of such an s
+        # can round below zero.
+        if norm_sq <= 0.0:
             trace.append(best)
             break
         if target is not None and val > target:
             step = (val - target) / norm_sq
         else:
             step = cfg.step_init / math.sqrt(it)
-        c = c - step * sub
+        x = x - step * sub
         trace.append(best)
         if stall_ref - best < cfg.tol_value:
             stall_count += 1
@@ -173,7 +221,10 @@ def _subgradient_run(
         else:
             stall_ref = best
             stall_count = 0
-    return best_c, best, trace
+    # The spectral loop evaluates the diagonal from lam; report the exact
+    # objective at the coefficients it stands for.
+    best_c = coefficients(best_x)
+    return best_c, obj.value(best_c), trace
 
 
 def _polish_spectral(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:

@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -215,3 +216,106 @@ def coefficient_space_polish(obj):
         method="highs",
     )
     return res.x[:dof] if res.success else None
+
+
+def coefficient_space_run(obj, start, cfg, target=None):
+    """Reference subgradient loop over all chart coefficients.
+
+    Each iteration evaluates the terms at c and steps along the mean
+    gradient of the tied terms, a dof-vector.  Returns the best
+    coefficients, the best value and the trace of best values.
+    """
+    c = start.copy()
+    best_c = c.copy()
+    best = obj.value(c)
+    trace = [best]
+    stall_ref = best
+    stall_count = 0
+    for it in range(1, cfg.max_iters + 1):
+        val, sub = obj.value_and_subgrad(c)
+        if val < best:
+            best = val
+            best_c = c.copy()
+        norm_sq = float(sub @ sub)
+        if norm_sq == 0.0:
+            trace.append(best)
+            break
+        if target is not None and val > target:
+            step = (val - target) / norm_sq
+        else:
+            step = cfg.step_init / math.sqrt(it)
+        c = c - step * sub
+        trace.append(best)
+        if stall_ref - best < cfg.tol_value:
+            stall_count += 1
+            if stall_count >= 50:
+                break
+        else:
+            stall_ref = best
+            stall_count = 0
+    return best_c, best, trace
+
+
+def dense_null_space(rows, dof, tol=1e-10):
+    """Reference orthonormal basis (as rows) of the null space of a
+    constraint matrix, from its full SVD: a dof x dof factor."""
+    if rows.size == 0:
+        return np.eye(dof)
+    _, s, vt = np.linalg.svd(rows)
+    smax = s[0] if s.size else 0.0
+    rank = int(np.count_nonzero(s > max(tol * smax, tol)))
+    return vt[rank:]
+
+
+def dense_family_rows(frame, param, part, kind):
+    """Reference family: the coefficient directions preserving the top
+    weights, as rows, from one constraint row per top condition."""
+    dof = param.dof
+    if dof == 0:
+        return np.zeros((0, 0))
+    top = list(part.top)
+    if kind is fk.Measure.OP_NORM:
+        # u_i = 0 for every top index: one row per entry (a, i), a-major.
+        rows = np.vstack(
+            [
+                param.column_jacobian(np.outer(e, np.ones(len(top))), top).T
+                for e in np.eye(frame.dim)
+            ]
+        )
+    else:
+        # <u_i, f_i> = 0 for every top index.
+        rows = param.column_jacobian(frame.synthesis[:, top], top).T
+    return dense_null_space(np.atleast_2d(rows), dof)
+
+
+def loop_family_radius(frame, base_dual, direction, part, kind):
+    """Reference family radius, one rest index at a time."""
+    L = part.top_value
+    radius = float("inf")
+    for i in part.rest:
+        f = frame.synthesis[:, i]
+        v = base_dual.synthesis[:, i]
+        u = direction[:, i]
+        if kind is fk.Measure.OP_NORM:
+            fn = float(np.linalg.norm(f))
+            if fn == 0.0:
+                continue
+            a = float(u @ u)
+            b = float(v @ u)
+            d = float(v @ v) - (L / fn) ** 2
+            if a == 0.0:
+                if b == 0.0:
+                    continue
+                radius = min(radius, -d / (2.0 * abs(b)))
+                continue
+            disc = math.sqrt(max(b * b - a * d, 0.0))
+            t_plus = (-b + disc) / a
+            t_minus = (-b - disc) / a
+            radius = min(radius, min(abs(t_plus), abs(t_minus)))
+        else:
+            s = float(u @ f)
+            if s == 0.0:
+                continue
+            a0 = float(v @ f)
+            radius = min(radius, (L - abs(a0)) / abs(s))
+    return radius

@@ -1,17 +1,20 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import framekit as fk
 from framekit.erasures import Measure
-from framekit.duals import Verdict, _diag_inner
+from framekit.duals import Verdict, _diag_inner, _family_radius
 from framekit.search import SearchConfig, minimize_measure
 from conftest import (
     certificate_systems,
     degenerate_frame,
+    dense_family_rows,
     kkt_instance,
+    loop_family_radius,
     random_block_frame,
     random_orthonormal_rows,
     random_parseval_frame,
@@ -402,6 +405,81 @@ class TestPerturbationFamily:
         op = fk.build_operator(np.eye(3))
         fam = fk.perturbation_family(frame, op, Measure.OP_NORM)
         assert not fam.exists and fam.basis.shape[0] == 0
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_matches_the_dense_reference(self, kind):
+        rng = np.random.default_rng(43)
+        for frame, op in certificate_systems(rng, kind, 120):
+            param = fk.dual_parameterization(frame, op)
+            part = fk.weight_partition(frame, op, kind)
+            fam = fk.perturbation_family(frame, op, kind)
+            ref = dense_family_rows(frame, param, part, kind)
+            assert fam.dimension == ref.shape[0]
+            assert fam.exists == (fam.dimension > 0)
+            assert fam.basis.shape == (fam.dimension, frame.dim, frame.n_vectors)
+            if not fam.exists:
+                continue
+            d = fam.direction
+            assert np.linalg.norm(frame.synthesis @ d.T) <= 1e-12
+            canonical = param.base.synthesis
+            top = list(part.top)
+            for t in (-1.0, 0.5):
+                weights = part_weights(frame, canonical + t * d, kind)
+                assert np.max(np.abs(weights[top] - part.weights[top])) <= 1e-12
+            # direction is a unit projected chart axis e_k with a largest
+            # projector diagonal entry, up to ties in rounding
+            P = ref.T @ ref
+            diag = np.diag(P)
+            axes = [
+                param.perturbation(P[:, k] / math.sqrt(diag[k]))
+                for k in np.flatnonzero(diag >= np.max(diag) - 1e-12)
+            ]
+            assert min(np.max(np.abs(a - d)) for a in axes) <= 1e-9
+            B = fam.basis.reshape(fam.dimension, -1)
+            assert np.array_equal(fam.basis[0], d)
+            assert np.max(np.abs(B @ B.T - np.eye(fam.dimension))) <= 1e-12
+            R = param.perturbation(ref).reshape(ref.shape[0], -1)
+            assert np.max(np.abs(B.T @ B - R.T @ R)) <= 1e-10
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_radius_matches_the_loop_reference(self, kind):
+        # Generic directions: every rest index bounds the radius.
+        rng = np.random.default_rng(47)
+        for frame, op in certificate_systems(rng, kind, 60):
+            part = fk.weight_partition(frame, op, kind)
+            base = fk.canonical_k_dual(frame, op)
+            direction = rng.normal(size=frame.synthesis.shape)
+            direction[:, rng.random(frame.n_vectors) < 0.2] = 0.0
+            radius = _family_radius(frame, base, direction, part, kind)
+            expected = loop_family_radius(frame, base, direction, part, kind)
+            assert radius == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_large_frame_needs_no_dense_chart_factor(self, kind):
+        # The dense reference takes a dof x dof factor here: 1.08 GB.
+        rng = np.random.default_rng(3)
+        n, N = 20, 600
+        op = fk.build_operator(random_psd(rng, n))
+        frame = random_parseval_frame(rng, op, N)
+        assert len(fk.weight_partition(frame, op, kind).top) == 1
+        tracemalloc.start()
+        try:
+            fam = fk.perturbation_family(frame, op, kind)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 50 * 2**20
+        # one top index: D_T is one nonzero column, W_T one nonzero row
+        dof = n * (N - n)
+        assert fam.dimension == (dof - 1 if kind is Measure.SPECTRAL else dof - n)
+        assert "basis" not in vars(fam)
+
+
+def part_weights(frame, dual_syn, kind):
+    """Per-index weights of a dual under one measure."""
+    if kind is Measure.OP_NORM:
+        return frame.norms() * np.linalg.norm(dual_syn, axis=0)
+    return np.einsum("ij,ij->j", dual_syn, frame.synthesis)
 
 
 def measure_of(frame, dual, op, kind):

@@ -187,6 +187,17 @@ class TestParsevalAndCanonical:
         op = fk.build_operator(2.0 * np.eye(3))
         assert not fk.is_parseval_k_frame(frame, op)
 
+    def test_below_unit_scale_not_parseval(self):
+        # ||F F^T - K K^T|| / ||K||^2 = 0.53 here.
+        frame = fk.build_frame(1e-5 * np.eye(2))
+        op = fk.build_operator(2e-5 * np.eye(2))
+        assert not fk.is_parseval_k_frame(frame, op)
+
+    def test_zero_operator_admits_only_the_zero_frame(self):
+        op = fk.build_operator(np.zeros((2, 2)))
+        assert fk.is_parseval_k_frame(fk.Frame(np.zeros((2, 3))), op)
+        assert not fk.is_parseval_k_frame(fk.Frame(np.full((2, 3), 1e-100)), op)
+
     def test_canonical_dual_values(self, ex1):
         frame, op = ex1
         dual = fk.canonical_k_dual(frame, op)
@@ -236,6 +247,45 @@ class TestVerifyKDual:
         frame, op = ex1
         with pytest.raises(ValueError):
             fk.verify_k_dual(frame, fk.build_frame(np.eye(3)), op)
+
+
+def near_miss_systems(ex1, ex2):
+    """(frame, dual, operator) triples whose Parseval and duality residuals,
+    relative to ||K||^2 and ||K||, sit at about 1e-10 or 1e-6, on either
+    side of the default tolerance 1e-8."""
+    for frame, op in (ex1, ex2):
+        dual = fk.canonical_k_dual(frame, op).synthesis
+        for eps in (1e-10, 1e-6):
+            yield frame.synthesis, dual, (1.0 + eps) * op.matrix
+            yield frame.synthesis, (1.0 + eps) * dual, op.matrix
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e6])
+def test_scaling_keeps_parseval_and_dual_verdicts(ex1, ex2, scale):
+    verdicts = set()
+    for F, G, K in near_miss_systems(ex1, ex2):
+        verdict = []
+        for s in (1.0, scale):
+            frame = fk.Frame(s * F)
+            op = fk.build_operator(s * K)
+            verdict.append(
+                (
+                    fk.is_parseval_k_frame(frame, op),
+                    fk.verify_k_dual(frame, fk.Frame(G), op),
+                )
+            )
+        assert verdict[0] == verdict[1]
+        verdicts.add(verdict[0])
+    assert len(verdicts) == 3  # passes, fails Parseval, fails duality
+
+
+def test_zero_operator_dual_is_exact():
+    frame = fk.build_frame(np.eye(2))
+    op = fk.build_operator(np.zeros((2, 2)))
+    zero = fk.Frame(np.zeros((2, 2)))
+    assert fk.verify_k_dual(frame, zero, op) is fk.DualKind.K_DUAL_PAIR
+    tiny = fk.Frame(np.full((2, 2), 1e-100))
+    assert fk.verify_k_dual(frame, tiny, op) is fk.DualKind.NOT_DUAL
 
 
 class TestDualParameterization:

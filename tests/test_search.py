@@ -5,10 +5,11 @@ import pytest
 
 import framekit as fk
 from framekit.erasures import Measure
-from framekit.search import _Objective, _polish_spectral
+from framekit.search import _Objective, _polish_spectral, _subgradient_run
 from conftest import (
     certificate_systems,
     coefficient_space_polish,
+    coefficient_space_run,
     random_block_frame,
     random_psd,
     random_parseval_frame,
@@ -214,6 +215,97 @@ class TestPolishSpectral:
             c = _polish_spectral(obj, np.zeros(dof))
             value = np.max(np.abs(obj.a0 + c @ D)) / scale
             assert value == pytest.approx(expected, rel=1e-9)
+
+
+def generic_chart(rng):
+    """A spectral objective on a random low-rank diagonal map D, with none
+    of the matroid structure of a frame's chart."""
+    N = int(rng.integers(3, 15))
+    rank = int(rng.integers(1, N))
+    dof = int(rng.integers(rank, 2 * N))
+    obj = _Objective.__new__(_Objective)
+    obj.kind = Measure.SPECTRAL
+    obj.D = rng.normal(size=(dof, rank)) @ rng.normal(size=(rank, N))
+    obj.a0 = rng.normal(size=N)
+    obj.dof = dof
+    obj.M = obj.D.T @ obj.D
+    return obj
+
+
+def spectral_charts(rng):
+    """Objectives of certificate_systems frames with dof > 0, then generic
+    low-rank charts."""
+    for frame, op in certificate_systems(rng, Measure.SPECTRAL, 140):
+        param = fk.dual_parameterization(frame, op)
+        if param.dof:
+            yield _Objective(frame, param, Measure.SPECTRAL)
+    for _ in range(40):
+        yield generic_chart(rng)
+
+
+def starts(obj):
+    """The restart points of a BUDGET search."""
+    yield np.zeros(obj.dof)
+    for idx in range(1, BUDGET.restarts):
+        yield np.random.default_rng([BUDGET.seed, idx]).standard_normal(obj.dof)
+
+
+class TestDiagonalLoop:
+    def test_gram_is_the_gram_of_the_diagonal_map(self):
+        rng = np.random.default_rng(13)
+        for frame, op in certificate_systems(rng, Measure.SPECTRAL, 40):
+            obj = _Objective(frame, fk.dual_parameterization(frame, op), Measure.SPECTRAL)
+            DtD = obj.D.T @ obj.D
+            assert np.max(np.abs(obj.M - DtD)) <= 1e-14 * max(1.0, np.max(np.abs(DtD)))
+
+    def test_oracle_matches_the_coefficient_chart(self):
+        # At c = start + D lam the step is D s, with squared norm s^T M s.
+        rng = np.random.default_rng(17)
+        for obj in spectral_charts(rng):
+            start = rng.standard_normal(obj.dof)
+            lam0, oracle, coefficients = obj.descent_chart(start)
+            assert not np.any(lam0)
+            for lam in rng.standard_normal((3, obj.a0.shape[0])):
+                c = coefficients(lam)
+                assert np.allclose(c, start + obj.D @ lam, rtol=0, atol=1e-12)
+                value, s, norm_sq = oracle(lam)
+                ref_value, ref_sub = obj.value_and_subgrad(c)
+                scale = 1e-12 * max(1.0, ref_value)
+                assert abs(value - ref_value) <= scale
+                assert np.max(np.abs(obj.D @ s - ref_sub)) <= scale
+                assert abs(norm_sq - ref_sub @ ref_sub) <= 1e-12 * max(1.0, norm_sq)
+
+    def test_runs_match_the_coefficient_space_reference(self):
+        rng = np.random.default_rng(19)
+        stopped = checked = 0
+        for obj in spectral_charts(rng):
+            for start in starts(obj):
+                _, value, trace = _subgradient_run(obj, start, BUDGET, None)
+                _, ref_value, ref_trace = coefficient_space_run(obj, start, BUDGET)
+                assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-300)
+                checked += 1
+                if len(trace) == len(ref_trace):
+                    continue
+                # The loop stops where the tied signs s have D s = 0, an
+                # optimum.  In the coefficient chart that D s is rounding
+                # noise, which the reference follows, never improving, until
+                # it stalls.
+                stopped += 1
+                assert len(trace) < len(ref_trace)
+                tail = np.array(ref_trace[len(trace) - 1 :])
+                assert np.ptp(tail) <= 1e-12 * max(1.0, value)
+        assert checked >= 300 and stopped <= checked // 50
+
+    def test_polyak_steps_match_the_reference(self):
+        # Two Polyak steps from random starts, before exact ties can form.
+        rng = np.random.default_rng(21)
+        cfg = fk.SearchConfig(max_iters=2, restarts=1)
+        for obj in spectral_charts(rng):
+            for start in list(starts(obj))[1:]:
+                target = 0.5 * obj.value(start)
+                _, _, trace = _subgradient_run(obj, start, cfg, target)
+                _, _, ref_trace = coefficient_space_run(obj, start, cfg, target)
+                assert trace == pytest.approx(ref_trace, rel=1e-12)
 
 
 class TestMinimizeR2WithinUniform:
