@@ -316,8 +316,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--measure", choices=("opnorm", "spectral"), required=True)
     p.add_argument("--seed", type=_nonneg_int, default=20240)
-    p.add_argument("--max-iters", type=_pos_int, default=1500)
-    p.add_argument("--restarts", type=_pos_int, default=4)
+    p.add_argument(
+        "--max-iters", type=_pos_int, default=1500,
+        help="iterations per subgradient restart; the restarts are the "
+        "fallback of the exact solve",
+    )
+    p.add_argument(
+        "--restarts", type=_pos_int, default=4,
+        help="subgradient restarts, run only when the exact solve returns "
+        "no point",
+    )
     p.set_defaults(func=cmd_optimal_dual)
 
     p = sub.add_parser("pair-bounds", help="lower bounds over all dual pairs")
@@ -330,8 +338,16 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.add_argument("--measure", choices=("o1", "r1", "r2u"), required=True)
     p.add_argument("--seed", type=_nonneg_int, default=20240)
-    p.add_argument("--max-iters", type=_pos_int, default=1500)
-    p.add_argument("--restarts", type=_pos_int, default=4)
+    p.add_argument(
+        "--max-iters", type=_pos_int, default=1500,
+        help="iterations per subgradient restart; the restarts are the "
+        "fallback of the exact solve",
+    )
+    p.add_argument(
+        "--restarts", type=_pos_int, default=4,
+        help="subgradient restarts, run only when the exact solve returns "
+        "no point; for r2u, the Nelder-Mead starts",
+    )
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser(

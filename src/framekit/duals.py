@@ -495,8 +495,11 @@ def _family_radius(
         disc = np.sqrt(np.maximum(b * b - a * d, 0.0))
         bounds = np.minimum(np.abs(-b + disc), np.abs(-b - disc)) / a
     else:
+        # A slope below RANK_TOL ||u_i|| ||f_i|| is rounding noise of an
+        # exact zero; read as a bound it gives a finite radius near 1e16.
         slopes = np.einsum("ij,ij->j", u, f)
-        moving = slopes != 0.0
+        noise = RANK_TOL * np.linalg.norm(u, axis=0) * np.linalg.norm(f, axis=0)
+        moving = np.abs(slopes) > noise
         a0 = np.einsum("ij,ij->j", v[:, moving], f[:, moving])
         bounds = (L - np.abs(a0)) / np.abs(slopes[moving])
     return float(np.min(bounds, initial=math.inf))

@@ -4,26 +4,30 @@ This is the independent oracle validating every closed form: it never looks
 at block decompositions, uniformity, or bound formulas.  Both one-erasure
 objectives are pointwise maxima of convex functions of the perturbation
 coefficients (a norm of an affine map for the operator norm, the absolute
-value of an affine functional for the spectral radius), so a subgradient
-scheme with diminishing steps converges to the global infimum.  Each restart
-runs the subgradient loop (restart 0 starts at the canonical dual) and an
-optional exact polish tightens the best point.
+value of an affine functional for the spectral radius), so each is a convex
+min-max problem with an exact epigraph form.  :func:`minimize_measure`
+solves that epigraph once, from the canonical dual, and keeps its point when
+the exact re-evaluated objective strictly improves on the canonical value,
+so reported values are always true measure values of verified duals.  Seeded
+subgradient restarts with diminishing steps, which also converge to the
+global infimum, run only as the fallback when the exact solve returns no
+point, and as the whole search when the polish is switched off.
 
 The spectral objective sees a dual only through its diagonal
-``d = a0 + D^T c``, and each of its subgradients is ``D s`` for an N-vector
-s of signs on the tied terms.  So the loop never leaves ``start + D lam``:
-it steps through lam in R^N, with ``d = a0 + D^T start + M lam`` and step
-norms ``s^T M s``, where ``M = D^T D = (F^T F) o (W W^T)`` is an N x N
-Hadamard product.  No iteration touches the n (N - rank F) chart
-coefficients.  The spectral polish is an epigraph LP on the same diagonal:
-N + 1 variables, with the reachable diagonals written as equality rows.
-For the operator norm the loop runs on the chart coefficients and the
-polish is an SLSQP epigraph solve there.  The polished point is only
-accepted when the exact re-evaluated objective strictly improves, so
-reported values are always true measure values of verified duals.  The
-per-term gradients (:meth:`_Objective.gradients`) are shared with
-:func:`framekit.duals.canonical_certificate`, whose exact optimality test
-at the canonical dual uses the same formula as the subgradient loop.
+``d = a0 + D^T c``.  The spectral polish is an epigraph LP on that
+diagonal: N + 1 variables, with the reachable diagonals written as equality
+rows.  Each spectral subgradient is ``D s`` for an N-vector s of signs on
+the tied terms, so the loop never leaves ``start + D lam``: it steps
+through lam in R^N, with ``d = a0 + D^T start + M lam`` and step norms
+``s^T M s``, where ``M = D^T D = (F^T F) o (W W^T)`` is an N x N Hadamard
+product.  No iteration touches the n (N - rank F) chart coefficients.  For
+the operator norm the polish is an SLSQP solve of the second-order-cone
+epigraph on the chart coefficients, with the bound in units of the
+canonical value so that it is scale-free, and the loop runs on the chart
+coefficients.  The per-term gradients (:meth:`_Objective.gradients`) are
+shared with :func:`framekit.duals.canonical_certificate`, whose exact
+optimality test at the canonical dual uses the same formula as the
+subgradient loop.
 
 ``minimize_r2_within_uniform`` restricts the chart to duals with constant
 diagonal trace(K)/N (an affine constraint) and minimizes the two-erasure
@@ -56,6 +60,16 @@ from .pairs import pair_bounds
 
 @dataclass(frozen=True)
 class SearchConfig:
+    """Budget and switches of the numerical searches.
+
+    ``max_iters``, ``step_init``, ``tol_value`` and ``restarts`` budget the
+    subgradient restarts of :func:`minimize_measure`, which run only when
+    ``polish`` is off or the exact polish returns no point; ``restarts`` and
+    ``seed`` also drive the Nelder-Mead starts of
+    :func:`minimize_r2_within_uniform`.  The grid fields size
+    :func:`brute_force_grid_oracle`.
+    """
+
     max_iters: int = 5000
     step_init: float = 0.1
     tol_value: float = 1e-8
@@ -227,7 +241,7 @@ def _subgradient_run(
     return best_c, obj.value(best_c), trace
 
 
-def _polish_spectral(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:
+def _polish_spectral(obj: _Objective) -> np.ndarray | None:
     """Exact epigraph LP on the diagonal d = a0 + D^T c.
 
     The objective depends on c only through d, and the reachable diagonals
@@ -265,22 +279,30 @@ def _polish_spectral(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:
     return U[:, :rank] @ ((Vt[:rank] @ shift) / s[:rank])
 
 
-def _polish_op_norm(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:
-    """Epigraph NLP with squared-norm constraints, warm-started at c0."""
-    t0 = obj.value(c0)
-    x0 = np.concatenate([c0, [t0 + 1e-9]])
-    fn2 = obj.fnorms**2
+def _polish_op_norm(obj: _Objective) -> np.ndarray | None:
+    """Epigraph NLP with squared-norm constraints, from the canonical dual.
+
+    The bound t is posed in units of the canonical value t0, with
+    ``t^2 >= (||f_i|| / t0)^2 ||g_i(c)||^2``.  Scaling F and K together
+    leaves the duals, the chart and this problem unchanged, so SLSQP's
+    absolute ``ftol`` acts relatively.
+    """
+    t0 = obj.value(np.zeros(obj.dof))
+    if t0 == 0.0:
+        return None  # the canonical dual already has value 0
+    x0 = np.concatenate([np.zeros(obj.dof), [1.0 + 1e-9]])
+    weights = (obj.fnorms / t0) ** 2
 
     def cons_f(x):
         c, t = x[:-1], x[-1]
         G = obj.dual_syn(c)
-        return t * t - fn2 * np.einsum("ij,ij->j", G, G)
+        return t * t - weights * np.einsum("ij,ij->j", G, G)
 
     def cons_jac(x):
         c, t = x[:-1], x[-1]
         G = obj.dual_syn(c)
         jac = np.zeros((G.shape[1], x.size))
-        jac[:, :-1] = -2.0 * (fn2[None, :] * obj.param.column_jacobian(G)).T
+        jac[:, :-1] = -2.0 * (weights[None, :] * obj.param.column_jacobian(G)).T
         jac[:, -1] = 2.0 * t
         return jac
 
@@ -294,8 +316,9 @@ def _polish_op_norm(obj: _Objective, c0: np.ndarray) -> np.ndarray | None:
         options={"maxiter": 200, "ftol": 1e-12},
     )
     # SLSQP can report failure (e.g. status 8, a line search that stalls)
-    # at a point better than c0; minimize_measure keeps a point only when
-    # its exact objective improves, so any finite point is worth returning.
+    # at a point better than the canonical dual; minimize_measure keeps a
+    # point only when its exact objective improves, so any finite point is
+    # worth returning.
     if not np.all(np.isfinite(res.x)):
         return None
     return res.x[:-1]
@@ -310,11 +333,16 @@ def minimize_measure(
 ) -> MinimizeResult:
     """Minimize a one-erasure measure over all K-duals of F.
 
-    Restart 0 starts at the canonical dual; further restarts draw random
-    coefficients from a seeded generator, so results are deterministic for a
-    fixed (input, seed).  ``target`` enables Polyak steps toward a known
-    optimal value; the reported value is always an exact objective value at
-    a verified dual.
+    With ``cfg.polish`` (the default) the exact epigraph solve of the
+    measure runs once from the canonical dual (c = 0), and its point is kept
+    when its exact value beats the canonical one; ``trace`` is then the
+    canonical value, followed by the polished one if kept.  Only when
+    ``cfg.polish`` is off or the solve returns no point do the seeded
+    subgradient restarts run: restart 0 starts at the canonical dual and
+    further restarts draw random coefficients from a seeded generator, so
+    results are deterministic for a fixed (input, seed).  ``target`` enables
+    Polyak steps toward a known optimal value in those restarts.  The
+    reported value is always an exact objective value at a verified dual.
     """
     param = dual_parameterization(frame, op)
     obj = _Objective(frame, param, kind)
@@ -322,28 +350,32 @@ def minimize_measure(
         value = obj.value(np.zeros(0))
         return MinimizeResult(param.base, value, (value,))
 
-    scale = max(1.0, float(np.linalg.norm(param.base.synthesis)))
-    best_c, best_val, best_trace, best_idx = None, np.inf, None, -1
-    for idx in range(cfg.restarts):
-        if idx == 0:
-            start = np.zeros(param.dof)
-        else:
-            rng = np.random.default_rng([cfg.seed, idx])
-            start = rng.standard_normal(param.dof) * scale
-        c, val, trace = _subgradient_run(obj, start, cfg, target)
-        if val < best_val:
-            best_c, best_val, best_trace, best_idx = c, val, trace, idx
-
+    c_new = None
     if cfg.polish:
         polish = (
             _polish_spectral if kind is Measure.SPECTRAL else _polish_op_norm
         )
-        c_new = polish(obj, best_c)
-        if c_new is not None:
-            val_new = obj.value(c_new)
-            if val_new < best_val - 1e-12:
-                best_c, best_val = c_new, val_new
-                best_trace = list(best_trace) + [val_new]
+        c_new = polish(obj)
+    if c_new is not None:
+        best_c, best_idx = np.zeros(param.dof), 0
+        best_val = obj.value(best_c)
+        best_trace = [best_val]
+        val_new = obj.value(c_new)
+        if val_new < best_val - 1e-12:
+            best_c, best_val = c_new, val_new
+            best_trace.append(val_new)
+    else:
+        scale = max(1.0, float(np.linalg.norm(param.base.synthesis)))
+        best_c, best_val, best_trace, best_idx = None, np.inf, None, -1
+        for idx in range(cfg.restarts):
+            if idx == 0:
+                start = np.zeros(param.dof)
+            else:
+                rng = np.random.default_rng([cfg.seed, idx])
+                start = rng.standard_normal(param.dof) * scale
+            c, val, trace = _subgradient_run(obj, start, cfg, target)
+            if val < best_val:
+                best_c, best_val, best_trace, best_idx = c, val, trace, idx
 
     dual = reconstruct_dual(param, best_c)
     if verify_k_dual(frame, dual, op) is DualKind.NOT_DUAL:

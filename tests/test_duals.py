@@ -454,6 +454,21 @@ class TestPerturbationFamily:
             expected = loop_family_radius(frame, base, direction, part, kind)
             assert radius == pytest.approx(expected, rel=1e-15, abs=0)
 
+    def test_rounding_noise_slope_bounds_nothing(self):
+        # A (2, 2) frame whose one family direction leaves every diagonal
+        # fixed; its rest slope rounds to about 1e-17 and once read as a
+        # radius of 2.3e16.
+        systems = certificate_systems(np.random.default_rng(5), Measure.SPECTRAL, 40)
+        frame, op = next(itertools.islice(systems, 6, None))
+        fam = fk.perturbation_family(frame, op, Measure.SPECTRAL)
+        assert frame.synthesis.shape == (2, 2) and fam.dimension == 1
+        assert fam.radius == math.inf
+        canonical = fk.canonical_k_dual(frame, op).synthesis
+        weights = part_weights(frame, canonical, Measure.SPECTRAL)
+        for t in (-1e6, 1e6):
+            moved = part_weights(frame, canonical + t * fam.direction, Measure.SPECTRAL)
+            assert np.max(np.abs(moved - weights)) <= 1e-9 * np.max(np.abs(weights))
+
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
     def test_large_frame_needs_no_dense_chart_factor(self, kind):
         # The dense reference takes a dof x dof factor here: 1.08 GB.

@@ -5,11 +5,13 @@ import pytest
 
 import framekit as fk
 from framekit.erasures import Measure
+import framekit.search as search_mod
 from framekit.search import _Objective, _polish_spectral, _subgradient_run
 from conftest import (
     certificate_systems,
     coefficient_space_polish,
     coefficient_space_run,
+    loop_then_polish,
     random_block_frame,
     random_psd,
     random_parseval_frame,
@@ -93,9 +95,12 @@ class TestMinimizeMeasure:
             fk.minimize_measure(frame, op, Measure.OP_NORM, CFG)
 
     def test_polyak_target_does_not_undershoot(self, ex1):
+        # target steers only the subgradient restarts, which run without
+        # the polish.
         frame, op = ex1
+        cfg = fk.SearchConfig(max_iters=500, restarts=3, seed=99, polish=False)
         result = fk.minimize_measure(
-            frame, op, Measure.SPECTRAL, CFG, target=1.0
+            frame, op, Measure.SPECTRAL, cfg, target=1.0
         )
         assert result.value >= 1.0 - 1e-12
 
@@ -136,15 +141,16 @@ class TestMinimizeMeasure:
 
     @pytest.mark.parametrize("scale", [1e-6, 1e6])
     def test_spectral_value_scales_with_input(self, scale):
-        for frame, op in scaling_systems():
-            value = fk.minimize_measure(frame, op, Measure.SPECTRAL, BUDGET).value
-            scaled = fk.minimize_measure(
-                fk.Frame(scale * frame.synthesis),
-                fk.build_operator(scale * op.matrix),
-                Measure.SPECTRAL,
-                BUDGET,
-            ).value
-            assert scaled / scale == pytest.approx(value, rel=1e-9, abs=0)
+        assert_value_scales(Measure.SPECTRAL, scaling_systems(), scale)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_op_norm_value_scales_with_input(self, scale):
+        rng = np.random.default_rng(3)
+        op = fk.build_operator(random_psd(rng, 4))
+        # At this (4,12) frame an absolute-units polish lands 95 % high at
+        # both scales.
+        systems = [(random_parseval_frame(rng, op, 12), op), *scaling_systems()]
+        assert_value_scales(Measure.OP_NORM, systems, scale)
 
     def test_one_block_ten_by_two_hundred(self):
         rng = np.random.default_rng(11)
@@ -162,6 +168,19 @@ class TestMinimizeMeasure:
         assert result.value == pytest.approx(closed, abs=1e-6)
 
 
+def assert_value_scales(kind, systems, scale):
+    """Scaling F and K by ``scale`` scales the minimum by ``scale``."""
+    for frame, op in systems:
+        value = fk.minimize_measure(frame, op, kind, BUDGET).value
+        scaled = fk.minimize_measure(
+            fk.Frame(scale * frame.synthesis),
+            fk.build_operator(scale * op.matrix),
+            kind,
+            BUDGET,
+        ).value
+        assert scaled / scale == pytest.approx(value, rel=1e-9, abs=0)
+
+
 def scaling_systems():
     """A (5,50) one-block frame, an n=12 frame of four blocks and a (4,12)
     frame of a rank-3 K."""
@@ -172,6 +191,58 @@ def scaling_systems():
     yield frame, op
     op = fk.build_operator(random_psd(rng, 4, rank=3))
     yield random_parseval_frame(rng, op, 12), op
+
+
+class TestExactSolveFirst:
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_never_worse_than_loop_then_polish(self, kind):
+        rng = np.random.default_rng(37)
+        for frame, op in certificate_systems(rng, kind, 104):
+            value = fk.minimize_measure(frame, op, kind, BUDGET).value
+            reference = loop_then_polish(frame, op, kind, BUDGET)
+            assert value <= reference * (1 + 1e-9) + 1e-15
+
+    @staticmethod
+    def count_runs(monkeypatch):
+        runs = []
+
+        def counted(*args):
+            runs.append(args)
+            return _subgradient_run(*args)
+
+        monkeypatch.setattr(search_mod, "_subgradient_run", counted)
+        return runs
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_polished_point_skips_the_loop(self, ex1, kind, monkeypatch):
+        frame, op = ex1
+        runs = self.count_runs(monkeypatch)
+        result = fk.minimize_measure(frame, op, kind, CFG)
+        assert runs == [] and result.restart_index == 0
+        canonical = fk.build_dual_system(frame, fk.canonical_k_dual(frame, op), op)
+        measure = fk.o1 if kind is Measure.OP_NORM else fk.r1
+        assert result.trace[0] == pytest.approx(measure(canonical), rel=1e-12)
+        assert len(result.trace) <= 2 and result.trace[-1] == result.value
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_loop_runs_without_polish(self, ex1, kind, monkeypatch):
+        frame, op = ex1
+        runs = self.count_runs(monkeypatch)
+        cfg = fk.SearchConfig(max_iters=200, restarts=3, seed=99, polish=False)
+        fk.minimize_measure(frame, op, kind, cfg)
+        assert len(runs) == cfg.restarts
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_loop_runs_when_polish_fails(self, ex1, kind, monkeypatch):
+        frame, op = ex1
+        runs = self.count_runs(monkeypatch)
+        for name in ("_polish_spectral", "_polish_op_norm"):
+            monkeypatch.setattr(search_mod, name, lambda obj: None)
+        result = fk.minimize_measure(frame, op, kind, CFG)
+        assert len(runs) == CFG.restarts
+        assert result.trace == tuple(
+            _subgradient_run(*runs[result.restart_index])[2]
+        )
 
 
 class TestPolishSpectral:
@@ -185,7 +256,7 @@ class TestPolishSpectral:
                 continue  # minimize_measure polishes only when dof > 0
             reference = coefficient_space_polish(obj)
             assert reference is not None
-            c = _polish_spectral(obj, np.zeros(param.dof))
+            c = _polish_spectral(obj)
             assert c is not None
             expected = obj.value(reference)
             assert abs(obj.value(c) - expected) <= 1e-9 * expected
@@ -212,7 +283,7 @@ class TestPolishSpectral:
             # The reference runs at unit scale; the polish must not need to.
             scale = 10.0 ** rng.integers(-9, 10)
             obj = SimpleNamespace(D=D, a0=scale * a0, dof=dof, fsyn=D)
-            c = _polish_spectral(obj, np.zeros(dof))
+            c = _polish_spectral(obj)
             value = np.max(np.abs(obj.a0 + c @ D)) / scale
             assert value == pytest.approx(expected, rel=1e-9)
 
