@@ -26,6 +26,7 @@ from .duals import (
     canonical_certificate,
     connected_decomposition,
     construct_spectrally_optimal_dual,
+    min_r1_fixed_frame,
     perturbation_family,
 )
 from .erasures import build_report, report_to_dict
@@ -190,8 +191,8 @@ def cmd_optimal_dual(args) -> int:
     cfg = SearchConfig(max_iters=args.max_iters, restarts=args.restarts, seed=args.seed)
     search = minimize_measure(frame, op, kind, cfg)
 
-    if kind is Measure.SPECTRAL and all(decomp.k_invariant):
-        minimal = float(max(decomp.deltas))
+    if kind is Measure.SPECTRAL:
+        minimal = min_r1_fixed_frame(frame, op)
         constructed = construct_spectrally_optimal_dual(frame, op)
     else:
         minimal = search.value
@@ -240,9 +241,7 @@ def cmd_search(args) -> int:
         if op.psd_flag:
             comparisons["pair_bound"] = op.trace / frame.n_vectors
         if args.measure == "r1":
-            decomp = connected_decomposition(frame, op)
-            if all(decomp.k_invariant):
-                comparisons["fixed_frame_minimum"] = float(max(decomp.deltas))
+            comparisons["fixed_frame_minimum"] = min_r1_fixed_frame(frame, op)
     else:
         result = minimize_r2_within_uniform(frame, op, cfg)
         if result.comparison:

@@ -28,12 +28,14 @@ an uncountable family of optimal duals:
   least-distance problem returns either the multipliers of that convex
   combination or an exact descent direction with a verified step.
 
-Separately, the linearly-connected decomposition machinery computes the
-exact minimum of the spectral-radius measure for decomposable frames: the
-index set splits into blocks spanning mutually orthogonal subspaces H_j,
-and when each H_j is K-invariant the minimum equals the largest block ratio
-``delta_j = trace(K restricted to H_j) / |block j|``, attained by an
-explicitly constructed dual (:func:`construct_spectrally_optimal_dual`).
+Separately, the spectral-radius minimum over all K-duals is closed-form:
+``F diag(lam) W = 0`` holds exactly when lam is constant on each component
+of the vector matroid of F, so every K-dual has the same component sums of
+its diagonal and any diagonal with those sums is attained.  The minimum is
+the largest absolute component mean of ``<K^+ f_i, f_i>``
+(:func:`construct_spectrally_optimal_dual` attains it); for orthogonal
+K-invariant blocks it is the block ratio ``max_j delta_j`` of Pehlivan,
+Han and Mohapatra (J. Funct. Anal., 2013).
 Linear connectivity of i and j holds exactly when they lie in a common
 circuit of the vector matroid of F (Oxley, *Matroid Theory*, ch. 4).
 """
@@ -42,7 +44,6 @@ from __future__ import annotations
 
 import enum
 import math
-import warnings
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -54,9 +55,7 @@ import scipy.optimize
 from .errors import (
     DependentInputError,
     HypothesesNotMetError,
-    InfeasibleError,
     NoConnectedPairAvailableError,
-    NotKInvariantError,
     NotPSDError,
     NotParsevalError,
     NotTwoUniformError,
@@ -74,7 +73,7 @@ from .frames import (
     reconstruct_dual,
 )
 from .erasures import Measure, _pair_products, uniformity
-from .search import SearchConfig, _Objective, minimize_measure
+from .search import _Objective
 
 # Tolerance for membership in argmax sets, relative to the top weight, and
 # in finished-diagonal sets.
@@ -276,20 +275,19 @@ def connected_decomposition(
 ) -> ConnectedDecomposition:
     """Orthogonality-closure blocks with per-block invariance and ratios.
 
-    Blocks are connected components of the graph joining indices with
-    non-orthogonal vectors.  ``connectivity_verified[j]`` reports, without
-    rejecting, whether block j is one matroid component, i.e. whether every
-    pair in it is linearly connected.
+    Blocks are connected components of the graph joining i and j when
+    ``|<f_i, f_j>| > tol ||f_i|| ||f_j||``; block j is K-invariant when
+    ``||K P - P K P|| <= tol ||K||``, P projecting onto H_j, so scaling F
+    and K keeps both.  ``connectivity_verified[j]`` reports, without
+    rejecting, whether block j is one matroid component.
     """
     syn = frame.synthesis
     norms = np.linalg.norm(syn, axis=0)
-    blocks = _components(
-        np.abs(syn.T @ syn) > tol * np.maximum(1.0, np.outer(norms, norms))
-    )
+    blocks = _components(np.abs(syn.T @ syn) > tol * np.outer(norms, norms))
     matroid = _matroid_components(syn, tol)
 
     K = op.matrix
-    k_scale = max(1.0, float(np.linalg.norm(K)))
+    k_scale = float(np.linalg.norm(K))
     bases = []
     invariant = []
     deltas = []
@@ -310,33 +308,30 @@ def connected_decomposition(
     )
 
 
+def _component_means(frame: Frame, op: OperatorSpec, tol: float) -> np.ndarray:
+    """Per index i, the mean of ``<K^+ f_i, f_i>`` over its matroid
+    component: the K-dual diagonal of smallest largest absolute entry."""
+    if not is_parseval_k_frame(frame, op):
+        raise NotParsevalError("the spectral minimum requires a Parseval K-frame")
+    syn = frame.synthesis
+    diag = np.einsum("ij,ij->j", op.pinv @ syn, syn)
+    means = np.empty_like(diag)
+    for component in _matroid_components(syn, tol):
+        means[list(component)] = np.mean(diag[list(component)])
+    return means
+
+
 def min_r1_fixed_frame(
     frame: Frame, op: OperatorSpec, tol: float = DEFAULT_TOL
 ) -> float:
     """Minimum one-erasure spectral radius over all K-duals of F.
 
-    Equals ``max_j delta_j`` over the decomposition blocks when every block
-    subspace is K-invariant.  Otherwise the closed form does not apply and a
-    numerical minimization result is returned with a warning.
+    Equals ``max_B |sum_{i in B} <K^+ f_i, f_i>| / |B|`` over the matroid
+    components B of F, for any Parseval K-frame; NotParsevalError
+    otherwise.  For orthogonal K-invariant blocks this is ``max_j
+    delta_j``.
     """
-    if not op.psd_flag:
-        raise NotPSDError("the spectral-radius minimum requires a PSD operator")
-    decomp = connected_decomposition(frame, op, tol)
-    if all(decomp.k_invariant):
-        return float(max(decomp.deltas))
-    warnings.warn(
-        "block subspaces are not K-invariant; falling back to numerical search",
-        RuntimeWarning,
-        stacklevel=2,
-    )
-    if not is_parseval_k_frame(frame, op):
-        raise NotKInvariantError(
-            "closed form inapplicable and frame is not Parseval; cannot search"
-        )
-    result = minimize_measure(
-        frame, op, Measure.SPECTRAL, SearchConfig(max_iters=800, restarts=3, seed=0)
-    )
-    return result.value
+    return float(np.max(np.abs(_component_means(frame, op, tol))))
 
 
 # ---------------------------------------------------------------------------
@@ -392,24 +387,21 @@ def improve_dual_step(
 def construct_spectrally_optimal_dual(
     frame: Frame, op: OperatorSpec, tol: float = WEIGHT_TOL
 ) -> Frame:
-    """K-dual achieving ``<g_i, f_i> = delta_j`` on every block.
+    """K-dual whose diagonal ``<g_i, f_i>`` is the mean of the canonical
+    diagonal over the matroid component of i; it attains
+    :func:`min_r1_fixed_frame`.
 
     One chart solve gives the K-dual closest to the canonical dual among
     those with this diagonal; it is unique, so it follows any reordering of
-    the frame.  The frame must be Parseval and every block subspace
-    K-invariant; InfeasibleError when no dual has that diagonal.
+    the frame.  NotParsevalError when F is not a Parseval K-frame.  The
+    diagonal always lies in the range of the chart's diagonal map, so a
+    missed solve raises NumericalError.
     """
-    decomp = connected_decomposition(frame, op, tol)
-    if not all(decomp.k_invariant):
-        bad = [j for j, ok in enumerate(decomp.k_invariant) if not ok]
-        raise NotKInvariantError(f"blocks {bad} are not K-invariant")
-    target = np.empty(frame.n_vectors)
-    for block, delta in zip(decomp.blocks, decomp.deltas):
-        target[list(block)] = delta
+    target = _component_means(frame, op, tol)
     param = dual_parameterization(frame, op)
     c = param.diagonal_coefficients(frame, target, tol)
     if c is None:
-        raise InfeasibleError("no K-dual attains the block-ratio diagonal")
+        raise NumericalError("the chart solve missed the component-mean diagonal")
     return reconstruct_dual(param, c)
 
 

@@ -42,10 +42,6 @@ class NoConnectedPairAvailableError(FrameKitError):
     """No linearly connected pair among the unfinished indices."""
 
 
-class NotKInvariantError(FrameKitError):
-    """A decomposition subspace is not invariant under ``K``."""
-
-
 class InfeasibleError(FrameKitError):
     """Requested construction has no solution for the given inputs."""
 

@@ -357,12 +357,17 @@ class DualParameterization:
 
         The diagonal is affine in c, so this is the dual with that diagonal
         closest to the canonical dual in Frobenius norm.  None when the
-        residual exceeds ``tol * max(1, max |target|)``.
+        residual exceeds ``tol`` times the larger of ``max |target|`` and
+        ``max ||g_i|| ||f_i||`` over the canonical dual: scale-free, and
+        above the rounding of a canonical diagonal that is exactly 0 (skew K).
         """
-        rhs = target - np.einsum("ij,ij->j", self.base.synthesis, frame.synthesis)
-        D = self.column_jacobian(frame.synthesis)
+        base, syn = self.base.synthesis, frame.synthesis
+        rhs = target - np.einsum("ij,ij->j", base, syn)
+        D = self.column_jacobian(syn)
         c, *_ = np.linalg.lstsq(D.T, rhs, rcond=None)
-        ok = np.max(np.abs(D.T @ c - rhs)) <= tol * max(1.0, np.max(np.abs(target)))
+        weights = np.linalg.norm(base, axis=0) * np.linalg.norm(syn, axis=0)
+        scale = max(np.max(np.abs(target)), np.max(weights))
+        ok = np.max(np.abs(D.T @ c - rhs)) <= tol * scale
         return c if ok else None
 
 

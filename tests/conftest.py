@@ -159,6 +159,40 @@ def parseval_operator(frame):
     return fk.build_operator((q * np.sqrt(w)) @ q.T)
 
 
+def non_orthogonal_components(rng, dims=(2, 2), sizes=(5, 6)):
+    """Parseval K-frame whose matroid components span linearly independent
+    but non-orthogonal subspaces: one orthogonality block, several
+    components.
+
+    Group k holds ``sizes[k]`` generic combinations of ``dims[k]`` columns
+    of one random n x n matrix; K is :func:`parseval_operator`.  The
+    defaults with ``default_rng(0)`` give the (4, 11) frame whose spectral
+    minimum the block ratio missed.
+    """
+    n = sum(dims)
+    basis = rng.standard_normal((n, n))
+    groups = []
+    start = 0
+    for dim, size in zip(dims, sizes):
+        groups.append(basis[:, start : start + dim] @ rng.standard_normal((dim, size)))
+        start += dim
+    frame = fk.Frame(np.hstack(groups))
+    return frame, parseval_operator(frame)
+
+
+def non_psd_operator(rng, frame):
+    """Non-PSD K = S^{1/2} U, U a random rotation, with K K^T = F F^T."""
+    U, _ = np.linalg.qr(rng.standard_normal((frame.dim, frame.dim)))
+    return fk.build_operator(parseval_operator(frame).matrix @ U)
+
+
+def assert_value_scales(value, systems, scale):
+    """Scaling F and K by ``scale`` scales ``value(frame, op)`` by ``scale``."""
+    for frame, op in systems:
+        scaled = value(fk.Frame(scale * frame.synthesis), fk.build_operator(scale * op.matrix))
+        assert scaled / scale == pytest.approx(value(frame, op), rel=1e-9, abs=0)
+
+
 def kkt_instance(rng, kind):
     """A block of four vectors in the plane plus an orthogonal singleton
     whose weight ties with the block's top weight.

@@ -14,7 +14,12 @@ from framekit.io import (
     round_floats,
     save_frame_file,
 )
-from conftest import degenerate_frame, random_parseval_frame, random_psd
+from conftest import (
+    degenerate_frame,
+    non_orthogonal_components,
+    random_parseval_frame,
+    random_psd,
+)
 
 S2 = math.sqrt(2.0)
 
@@ -316,6 +321,36 @@ class TestOtherCommands:
         diag = np.einsum("ij,ij->j", G, frame.synthesis)
         assert np.max(np.abs(diag - max(doc["decomposition"]["deltas"]))) <= 1e-9
 
+    def test_non_orthogonal_components(self, tmp_path, capsys):
+        # One orthogonality block of two matroid components.
+        frame, op = non_orthogonal_components(np.random.default_rng(0))
+        path = tmp_path / "mixed.json"
+        save_frame_file(path, frame, op)
+        assert main(["search", "--frame", str(path), "--measure", "r1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        fixed = doc["comparisons"]["fixed_frame_minimum"]
+        assert fixed["bound"] == pytest.approx(1.08125553363, rel=1e-11)
+        assert abs(fixed["gap"]) <= 1e-9
+        assert main(["optimal-dual", "--frame", str(path), "--measure", "spectral"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["minimal_value"] == pytest.approx(1.08125553363, rel=1e-11)
+        G = np.asarray(doc["optimal_dual"]).T
+        r1 = np.max(np.abs(np.einsum("ij,ij->j", G, frame.synthesis)))
+        assert r1 == pytest.approx(doc["minimal_value"], rel=1e-9)
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e6])
+    def test_search_r2u_refusal_does_not_depend_on_units(self, tmp_path, capsys, scale):
+        from framekit import fixtures
+
+        # example-1 has no 1-uniform dual at any scale.
+        frame, op = fixtures.example_1()
+        path = tmp_path / "ex1.json"
+        save_frame_file(
+            path, fk.Frame(scale * frame.synthesis), fk.build_operator(scale * op.matrix)
+        )
+        assert main(["search", "--frame", str(path), "--measure", "r2u"]) == 3
+        assert "no 1-uniform dual" in capsys.readouterr().err
+
     def test_optimal_dual_opnorm_unique(self, ex2_file, capsys):
         assert (
             main(["optimal-dual", "--frame", ex2_file, "--measure", "opnorm"])
@@ -364,4 +399,14 @@ class TestVerifyExample:
 
         monkeypatch.setattr(cli_mod, "build_report", boom)
         assert cli_mod.main(["analyze", "--frame", ex1_file]) == 4
+        assert "numerical failure" in capsys.readouterr().err
+
+    def test_missed_spectral_solve_exits_4(self, ex1_file, capsys, monkeypatch):
+        # The component-mean diagonal is always reachable, so a missed
+        # chart solve is a numerical failure, not a domain error.
+        monkeypatch.setattr(
+            fk.DualParameterization, "diagonal_coefficients", lambda *a, **k: None
+        )
+        argv = ["optimal-dual", "--frame", ex1_file, "--measure", "spectral"]
+        assert main(argv) == 4
         assert "numerical failure" in capsys.readouterr().err

@@ -1,20 +1,27 @@
 import itertools
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import framekit as fk
 from framekit.erasures import Measure
 from framekit.duals import Verdict, _diag_inner, _family_radius
 from framekit.search import SearchConfig, minimize_measure
 from conftest import (
+    assert_value_scales,
     certificate_systems,
     degenerate_frame,
     dense_family_rows,
     kkt_instance,
     loop_family_radius,
+    non_orthogonal_components,
+    non_psd_operator,
+    parseval_operator,
     random_block_frame,
     random_orthonormal_rows,
     random_parseval_frame,
@@ -222,6 +229,17 @@ class TestConnectedDecomposition:
         cross = d.bases[0].T @ d.bases[1]
         assert np.max(np.abs(cross)) < 1e-12
 
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_blocks_do_not_depend_on_units(self, ex1, mb, scale):
+        for frame, op in (ex1, mb, non_orthogonal_components(np.random.default_rng(0))):
+            d = fk.connected_decomposition(frame, op)
+            scaled = fk.connected_decomposition(
+                fk.Frame(scale * frame.synthesis), fk.build_operator(scale * op.matrix)
+            )
+            assert scaled.blocks == d.blocks
+            assert scaled.k_invariant == d.k_invariant
+            assert np.array(scaled.deltas) / scale == pytest.approx(d.deltas, rel=1e-12)
+
     def test_connectivity_verified_for_eighteen_vectors(self):
         rng = np.random.default_rng(1)
         syn = rng.normal(size=(3, 18))
@@ -243,16 +261,72 @@ class TestMinR1FixedFrame:
         )
 
     def test_onb_diagonal(self):
-        frame = fk.build_frame(np.eye(3))
+        frame = fk.build_frame(np.diag([3.0, 1.0, 2.0]))
         op = fk.build_operator(np.diag([3.0, 1.0, 2.0]))
         assert fk.min_r1_fixed_frame(frame, op) == pytest.approx(3.0)
 
-    def test_non_invariant_warns_then_fails_without_parseval(self):
+    def test_non_parseval_rejected_without_warning(self):
         frame = fk.build_frame(np.eye(2))
         op = fk.build_operator(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        with pytest.warns(RuntimeWarning):
-            with pytest.raises(fk.NotKInvariantError):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fk.NotParsevalError):
                 fk.min_r1_fixed_frame(frame, op)
+
+    def test_non_orthogonal_components(self):
+        # One orthogonality block of two matroid components: the block ratio
+        # trace(K)/11 = 0.83875 is below the true minimum.
+        frame, op = non_orthogonal_components(np.random.default_rng(0))
+        assert fk.connected_decomposition(frame, op).blocks == (tuple(range(11)),)
+        value = fk.min_r1_fixed_frame(frame, op)
+        assert value == pytest.approx(1.0812555336320497, rel=1e-12)
+        search = fk.minimize_measure(frame, op, Measure.SPECTRAL, CFG).value
+        assert search == pytest.approx(value, rel=1e-9)
+        dual = fk.construct_spectrally_optimal_dual(frame, op)
+        assert fk.r1(fk.build_dual_system(frame, dual, op)) == pytest.approx(value, rel=1e-9)
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_closed_form_matches_search(self, seed):
+        rng = np.random.default_rng(seed)
+        kind = seed % 4
+        if kind == 0:
+            groups = int(rng.integers(2, 4))
+            dims = rng.integers(1, 3, size=groups)
+            frame, op = non_orthogonal_components(
+                rng, dims, dims + rng.integers(0, 3, size=groups)
+            )
+        elif kind == 1:
+            frame = degenerate_frame(rng)
+            op = parseval_operator(frame)
+        else:
+            frame, op, _ = random_block_frame(rng)
+            if kind == 3:
+                op = non_psd_operator(rng, frame)
+        value = fk.min_r1_fixed_frame(frame, op)
+        search = fk.minimize_measure(frame, op, Measure.SPECTRAL, CFG).value
+        assert value == pytest.approx(search, rel=1e-9, abs=1e-15)
+        dual = fk.construct_spectrally_optimal_dual(frame, op)
+        ds = fk.build_dual_system(frame, dual, op)
+        assert fk.r1(ds) == pytest.approx(value, rel=1e-9, abs=1e-15)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e6])
+    def test_value_and_construction_scale_with_input(self, ex1, mb, scale):
+        rng = np.random.default_rng(6)
+        frame, _, _ = random_block_frame(rng)
+        systems = [
+            ex1,
+            mb,
+            non_orthogonal_components(rng),
+            (frame, non_psd_operator(rng, frame)),
+        ]
+        assert_value_scales(fk.min_r1_fixed_frame, systems, scale)
+
+        def attained(frame, op):
+            dual = fk.construct_spectrally_optimal_dual(frame, op)
+            return fk.r1(fk.build_dual_system(frame, dual, op))
+
+        assert_value_scales(attained, systems, scale)
 
 
 class TestImproveDualStep:
@@ -337,11 +411,13 @@ class TestConstructSpectrallyOptimalDual:
         dual = fk.construct_spectrally_optimal_dual(frame, op)
         assert np.allclose(dual.synthesis, np.eye(3), atol=1e-12)
 
-    def test_non_invariant_rejected(self):
+    def test_non_parseval_rejected(self):
         frame = fk.build_frame(np.eye(2))
         op = fk.build_operator(np.array([[1.0, 0.5], [0.5, 1.0]]))
-        with pytest.raises(fk.NotKInvariantError):
-            fk.construct_spectrally_optimal_dual(frame, op)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(fk.NotParsevalError):
+                fk.construct_spectrally_optimal_dual(frame, op)
 
     def test_follows_a_reordering_of_the_frame(self):
         rng = np.random.default_rng(8)
@@ -525,7 +601,7 @@ class TestCanonicalCertificate:
         def refuse(*args, **kwargs):
             raise AssertionError("the certificate must not search")
 
-        monkeypatch.setattr(duals_mod, "minimize_measure", refuse)
+        monkeypatch.setattr(duals_mod, "minimize_measure", refuse, raising=False)
         for kind in (Measure.OP_NORM, Measure.SPECTRAL):
             assert fk.canonical_certificate(*ex1, kind).verdict is Verdict.OPTIMAL_KKT
 

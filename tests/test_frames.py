@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framekit as fk
+from framekit import fixtures
 from conftest import random_parseval_frame, random_psd
 
 S2 = math.sqrt(2.0)
@@ -345,6 +346,35 @@ class TestDualParameterization:
             for a in range(n):
                 ref[a, :] += coeffs[m * n + a] * W[:, m]
         assert np.max(np.abs(dual.synthesis - ref)) <= 1e-12
+
+    @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1.0, 1e6])
+    def test_diagonal_solve_does_not_depend_on_units(self, scale):
+        # example-1 pins its last diagonal at 1, so trace(K)/N is missed at
+        # every scale; Mercedes' canonical diagonal is already trace(K)/N.
+        for (frame, op), reachable in (
+            (fixtures.example_1(), False),
+            (fixtures.mercedes(), True),
+        ):
+            frame = fk.Frame(scale * frame.synthesis)
+            op = fk.build_operator(scale * op.matrix)
+            param = fk.dual_parameterization(frame, op)
+            target = np.full(frame.n_vectors, op.trace / frame.n_vectors)
+            c = param.diagonal_coefficients(frame, target)
+            assert (c is not None) == reachable
+
+    def test_diagonal_solve_reaches_an_exactly_zero_diagonal(self):
+        # A skew orthogonal K makes every <K^+ f_i, f_i> zero, computed as
+        # rounding noise; K = 0 leaves only the zero frame.
+        rng = np.random.default_rng(4)
+        Q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        A = Q @ np.kron(np.eye(2), [[0.0, -1.0], [1.0, 0.0]]) @ Q.T
+        V, _ = np.linalg.qr(rng.normal(size=(9, 4)))
+        for frame, op in (
+            (fk.Frame(A @ V.T), fk.build_operator(A)),
+            (fk.Frame(np.zeros((2, 3))), fk.build_operator(np.zeros((2, 2)))),
+        ):
+            param = fk.dual_parameterization(frame, op)
+            assert param.diagonal_coefficients(frame, np.zeros(frame.n_vectors)) is not None
 
     def test_zero_dof_unique_dual(self):
         # with no admissible perturbations the canonical dual is the only dual
