@@ -38,6 +38,10 @@ K-invariant blocks it is the block ratio ``max_j delta_j`` of Pehlivan,
 Han and Mohapatra (J. Funct. Anal., 2013).
 Linear connectivity of i and j holds exactly when they lie in a common
 circuit of the vector matroid of F (Oxley, *Matroid Theory*, ch. 4).
+
+scipy is imported inside the two functions that use it, so importing this
+module does not load it: the pivoted QR of :func:`_matroid_components` and
+the NNLS solve of :func:`_kkt_certificate`.
 """
 
 from __future__ import annotations
@@ -49,8 +53,6 @@ from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
 
 from .errors import (
     DependentInputError,
@@ -67,6 +69,7 @@ from .frames import (
     DualSystem,
     Frame,
     OperatorSpec,
+    _diagonal_scale,
     build_dual_system,
     dual_parameterization,
     is_parseval_k_frame,
@@ -210,6 +213,8 @@ def _matroid_components(syn: np.ndarray, tol: float) -> tuple[tuple[int, ...], .
     a coordinate above ``tol`` on it in ``B^+ F`` (the fundamental circuits)
     gives a graph with the same components.  Zero columns stay singletons.
     """
+    import scipy.linalg
+
     N = syn.shape[1]
     _, R, piv = scipy.linalg.qr(syn, mode="economic", pivoting=True)
     pivots = np.abs(np.diag(R))
@@ -353,12 +358,14 @@ def improve_dual_step(
     Picks the first linearly connected pair (i1, i2) of unfinished indices
     and adds the admissible correction that sets ``<g_i2, f_i2>`` to the
     target while leaving every finished diagonal untouched.  Returns the
-    dual unchanged when all diagonals are already on target.
+    dual unchanged when all diagonals are already on target.  A diagonal is
+    on target within ``tol`` times the larger of ``|trace(K)/N|`` and
+    ``max ||g_i|| ||f_i||``, so scaling F and K keeps the verdict.
     """
     N = frame.n_vectors
     target = op.trace / N
     diag = _diag_inner(frame, dual)
-    done = np.abs(diag - target) <= tol
+    done = np.abs(diag - target) <= tol * _diagonal_scale(frame, dual, target)
     pending = [int(i) for i in np.flatnonzero(~done)]
     if not pending:
         return dual
@@ -603,6 +610,8 @@ def _kkt_certificate(
     halving from the step where the linear model reaches 0 finds a step
     meeting the Armijo condition.
     """
+    import scipy.optimize
+
     obj = _Objective(frame, param, kind)
     top = list(part.top)
     _, state = obj.terms(np.zeros(param.dof))

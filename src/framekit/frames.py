@@ -17,7 +17,8 @@ the columns of W are an orthonormal basis of null(F) and C ranges over
 
 All objects are immutable after construction (arrays are marked read-only),
 so values can be shared freely across threads; every operation here is a pure
-function.
+function.  This module needs numpy alone: the K-frame bounds reduce their
+generalized eigenproblem to standard form by a Cholesky factor.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     NotDualError,
@@ -132,9 +132,11 @@ def build_operator(matrix, tol: float = RANK_TOL) -> OperatorSpec:
     """Build an OperatorSpec from a square real matrix.
 
     The pseudoinverse comes from an SVD with singular values below
-    ``tol * sigma_max`` zeroed out.  PSD status is decided on the symmetric
-    part with eigenvalue floor ``-tol * ||K||``; the square root is the
-    symmetric eigendecomposition root with tiny negatives clamped to zero.
+    ``tol * sigma_max`` zeroed out.  K is symmetric when
+    ``||K - K^T|| <= tol * ||K||``, and then PSD when its symmetric part has
+    no eigenvalue below ``-tol * ||K||``: both relative, so scaling K keeps
+    the verdict, and K = 0 is PSD.  The square root is the symmetric
+    eigendecomposition root with tiny negatives clamped to zero.
     """
     K = np.asarray(matrix, dtype=float)
     if K.ndim != 2 or K.shape[0] != K.shape[1]:
@@ -155,10 +157,10 @@ def build_operator(matrix, tol: float = RANK_TOL) -> OperatorSpec:
     sym_gap = np.linalg.norm(K - K.T)
     psd = False
     sqrt = None
-    if sym_gap <= tol * max(1.0, scale):
+    if sym_gap <= tol * scale:
         sym = 0.5 * (K + K.T)
         w, q = np.linalg.eigh(sym)
-        if w.size == 0 or w[0] >= -tol * max(1.0, scale):
+        if w.size == 0 or w[0] >= -tol * scale:
             psd = True
             sqrt = (q * np.sqrt(np.clip(w, 0.0, None))) @ q.T
 
@@ -207,11 +209,14 @@ def k_frame_bounds(
     S_r = Q.T @ S @ Q
     KKt = op.matrix @ op.matrix.T
     KKt_r = Q.T @ KKt @ Q
+    # The pencil in standard form, as LAPACK sygv reduces it: with
+    # KKt_r = L L^T, its eigenvalues are those of L^{-1} S_r L^{-T}.
     try:
-        gen = scipy.linalg.eigh(S_r, KKt_r, eigvals_only=True)
+        L = np.linalg.cholesky(KKt_r)
     except np.linalg.LinAlgError as exc:  # pragma: no cover - degenerate pencil
         raise NotKFrameError(f"generalized eigenproblem failed: {exc}") from exc
-    A = float(gen[0])
+    X = np.linalg.solve(L, S_r)
+    A = float(np.linalg.eigvalsh(np.linalg.solve(L, X.T))[0])
     if A <= tol:
         raise NotKFrameError(
             f"lower K-frame bound {A:.3e} is not positive within tol"
@@ -311,6 +316,15 @@ def build_dual_system(
     return DualSystem(frame=frame, dual=dual, op=op, cross_gram=alpha, kind=kind)
 
 
+def _diagonal_scale(frame: Frame, dual: Frame, target) -> float:
+    """Scale of the diagonal ``<g_i, f_i>`` for tolerance tests: the larger
+    of ``max |target|`` and ``max ||g_i|| ||f_i||``.  Scaling F and K
+    scales it too, and it stays above the rounding of a diagonal that is
+    exactly 0."""
+    weights = np.linalg.norm(dual.synthesis, axis=0) * frame.norms()
+    return float(max(np.max(np.abs(target)), np.max(weights)))
+
+
 @dataclass(frozen=True, eq=False)
 class DualParameterization:
     """Affine chart of all K-duals: ``G(C) = K^+ F + C W^T``.
@@ -365,9 +379,7 @@ class DualParameterization:
         rhs = target - np.einsum("ij,ij->j", base, syn)
         D = self.column_jacobian(syn)
         c, *_ = np.linalg.lstsq(D.T, rhs, rcond=None)
-        weights = np.linalg.norm(base, axis=0) * np.linalg.norm(syn, axis=0)
-        scale = max(np.max(np.abs(target)), np.max(weights))
-        ok = np.max(np.abs(D.T @ c - rhs)) <= tol * scale
+        ok = np.max(np.abs(D.T @ c - rhs)) <= tol * _diagonal_scale(frame, self.base, target)
         return c if ok else None
 
 

@@ -33,6 +33,11 @@ subgradient loop.
 diagonal trace(K)/N (an affine constraint) and minimizes the two-erasure
 spectral radius by direct search; that objective is not convex, hence the
 restarts actually matter there.
+
+The three scipy solvers (HiGHS ``linprog``, SLSQP and Nelder-Mead) are
+imported inside the functions that call them and looked up on the
+``scipy.optimize`` module at each call, so importing this module does not
+load scipy.
 """
 
 from __future__ import annotations
@@ -42,7 +47,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import scipy.optimize
 
 from .errors import DofTooLargeError, InfeasibleError, NumericalError
 from .frames import (
@@ -251,6 +255,8 @@ def _polish_spectral(obj: _Objective) -> np.ndarray | None:
     null(D): ``sum_i D[k, i] = (F W)[a, m] = 0``).  One SVD of D gives P and
     the minimum-norm coefficients of the optimal diagonal.
     """
+    import scipy.optimize
+
     dof, N = obj.dof, obj.a0.shape[0]
     top = float(np.max(np.abs(obj.a0)))
     if top == 0.0:
@@ -287,6 +293,8 @@ def _polish_op_norm(obj: _Objective) -> np.ndarray | None:
     leaves the duals, the chart and this problem unchanged, so SLSQP's
     absolute ``ftol`` acts relatively.
     """
+    import scipy.optimize
+
     t0 = obj.value(np.zeros(obj.dof))
     if t0 == 0.0:
         return None  # the canonical dual already has value 0
@@ -396,6 +404,8 @@ def minimize_r2_within_uniform(
     search (Nelder-Mead).  The result carries a comparison against the pair
     bound when K is PSD.
     """
+    import scipy.optimize
+
     N = frame.n_vectors
     if N < 2:
         raise ValueError("two-erasure search needs at least 2 vectors")

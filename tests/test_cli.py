@@ -251,6 +251,16 @@ class TestOtherCommands:
         assert doc["branch"] == "mu_nonneg"
         assert "r2_min_statement_variant" in doc
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
+    @pytest.mark.parametrize("K", [[[1, 0], [0, -1e-3]], [[1, 1e-3], [0, 1]]])
+    def test_pair_bounds_non_psd_refusal_does_not_depend_on_units(
+        self, tmp_path, capsys, scale, K
+    ):
+        path = tmp_path / "k.json"
+        path.write_text(json.dumps({"K": (scale * np.array(K)).tolist()}))
+        assert main(["pair-bounds", "--k", str(path), "--n-vectors", "3"]) == 3
+        assert "PSD" in capsys.readouterr().err
+
     def test_pair_bounds_statement_variant(self, tmp_path, capsys):
         path = tmp_path / "k4.json"
         path.write_text(json.dumps({"K": np.eye(4).tolist()}))

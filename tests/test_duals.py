@@ -365,6 +365,19 @@ class TestImproveDualStep:
             current = improved
         assert np.allclose(_diag_inner(frame, current), target, atol=1e-9)
 
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
+    def test_step_does_not_depend_on_units(self, mb, scale):
+        # Scaling F and K by s keeps every K-dual and scales the diagonal.
+        frame, op, dual = self.perturbed_mercedes(mb)
+        reference = _diag_inner(frame, fk.improve_dual_step(frame, dual, op))
+        frame = fk.Frame(scale * frame.synthesis)
+        op = fk.build_operator(scale * op.matrix)
+        improved = fk.improve_dual_step(frame, dual, op)
+        assert improved is not dual
+        after = _diag_inner(frame, improved) / scale
+        assert np.allclose(after, reference, rtol=1e-9, atol=0)
+        assert np.count_nonzero(np.abs(after - 2 / 3) <= 1e-9) == 1
+
     def test_noop_when_finished(self, mb):
         frame, op = mb
         result = fk.improve_dual_step(frame, frame, op)

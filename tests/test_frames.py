@@ -2,12 +2,13 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framekit as fk
 from framekit import fixtures
-from conftest import random_parseval_frame, random_psd
+from conftest import random_block_frame, random_parseval_frame, random_psd
 
 S2 = math.sqrt(2.0)
 
@@ -75,6 +76,19 @@ class TestBuildOperator:
         assert op.sqrt is None
         op2 = fk.build_operator(np.array([[0.0, 1.0], [0.0, 0.0]]))
         assert not op2.psd_flag
+
+    @pytest.mark.parametrize("scale", [1e-9, 1e-6, 1.0, 1e6])
+    def test_psd_and_symmetry_verdicts_do_not_depend_on_units(self, scale):
+        # A negative eigenvalue and an asymmetric entry, each 1e-3 of ||K||.
+        assert not fk.build_operator(scale * np.diag([1.0, -1e-3])).psd_flag
+        assert not fk.build_operator(scale * np.array([[1.0, 1e-3], [0.0, 1.0]])).psd_flag
+        op = fk.build_operator(scale * np.diag([1.0, 1e-3, 0.0]))
+        assert op.psd_flag
+        assert np.allclose(op.sqrt @ op.sqrt, op.matrix, rtol=0, atol=1e-12 * scale)
+
+    def test_zero_operator_is_psd(self):
+        op = fk.build_operator(np.zeros((2, 2)))
+        assert op.psd_flag and not np.any(op.sqrt)
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -163,6 +177,36 @@ class TestKFrameBounds:
         op = fk.build_operator(np.eye(2))
         with pytest.raises(fk.NotKFrameError):
             fk.k_frame_bounds(frame, op)
+
+    @staticmethod
+    def pencil_bounds(frame, op):
+        """(A, B) from scipy's generalized eigensolver on range(K)."""
+        S = frame.synthesis @ frame.synthesis.T
+        Q = np.linalg.svd(op.matrix)[0][:, : op.rank]
+        KKt = op.matrix @ op.matrix.T
+        A = scipy.linalg.eigh(Q.T @ S @ Q, Q.T @ KKt @ Q, eigvals_only=True)[0]
+        return A, np.linalg.eigvalsh(S)[-1]
+
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_matches_generalized_eigensolver(self, scale):
+        rng = np.random.default_rng(5)
+        systems = [fixtures.example_1(), fixtures.example_2(), fixtures.mercedes()]
+        for _ in range(10):
+            n = int(rng.integers(2, 7))
+            op = fk.build_operator(random_psd(rng, n))
+            systems.append((random_parseval_frame(rng, op, int(rng.integers(n, 4 * n))), op))
+            rank_deficient = fk.build_operator(random_psd(rng, n, int(rng.integers(1, n))))
+            systems.append((random_parseval_frame(rng, rank_deficient, n + 3), rank_deficient))
+            frame, op, _ = random_block_frame(rng)
+            systems.append((frame, op))
+        assert any(op.rank < op.dim for _, op in systems)
+        for frame, op in systems:
+            frame = fk.Frame(scale * frame.synthesis)
+            op = fk.build_operator(scale * op.matrix)
+            A, B = fk.k_frame_bounds(frame, op)
+            A_ref, B_ref = self.pencil_bounds(frame, op)
+            assert A == pytest.approx(A_ref, rel=1e-12, abs=0)
+            assert B == pytest.approx(B_ref, rel=1e-12, abs=0)
 
     def test_lower_bound_by_sampling(self, ex1):
         # oracle: A is a valid lower bound on sampled unit vectors in range(K)
