@@ -70,6 +70,9 @@ from .frames import (
     Frame,
     OperatorSpec,
     _diagonal_scale,
+    _rank,
+    _system_scale,
+    _within,
     build_dual_system,
     dual_parameterization,
     is_parseval_k_frame,
@@ -77,10 +80,6 @@ from .frames import (
 )
 from .erasures import Measure, _pair_products, uniformity
 from .search import _Objective
-
-# Tolerance for membership in argmax sets, relative to the top weight, and
-# in finished-diagonal sets.
-WEIGHT_TOL = 1e-8
 
 
 # ---------------------------------------------------------------------------
@@ -100,23 +99,23 @@ class WeightPartition:
     span_rest: np.ndarray
 
 
-def _orthonormal_span(columns: np.ndarray, tol: float = RANK_TOL) -> np.ndarray:
+def _orthonormal_span(columns: np.ndarray) -> np.ndarray:
     if columns.shape[1] == 0:
         return np.zeros((columns.shape[0], 0))
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((columns.shape[0], 0))
-    rank = int(np.count_nonzero(s > tol * s[0]))
-    return u[:, :rank]
+    return u[:, : _rank(s, s[0])]
 
 
 def weight_partition(
-    frame: Frame, op: OperatorSpec, kind: Measure, tol: float = WEIGHT_TOL
+    frame: Frame, op: OperatorSpec, kind: Measure
 ) -> WeightPartition:
     """Per-index canonical-dual weights with argmax set and span bases.
 
-    Index i is top when ``w_i >= top_value - tol * |top_value|``: relative,
-    so scaling F and K together keeps the partition.
+    Index i is top when ``top_value - w_i`` is within DEFAULT_TOL at the
+    diagonal scale of the canonical dual (``frames._diagonal_scale``), so
+    scaling F and K together keeps the partition.
     """
     if not is_parseval_k_frame(frame, op):
         raise NotParsevalError("weight partition requires a Parseval K-frame")
@@ -129,8 +128,8 @@ def weight_partition(
     else:
         weights = np.einsum("ij,ij->j", dual_syn, syn)
     top_value = float(np.max(weights))
-    cut = top_value - tol * abs(top_value)
-    top = tuple(int(i) for i in np.flatnonzero(weights >= cut))
+    scale = _diagonal_scale(syn, dual_syn, op.trace / frame.n_vectors)
+    top = tuple(int(i) for i in np.flatnonzero(_within(top_value - weights, scale)))
     rest = tuple(i for i in range(frame.n_vectors) if i not in top)
     return WeightPartition(
         measure_kind=kind,
@@ -143,9 +142,7 @@ def weight_partition(
     )
 
 
-def spans_intersect_trivially(
-    part: WeightPartition, tol: float = RANK_TOL
-) -> bool:
+def spans_intersect_trivially(part: WeightPartition) -> bool:
     """True iff span(top vectors) and span(rest vectors) meet only in 0."""
     k1 = part.span_top.shape[1]
     k2 = part.span_rest.shape[1]
@@ -153,26 +150,28 @@ def spans_intersect_trivially(
         return True
     stacked = np.hstack([part.span_top, part.span_rest])
     s = np.linalg.svd(stacked, compute_uv=False)
-    rank = int(np.count_nonzero(s > tol * s[0]))
-    return rank == k1 + k2
+    return _rank(s, s[0]) == k1 + k2
 
 
 # ---------------------------------------------------------------------------
 # linear-connectivity machinery
 
 
-def solve_equal_inner_products(vectors, alpha: float, tol: float = DEFAULT_TOL):
-    """Minimum-norm h with ``<f_i, h> = alpha`` for an independent family."""
+def solve_equal_inner_products(vectors, alpha: float):
+    """Minimum-norm h with ``<f_i, h> = alpha`` for an independent family.
+
+    NumericalError when the residual is not small at the scale ``|alpha|``.
+    """
     rows = np.asarray([np.asarray(v, dtype=float) for v in vectors])
     if rows.ndim != 2 or rows.shape[0] == 0:
         raise ValueError("need a nonempty family of vectors")
     s = np.linalg.svd(rows, compute_uv=False)
-    if s.size == 0 or s[-1] <= RANK_TOL * s[0]:
+    if s.size == 0 or _rank(s, s[0]) < s.size:
         raise DependentInputError("input vectors are linearly dependent")
     target = np.full(rows.shape[0], float(alpha))
     h, *_ = np.linalg.lstsq(rows, target, rcond=None)
     residual = np.max(np.abs(rows @ h - target))
-    if residual > tol * max(1.0, abs(alpha)):
+    if not _within(residual, abs(alpha)):
         raise NumericalError(f"inner-product solve residual {residual:.2e}")
     return h
 
@@ -206,27 +205,29 @@ def _components(linked: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(components)
 
 
-def _matroid_components(syn: np.ndarray, tol: float) -> tuple[tuple[int, ...], ...]:
+def _matroid_components(syn: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Components of the vector matroid on the columns of ``syn``.
 
     Pivoted QR picks a basis B; linking each basis index to the columns with
-    a coordinate above ``tol`` on it in ``B^+ F`` (the fundamental circuits)
-    gives a graph with the same components.  Zero columns stay singletons.
+    a coordinate above DEFAULT_TOL on it in ``B^+ F`` (the fundamental
+    circuits) gives a graph with the same components.  The coordinates are
+    ratios of columns, so the cut does not depend on units.  Zero columns
+    stay singletons.
     """
     import scipy.linalg
 
     N = syn.shape[1]
     _, R, piv = scipy.linalg.qr(syn, mode="economic", pivoting=True)
     pivots = np.abs(np.diag(R))
-    basis = piv[: np.count_nonzero(pivots > RANK_TOL * pivots[0])]
+    basis = piv[: _rank(pivots, pivots[0])]
     coords, *_ = np.linalg.lstsq(syn[:, basis], syn, rcond=None)
     linked = np.zeros((N, N), dtype=bool)
-    linked[basis] = np.abs(coords) > tol
+    linked[basis] = ~_within(coords, 1.0)
     return _components(linked | linked.T)
 
 
 def is_linearly_connected_pair(
-    frame: Frame, i: int, j: int, tol: float = DEFAULT_TOL
+    frame: Frame, i: int, j: int
 ) -> tuple[bool, ConnectionWitness | None]:
     """Decide whether f_i can be written over f_j plus an independent subset.
 
@@ -234,7 +235,8 @@ def is_linearly_connected_pair(
     comes from support reduction: starting from that component, every other
     index, highest first, is dropped when i and j stay in one component
     without it.  What remains is a circuit through i and j, and the
-    coefficients of f_i over it are all nonzero.
+    coefficients of f_i over it are all nonzero: the residual is small at
+    the scale ``||f_i||`` and no coefficient, a ratio, is small at scale 1.
     """
     N = frame.n_vectors
     if i == j:
@@ -245,9 +247,9 @@ def is_linearly_connected_pair(
 
     def joined(keep: list[int]) -> bool:
         ends = {keep.index(i), keep.index(j)}
-        return any(ends <= set(c) for c in _matroid_components(syn[:, keep], tol))
+        return any(ends <= set(c) for c in _matroid_components(syn[:, keep]))
 
-    component = next(c for c in _matroid_components(syn, tol) if i in c)
+    component = next(c for c in _matroid_components(syn) if i in c)
     if j not in component:
         return False, None
     keep = list(component)
@@ -259,7 +261,7 @@ def is_linearly_connected_pair(
     cols = syn[:, [j, *support]]
     coeffs, *_ = np.linalg.lstsq(cols, syn[:, i], rcond=None)
     residual = np.linalg.norm(cols @ coeffs - syn[:, i])
-    if residual > tol * max(1.0, np.linalg.norm(syn[:, i])) or min(abs(coeffs)) <= tol:
+    if not _within(residual, np.linalg.norm(syn[:, i])) or np.any(_within(coeffs, 1.0)):
         raise NumericalError(f"support reduction left no circuit through {i}, {j}")
     return True, ConnectionWitness(float(coeffs[0]), tuple(support), coeffs[1:].copy())
 
@@ -275,21 +277,20 @@ class ConnectedDecomposition:
     connectivity_verified: tuple[bool, ...]  # block j is one matroid component
 
 
-def connected_decomposition(
-    frame: Frame, op: OperatorSpec, tol: float = DEFAULT_TOL
-) -> ConnectedDecomposition:
+def connected_decomposition(frame: Frame, op: OperatorSpec) -> ConnectedDecomposition:
     """Orthogonality-closure blocks with per-block invariance and ratios.
 
     Blocks are connected components of the graph joining i and j when
-    ``|<f_i, f_j>| > tol ||f_i|| ||f_j||``; block j is K-invariant when
-    ``||K P - P K P|| <= tol ||K||``, P projecting onto H_j, so scaling F
-    and K keeps both.  ``connectivity_verified[j]`` reports, without
-    rejecting, whether block j is one matroid component.
+    ``<f_i, f_j>`` is not small at the scale ``||f_i|| ||f_j||``; block j
+    is K-invariant when ``||K P - P K P||`` is small at the scale ``||K||``,
+    P projecting onto H_j, so scaling F and K keeps both.
+    ``connectivity_verified[j]`` reports, without rejecting, whether block j
+    is one matroid component.
     """
     syn = frame.synthesis
     norms = np.linalg.norm(syn, axis=0)
-    blocks = _components(np.abs(syn.T @ syn) > tol * np.outer(norms, norms))
-    matroid = _matroid_components(syn, tol)
+    blocks = _components(~_within(syn.T @ syn, np.outer(norms, norms)))
+    matroid = _matroid_components(syn)
 
     K = op.matrix
     k_scale = float(np.linalg.norm(K))
@@ -300,9 +301,7 @@ def connected_decomposition(
         Q = _orthonormal_span(syn[:, list(block)])
         bases.append(Q)
         P = Q @ Q.T
-        invariant.append(
-            bool(np.linalg.norm(K @ P - P @ K @ P) <= tol * k_scale)
-        )
+        invariant.append(bool(_within(np.linalg.norm(K @ P - P @ K @ P), k_scale)))
         deltas.append(float(np.trace(Q.T @ K @ Q)) / len(block))
     return ConnectedDecomposition(
         blocks=blocks,
@@ -313,7 +312,7 @@ def connected_decomposition(
     )
 
 
-def _component_means(frame: Frame, op: OperatorSpec, tol: float) -> np.ndarray:
+def _component_means(frame: Frame, op: OperatorSpec) -> np.ndarray:
     """Per index i, the mean of ``<K^+ f_i, f_i>`` over its matroid
     component: the K-dual diagonal of smallest largest absolute entry."""
     if not is_parseval_k_frame(frame, op):
@@ -321,14 +320,12 @@ def _component_means(frame: Frame, op: OperatorSpec, tol: float) -> np.ndarray:
     syn = frame.synthesis
     diag = np.einsum("ij,ij->j", op.pinv @ syn, syn)
     means = np.empty_like(diag)
-    for component in _matroid_components(syn, tol):
+    for component in _matroid_components(syn):
         means[list(component)] = np.mean(diag[list(component)])
     return means
 
 
-def min_r1_fixed_frame(
-    frame: Frame, op: OperatorSpec, tol: float = DEFAULT_TOL
-) -> float:
+def min_r1_fixed_frame(frame: Frame, op: OperatorSpec) -> float:
     """Minimum one-erasure spectral radius over all K-duals of F.
 
     Equals ``max_B |sum_{i in B} <K^+ f_i, f_i>| / |B|`` over the matroid
@@ -336,7 +333,7 @@ def min_r1_fixed_frame(
     otherwise.  For orthogonal K-invariant blocks this is ``max_j
     delta_j``.
     """
-    return float(np.max(np.abs(_component_means(frame, op, tol))))
+    return float(np.max(np.abs(_component_means(frame, op))))
 
 
 # ---------------------------------------------------------------------------
@@ -347,25 +344,22 @@ def _diag_inner(frame: Frame, dual: Frame) -> np.ndarray:
     return np.einsum("ij,ij->j", dual.synthesis, frame.synthesis)
 
 
-def improve_dual_step(
-    frame: Frame,
-    dual: Frame,
-    op: OperatorSpec,
-    tol: float = WEIGHT_TOL,
-) -> Frame:
+def improve_dual_step(frame: Frame, dual: Frame, op: OperatorSpec) -> Frame:
     """One correction step driving another diagonal to trace(K)/N.
 
     Picks the first linearly connected pair (i1, i2) of unfinished indices
     and adds the admissible correction that sets ``<g_i2, f_i2>`` to the
     target while leaving every finished diagonal untouched.  Returns the
     dual unchanged when all diagonals are already on target.  A diagonal is
-    on target within ``tol`` times the larger of ``|trace(K)/N|`` and
-    ``max ||g_i|| ||f_i||``, so scaling F and K keeps the verdict.
+    on target within DEFAULT_TOL at the diagonal scale, the larger of
+    ``|trace(K)/N|`` and ``max ||g_i|| ||f_i||``, so scaling F and K keeps
+    the verdict.
     """
     N = frame.n_vectors
     target = op.trace / N
     diag = _diag_inner(frame, dual)
-    done = np.abs(diag - target) <= tol * _diagonal_scale(frame, dual, target)
+    scale = _diagonal_scale(frame.synthesis, dual.synthesis, target)
+    done = _within(diag - target, scale)
     pending = [int(i) for i in np.flatnonzero(~done)]
     if not pending:
         return dual
@@ -374,14 +368,14 @@ def improve_dual_step(
             "exactly one off-target diagonal contradicts the trace identity"
         )
     syn = frame.synthesis
-    component = {k: c for c in _matroid_components(syn, tol) for k in c}
+    component = {k: c for c in _matroid_components(syn) for k in c}
     pairs = [(a, b) for a in pending for b in component[a] if b != a and b in pending]
     if not pairs:
         raise NoConnectedPairAvailableError(
             f"no linearly connected pair among unfinished indices {pending}"
         )
     i1, i2 = pairs[0]
-    _, witness = is_linearly_connected_pair(frame, i1, i2, tol)
+    _, witness = is_linearly_connected_pair(frame, i1, i2)
     cols = [i2, *witness.support]
     rhs = np.zeros(len(cols))
     rhs[0] = (target - diag[i2]) / witness.c
@@ -391,9 +385,7 @@ def improve_dual_step(
     return Frame(dual.synthesis + np.outer(v, weights))
 
 
-def construct_spectrally_optimal_dual(
-    frame: Frame, op: OperatorSpec, tol: float = WEIGHT_TOL
-) -> Frame:
+def construct_spectrally_optimal_dual(frame: Frame, op: OperatorSpec) -> Frame:
     """K-dual whose diagonal ``<g_i, f_i>`` is the mean of the canonical
     diagonal over the matroid component of i; it attains
     :func:`min_r1_fixed_frame`.
@@ -404,9 +396,9 @@ def construct_spectrally_optimal_dual(
     diagonal always lies in the range of the chart's diagonal map, so a
     missed solve raises NumericalError.
     """
-    target = _component_means(frame, op, tol)
+    target = _component_means(frame, op)
     param = dual_parameterization(frame, op)
-    c = param.diagonal_coefficients(frame, target, tol)
+    c = param.diagonal_coefficients(frame, target)
     if c is None:
         raise NumericalError("the chart solve missed the component-mean diagonal")
     return reconstruct_dual(param, c)
@@ -522,7 +514,7 @@ def _family(
     if kind is Measure.OP_NORM:
         _, s, vt = np.linalg.svd(param.basis[top], full_matrices=False)
         # W has orthonormal columns, so ||W_T|| <= 1 and the cut is absolute.
-        R = vt[: np.count_nonzero(s > RANK_TOL)].T
+        R = vt[: _rank(s, 1.0)].T
         dimension = n * (R.shape[0] - R.shape[1])
 
         def axis():
@@ -537,7 +529,7 @@ def _family(
         D_T = param.column_jacobian(frame.synthesis[:, top], top)
         U, s, _ = np.linalg.svd(D_T, full_matrices=False)
         # Relative to ||F||_F >= ||D_T||: D_T can be all rounding noise.
-        Q = U[:, : np.count_nonzero(s > RANK_TOL * np.linalg.norm(frame.synthesis))]
+        Q = U[:, : _rank(s, np.linalg.norm(frame.synthesis))]
         dimension = param.dof - Q.shape[1]
 
         def axis():
@@ -561,10 +553,7 @@ def _family(
 
 
 def perturbation_family(
-    frame: Frame,
-    op: OperatorSpec,
-    kind: Measure,
-    tol: float = WEIGHT_TOL,
+    frame: Frame, op: OperatorSpec, kind: Measure
 ) -> PerturbationFamily:
     """Optimality-preserving perturbation directions of the canonical dual.
 
@@ -578,7 +567,7 @@ def perturbation_family(
     diagonal entry) and ``radius`` come from a thin factorization of the
     top constraints; ``basis`` is built only when read.
     """
-    part = weight_partition(frame, op, kind, tol)
+    part = weight_partition(frame, op, kind)
     return _family(frame, dual_parameterization(frame, op), part, kind)
 
 
@@ -650,10 +639,7 @@ def _kkt_certificate(
 
 
 def canonical_certificate(
-    frame: Frame,
-    op: OperatorSpec,
-    kind: Measure,
-    tol: float = WEIGHT_TOL,
+    frame: Frame, op: OperatorSpec, kind: Measure
 ) -> OptimalityCertificate:
     """Decide optimality status of the canonical K-dual under one measure.
 
@@ -678,7 +664,7 @@ def canonical_certificate(
         raise NotParsevalError("certificate requires a Parseval K-frame")
     if not op.psd_flag:
         raise NotPSDError("certificate requires a PSD operator")
-    part = weight_partition(frame, op, kind, tol)
+    part = weight_partition(frame, op, kind)
     param = dual_parameterization(frame, op)
 
     if param.dof == 0:
@@ -719,7 +705,7 @@ def canonical_certificate(
 # special-case two-erasure closed forms
 
 
-def r2_special_closed_form(ds: DualSystem, tol: float = WEIGHT_TOL) -> float:
+def r2_special_closed_form(ds: DualSystem) -> float:
     """Two-erasure spectral radius for nonnegative diagonal and constant
     off-diagonal products.
 
@@ -731,30 +717,33 @@ def r2_special_closed_form(ds: DualSystem, tol: float = WEIGHT_TOL) -> float:
     * c = 0: ``r1``;
     * c < 0, |Delta| > 1: ``sqrt(r1^2 - c)``.
 
-    Raises HypothesesNotMetError when the pattern does not match (caller
-    falls back to the general closed form).
+    Diagonal entries are compared at the diagonal scale s of the system and
+    products at s^2.  Raises HypothesesNotMetError when the pattern does not
+    match (caller falls back to the general closed form).
     """
     N = ds.n_vectors
     if N < 2:
         raise ValueError("two-erasure measure needs at least 2 vectors")
     diag = ds.diag
-    if np.min(diag) < -tol:
+    scale = _system_scale(ds)
+    if np.min(diag) < -DEFAULT_TOL * scale:
         raise HypothesesNotMetError("diagonal inner products must be nonnegative")
     _, prods = _pair_products(ds.cross_gram)
     c = float(np.mean(prods))
-    if np.max(np.abs(prods - c)) > tol:
+    if not np.all(_within(prods - c, scale**2)):
         raise HypothesesNotMetError("off-diagonal products are not constant")
     r1_val = float(np.max(diag))
-    delta_size = int(np.count_nonzero(diag >= r1_val - tol))
-    if c > tol:
+    top = _within(r1_val - diag, scale)
+    delta_size = int(np.count_nonzero(top))
+    if _within(c, scale**2):
+        return r1_val
+    if c > 0:
         if delta_size == 1:
-            second = float(np.max(diag[diag < r1_val - tol]))
+            second = float(np.max(diag[~top]))
             return 0.5 * (
                 r1_val + second + math.sqrt((r1_val - second) ** 2 + 4.0 * c)
             )
         return r1_val + math.sqrt(c)
-    if c >= -tol:
-        return r1_val
     if delta_size <= 1:
         raise HypothesesNotMetError(
             "negative constant product needs at least two argmax diagonals"
@@ -763,10 +752,7 @@ def r2_special_closed_form(ds: DualSystem, tol: float = WEIGHT_TOL) -> float:
 
 
 def two_uniform_spectral_optimality(
-    frame: Frame,
-    dual: Frame,
-    op: OperatorSpec,
-    tol: float = WEIGHT_TOL,
+    frame: Frame, dual: Frame, op: OperatorSpec
 ) -> tuple[bool, float]:
     """Two-erasure optimality of a 2-uniform K-dual, with its value.
 
@@ -774,17 +760,18 @@ def two_uniform_spectral_optimality(
     ``max |trace(K)/N +/- sqrt(c)|`` under the principal square root, where
     the common product satisfies ``c = (trace(K^2) - trace(K)^2/N)/(N(N-1))``
     (the minus branch only matters for negative-trace operators).  Raises
-    NotTwoUniformError when the dual is not 2-uniform.
+    NotTwoUniformError when the dual is not 2-uniform, and NumericalError
+    when the observed product misses c at the squared diagonal scale.
     """
     ds = build_dual_system(frame, dual, op)
-    c1, c2 = uniformity(ds, tol)
+    c1, c2 = uniformity(ds)
     if c1 is None or c2 is None:
         raise NotTwoUniformError("dual system is not 2-uniform")
     N = ds.n_vectors
     if N < 2:
         raise ValueError("two-erasure measure needs at least 2 vectors")
     c = (op.trace_sq - op.trace**2 / N) / (N * (N - 1))
-    if abs(c - c2) > max(tol, 1e-6):
+    if not _within(c - c2, _system_scale(ds) ** 2):
         raise NumericalError(
             f"observed product constant {c2} violates the trace identity value {c}"
         )

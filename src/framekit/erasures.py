@@ -30,9 +30,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotOneUniformError, BudgetExceededError, NumericalError
-from .frames import DualSystem
-
-UNIFORMITY_TOL = 1e-8
+from .frames import DualSystem, _system_scale, _within
 
 # Cap on the number of patterns rm_bruteforce will enumerate.
 DEFAULT_PATTERN_BUDGET = 10**6
@@ -188,37 +186,37 @@ def rm_bruteforce(
     return best, best_pattern
 
 
-def uniformity(
-    ds: DualSystem, tol: float = UNIFORMITY_TOL
-) -> tuple[float | None, float | None]:
+def uniformity(ds: DualSystem) -> tuple[float | None, float | None]:
     """Detect constant diagonal (c) and constant off-diagonal products (c').
 
-    c is present iff all ``<g_i, f_i>`` agree within tol; it then must equal
-    trace(K)/N (a trace identity of any dual system, asserted here).  c' is
-    present iff c is and all products ``alpha_ij alpha_ji`` (i != j) agree
-    within tol.
+    c is present iff all ``<g_i, f_i>`` agree within DEFAULT_TOL at the
+    scale s of the system (:func:`framekit.frames._system_scale`); it then
+    must equal trace(K)/N at that scale (a trace identity of any dual
+    system, asserted here).  c' is present iff c is and all products
+    ``alpha_ij alpha_ji`` (i != j) agree within DEFAULT_TOL at the scale s^2.
     """
     alpha = ds.cross_gram
     diag = np.diag(alpha)
+    expected = ds.op.trace / ds.n_vectors
+    scale = _system_scale(ds)
     c = None
     c_prime = None
     center = float(np.mean(diag))
-    if np.max(np.abs(diag - center)) <= tol:
+    if np.all(_within(diag - center, scale)):
         c = center
-        expected = ds.op.trace / ds.n_vectors
-        if abs(c - expected) > max(tol, 1e-9 * max(1.0, abs(expected))):
+        if not _within(c - expected, scale):
             raise NumericalError(
                 f"uniform diagonal {c} deviates from trace(K)/N = {expected}"
             )
         if ds.n_vectors >= 2:
             _, prods = _pair_products(alpha)
             p_center = float(np.mean(prods))
-            if np.max(np.abs(prods - p_center)) <= tol:
+            if np.all(_within(prods - p_center, scale**2)):
                 c_prime = p_center
     return c, c_prime
 
 
-def r2_simplified_uniform(ds: DualSystem, tol: float = UNIFORMITY_TOL) -> float:
+def r2_simplified_uniform(ds: DualSystem) -> float:
     """Two-erasure spectral radius of a 1-uniform system.
 
     With constant diagonal c = trace(K)/N the pairwise eigenvalues collapse
@@ -227,7 +225,7 @@ def r2_simplified_uniform(ds: DualSystem, tol: float = UNIFORMITY_TOL) -> float:
     usual ``max |c + sqrt(alpha_ij alpha_ji)|``, and the minus branch only
     matters for negative-trace systems).
     """
-    c, _ = uniformity(ds, tol)
+    c, _ = uniformity(ds)
     if c is None:
         raise NotOneUniformError("diagonal inner products are not constant")
     N = ds.n_vectors
@@ -252,11 +250,9 @@ class ErasureReport:
     rm: dict[int, float] = field(default_factory=dict)
 
 
-def build_report(
-    ds: DualSystem, tol: float = UNIFORMITY_TOL, ms: tuple[int, ...] = ()
-) -> ErasureReport:
+def build_report(ds: DualSystem, ms: tuple[int, ...] = ()) -> ErasureReport:
     """Assemble the standard report; extra ``rm`` orders are brute-forced."""
-    c, c_prime = uniformity(ds, tol)
+    c, c_prime = uniformity(ds)
     if ds.n_vectors >= 2:
         r2_val, r2_pair = r2_closed_form_argmax(ds)
     else:

@@ -34,8 +34,6 @@ from .pairs import is_o1_optimal_pair, is_r1_optimal_pair, pair_bounds
 from .duals import two_uniform_spectral_optimality, weight_partition
 from .search import SearchConfig, brute_force_grid_oracle, minimize_measure
 
-EXAMPLE_NAMES = ("example-1", "example-2", "mercedes")
-
 S2 = math.sqrt(2.0)
 
 
@@ -68,16 +66,6 @@ def mercedes() -> tuple[Frame, OperatorSpec]:
         for k in range(3)
     ]
     return build_frame(vecs), build_operator(np.eye(2))
-
-
-def get_example(name: str) -> tuple[Frame, OperatorSpec]:
-    if name == "example-1":
-        return example_1()
-    if name == "example-2":
-        return example_2()
-    if name == "mercedes":
-        return mercedes()
-    raise KeyError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
 
 
 @dataclass(frozen=True)
@@ -285,11 +273,24 @@ def verify_mercedes() -> list[Assertion]:
     return out
 
 
+# Name -> (build, verify) of each bundled example.
+EXAMPLES = {
+    "example-1": (example_1, verify_example_1),
+    "example-2": (example_2, verify_example_2),
+    "mercedes": (mercedes, verify_mercedes),
+}
+EXAMPLE_NAMES = tuple(EXAMPLES)
+
+
+def _lookup(name: str):
+    if name not in EXAMPLES:
+        raise KeyError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
+    return EXAMPLES[name]
+
+
+def get_example(name: str) -> tuple[Frame, OperatorSpec]:
+    return _lookup(name)[0]()
+
+
 def verify_example(name: str) -> list[Assertion]:
-    if name == "example-1":
-        return verify_example_1()
-    if name == "example-2":
-        return verify_example_2()
-    if name == "mercedes":
-        return verify_mercedes()
-    raise KeyError(f"unknown example {name!r}; choose from {EXAMPLE_NAMES}")
+    return _lookup(name)[1]()

@@ -24,6 +24,7 @@ generalized eigenproblem to standard form by a Cholesky factor.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,13 +35,23 @@ from .errors import (
     NotParsevalError,
 )
 
-# Absolute tolerance for O(1)-scale equality decisions (duality residuals,
-# uniformity of Gram entries, membership in argmax sets).
+# The tolerance rule.  A value decision (equal within tolerance) compares a
+# difference with DEFAULT_TOL times a named scale of the input; a rank
+# decision counts singular values above RANK_TOL times a scale.  Every scale
+# moves with the input, so scaling F and K together keeps each verdict, and
+# a zero scale makes the comparison exact.
 DEFAULT_TOL = 1e-8
-
-# Relative tolerance for rank / PSD decisions: singular values below
-# RANK_TOL * sigma_max count as zero.
 RANK_TOL = 1e-10
+
+
+def _within(diff, scale):
+    """``|diff| <= DEFAULT_TOL * scale``, elementwise."""
+    return np.abs(diff) <= DEFAULT_TOL * scale
+
+
+def _rank(s: np.ndarray, scale: float) -> int:
+    """Number of singular values s above ``RANK_TOL * scale``."""
+    return int(np.count_nonzero(s > RANK_TOL * scale))
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -104,8 +115,8 @@ def build_frame(vectors) -> Frame:
 class OperatorSpec:
     """Square operator K with cached pseudoinverse, PSD root and traces.
 
-    ``sqrt`` is populated only when K is PSD within ``tol``; ``rank`` counts
-    singular values above ``tol * sigma_max``.
+    ``sqrt`` is populated only when K is PSD; ``rank`` counts singular
+    values above ``tol * sigma_max`` (see :func:`build_operator`).
     """
 
     matrix: np.ndarray
@@ -115,7 +126,6 @@ class OperatorSpec:
     trace_sq: float
     psd_flag: bool
     rank: int
-    tol: float
 
     def __post_init__(self):
         object.__setattr__(self, "matrix", _readonly(self.matrix))
@@ -145,9 +155,7 @@ def build_operator(matrix, tol: float = RANK_TOL) -> OperatorSpec:
         raise ValueError("operator has a non-finite entry")
 
     u, s, vt = np.linalg.svd(K)
-    smax = s[0] if s.size else 0.0
-    cutoff = tol * smax
-    keep = s > cutoff
+    keep = s > tol * (s[0] if s.size else 0.0)
     rank = int(np.count_nonzero(keep))
     s_inv = np.zeros_like(s)
     np.divide(1.0, s, out=s_inv, where=keep)
@@ -172,7 +180,6 @@ def build_operator(matrix, tol: float = RANK_TOL) -> OperatorSpec:
         trace_sq=float(np.trace(K @ K)),
         psd_flag=psd,
         rank=rank,
-        tol=tol,
     )
 
 
@@ -182,16 +189,15 @@ def frame_operator(frame: Frame) -> np.ndarray:
     return syn @ syn.T
 
 
-def k_frame_bounds(
-    frame: Frame, op: OperatorSpec, tol: float = RANK_TOL
-) -> tuple[float, float]:
+def k_frame_bounds(frame: Frame, op: OperatorSpec) -> tuple[float, float]:
     """Optimal frame bounds (A, B) of F measured against ``K*``.
 
     B is the largest eigenvalue of the frame operator.  A is the smallest
     generalized eigenvalue of the pencil (S, K K^T) restricted to range(K),
     i.e. the best constant with ``A ||K^T f||^2 <= sum |<f, f_i>|^2``.
-    Raises NotKFrameError when A <= tol.  A rank-zero K yields A = inf
-    (the lower inequality is vacuous).
+    Raises NotKFrameError when A <= RANK_TOL; A is a ratio of the two
+    quadratic forms, so the cut does not depend on units.  A rank-zero K
+    yields A = inf (the lower inequality is vacuous).
     """
     if frame.dim != op.dim:
         raise ValueError(
@@ -217,30 +223,26 @@ def k_frame_bounds(
         raise NotKFrameError(f"generalized eigenproblem failed: {exc}") from exc
     X = np.linalg.solve(L, S_r)
     A = float(np.linalg.eigvalsh(np.linalg.solve(L, X.T))[0])
-    if A <= tol:
+    if A <= RANK_TOL:
         raise NotKFrameError(
             f"lower K-frame bound {A:.3e} is not positive within tol"
         )
     return A, B
 
 
-def is_parseval_k_frame(
-    frame: Frame, op: OperatorSpec, tol: float = DEFAULT_TOL
-) -> bool:
-    """True iff the frame operator equals ``K K^T`` within scale-free tol.
+def is_parseval_k_frame(frame: Frame, op: OperatorSpec) -> bool:
+    """True iff the frame operator equals ``K K^T``.
 
-    The Frobenius residual is compared with ``tol * ||K||^2``, so scaling F
-    and K together keeps the verdict.  For K = 0 only the zero frame is
+    The Frobenius residual is compared at the scale ``||K||^2``, so scaling
+    F and K together keeps the verdict.  For K = 0 only the zero frame is
     Parseval.
     """
     if frame.dim != op.dim:
         return False
-    if not np.any(op.matrix):
+    if not np.any(op.matrix):  # exact, and safe from underflow in the norm
         return not np.any(frame.synthesis)
-    S = frame_operator(frame)
-    KKt = op.matrix @ op.matrix.T
-    scale = float(np.linalg.norm(op.matrix)) ** 2
-    return float(np.linalg.norm(S - KKt)) <= tol * scale
+    residual = np.linalg.norm(frame_operator(frame) - op.matrix @ op.matrix.T)
+    return bool(_within(residual, np.linalg.norm(op.matrix) ** 2))
 
 
 def canonical_k_dual(frame: Frame, op: OperatorSpec) -> Frame:
@@ -255,13 +257,11 @@ class DualKind(enum.Enum):
     K_DUAL_PAIR = "k_dual_pair"
 
 
-def verify_k_dual(
-    frame: Frame, dual: Frame, op: OperatorSpec, tol: float = DEFAULT_TOL
-) -> DualKind:
+def verify_k_dual(frame: Frame, dual: Frame, op: OperatorSpec) -> DualKind:
     """Classify (F, G) by the duality residual of ``F G^T = K``.
 
-    The residual is a Frobenius norm relative to ``||K||``, so scaling F and
-    K by the same factor keeps the verdict.  For K = 0 the product
+    The residual is a Frobenius norm at the scale ``||K||``, so scaling F
+    and K by the same factor keeps the verdict.  For K = 0 the product
     ``F G^T`` must vanish exactly.  Over the reals the reversed relation
     ``G F^T = K^T`` is its transpose, so a verified K-dual always forms a
     K-dual pair.
@@ -273,10 +273,9 @@ def verify_k_dual(
     product = frame.synthesis @ dual.synthesis.T
     if not np.any(op.matrix):
         return DualKind.NOT_DUAL if np.any(product) else DualKind.K_DUAL_PAIR
-    residual = np.linalg.norm(product - op.matrix)
-    if residual > tol * float(np.linalg.norm(op.matrix)):
-        return DualKind.NOT_DUAL
-    return DualKind.K_DUAL_PAIR
+    if _within(np.linalg.norm(product - op.matrix), np.linalg.norm(op.matrix)):
+        return DualKind.K_DUAL_PAIR
+    return DualKind.NOT_DUAL
 
 
 @dataclass(frozen=True, eq=False)
@@ -302,27 +301,34 @@ class DualSystem:
         return np.diag(self.cross_gram)
 
 
-def build_dual_system(
-    frame: Frame, dual: Frame, op: OperatorSpec, tol: float = DEFAULT_TOL
-) -> DualSystem:
+def build_dual_system(frame: Frame, dual: Frame, op: OperatorSpec) -> DualSystem:
     """Validate duality and cache the cross Gram matrix.
 
     Raises NotDualError if G fails the duality relation.
     """
-    kind = verify_k_dual(frame, dual, op, tol)
+    kind = verify_k_dual(frame, dual, op)
     if kind is DualKind.NOT_DUAL:
         raise NotDualError("sequence is not a K-dual of the frame")
     alpha = dual.synthesis.T @ frame.synthesis
     return DualSystem(frame=frame, dual=dual, op=op, cross_gram=alpha, kind=kind)
 
 
-def _diagonal_scale(frame: Frame, dual: Frame, target) -> float:
-    """Scale of the diagonal ``<g_i, f_i>`` for tolerance tests: the larger
-    of ``max |target|`` and ``max ||g_i|| ||f_i||``.  Scaling F and K
-    scales it too, and it stays above the rounding of a diagonal that is
-    exactly 0."""
-    weights = np.linalg.norm(dual.synthesis, axis=0) * frame.norms()
-    return float(max(np.max(np.abs(target)), np.max(weights)))
+def _diagonal_scale(F: np.ndarray, G: np.ndarray, target: float) -> float:
+    """Scale s of the diagonal ``<g_i, f_i>`` of synthesis matrices F and G,
+    of the weights ``||f_i|| ||g_i||`` and of two-erasure radii: the larger
+    of ``|target|`` (usually trace(K)/N) and ``max ||g_i|| ||f_i||``.
+    Scaling F and K scales it too, and it stays above the rounding of a
+    diagonal that is exactly 0.  Products ``alpha_ij alpha_ji`` are at most
+    ``w_i w_j``, so their scale is s^2."""
+    weights_sq = np.einsum("ij,ij->j", G, G) * np.einsum("ij,ij->j", F, F)
+    return max(abs(target), math.sqrt(weights_sq.max()))
+
+
+def _system_scale(ds: DualSystem) -> float:
+    """:func:`_diagonal_scale` of a dual system, at ``target = trace(K)/N``."""
+    return _diagonal_scale(
+        ds.frame.synthesis, ds.dual.synthesis, ds.op.trace / ds.n_vectors
+    )
 
 
 @dataclass(frozen=True, eq=False)
@@ -366,26 +372,25 @@ class DualParameterization:
         # conventions of SVDs taken of these rows (family directions).
         return J + 0.0
 
-    def diagonal_coefficients(self, frame: Frame, target, tol: float = DEFAULT_TOL):
+    def diagonal_coefficients(self, frame: Frame, target):
         """Minimum-norm c whose dual has ``<g_i, f_i> = target_i``, or None.
 
         The diagonal is affine in c, so this is the dual with that diagonal
         closest to the canonical dual in Frobenius norm.  None when the
-        residual exceeds ``tol`` times the larger of ``max |target|`` and
-        ``max ||g_i|| ||f_i||`` over the canonical dual: scale-free, and
-        above the rounding of a canonical diagonal that is exactly 0 (skew K).
+        residual exceeds DEFAULT_TOL at the :func:`_diagonal_scale` of the
+        canonical dual: scale-free, and above the rounding of a canonical
+        diagonal that is exactly 0 (skew K).
         """
         base, syn = self.base.synthesis, frame.synthesis
         rhs = target - np.einsum("ij,ij->j", base, syn)
         D = self.column_jacobian(syn)
         c, *_ = np.linalg.lstsq(D.T, rhs, rcond=None)
-        ok = np.max(np.abs(D.T @ c - rhs)) <= tol * _diagonal_scale(frame, self.base, target)
+        scale = _diagonal_scale(syn, base, np.max(np.abs(target)))
+        ok = np.all(_within(D.T @ c - rhs, scale))
         return c if ok else None
 
 
-def dual_parameterization(
-    frame: Frame, op: OperatorSpec, tol: float = RANK_TOL
-) -> DualParameterization:
+def dual_parameterization(frame: Frame, op: OperatorSpec) -> DualParameterization:
     """Orthonormal chart ``K^+ F + C W^T`` of the K-dual set of F.
 
     W holds the right singular vectors of the synthesis matrix beyond its
@@ -408,9 +413,7 @@ def dual_parameterization(
             " noise"
         )
     _, s, vt = np.linalg.svd(frame.synthesis)
-    smax = s[0] if s.size else 0.0
-    rank = int(np.count_nonzero(s > tol * smax))
-    W = vt[rank:].T
+    W = vt[_rank(s, s[0] if s.size else 0.0) :].T
     return DualParameterization(base=base, basis=W, dof=frame.dim * W.shape[1])
 
 

@@ -63,62 +63,70 @@ def frame_from_data(
         raise ParseError(
             f"declared dim {dim} does not match vector length {frame.dim}"
         )
-    K_arr = np.asarray(K, dtype=float)
-    if K_arr.shape != (dim, dim):
-        raise ParseError(f"K must be {dim}x{dim}, got {K_arr.shape}")
-    if not np.all(np.isfinite(K_arr)):
-        raise ParseError("K has a non-finite entry")
-    op = build_operator(K_arr, tol if tol is not None else RANK_TOL)
+    op = build_operator(_check_K(K, dim), tol if tol is not None else RANK_TOL)
     return frame, op, tol
+
+
+def _check_K(K, dim: int | None = None) -> np.ndarray:
+    """K as a float array: dim x dim when dim is given, else square, and
+    finite."""
+    try:
+        K = np.asarray(K, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ParseError(f"K is not a numeric matrix: {exc}") from exc
+    if dim is not None and K.shape != (dim, dim):
+        raise ParseError(f"K must be {dim}x{dim}, got {K.shape}")
+    if K.ndim != 2 or K.shape[0] != K.shape[1]:
+        raise ParseError(f"K must be square, got {K.shape}")
+    if not np.all(np.isfinite(K)):
+        raise ParseError("K has a non-finite entry")
+    return K
+
+
+def _read_json(path):
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc}") from exc
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
 
 
 def load_frame_file(
     path, tol_override: float | None = None
 ) -> tuple[Frame, OperatorSpec, float | None]:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
-    return frame_from_data(data, tol_override)
+    return frame_from_data(_read_json(path), tol_override)
 
 
 def load_operator_file(path) -> tuple[OperatorSpec, float | None]:
     """Read just the operator from a frame file or a bare ``{"K": ...}``."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except OSError as exc:
-        raise ParseError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    data = _read_json(path)
     if not isinstance(data, dict) or "K" not in data:
         raise ParseError("expected an object with a \"K\" field")
-    K = np.asarray(data["K"], dtype=float)
-    if K.ndim != 2 or K.shape[0] != K.shape[1]:
-        raise ParseError(f"K must be square, got {K.shape}")
-    if not np.all(np.isfinite(K)):
-        raise ParseError("K has a non-finite entry")
+    K = _check_K(data["K"])
     tol = _parse_tol(data.get("tol"))
     return build_operator(K, tol if tol is not None else RANK_TOL), tol
 
 
-def frame_file_dict(frame: Frame, op: OperatorSpec, tol: float | None = None) -> dict:
+def frame_file_dict(
+    frame: Frame, op: OperatorSpec, file_tol: float | None = None
+) -> dict:
     data = {
         "dim": frame.dim,
         "vectors": frame.vectors.tolist(),
         "K": op.matrix.tolist(),
     }
-    if tol is not None:
-        data["tol"] = tol
+    if file_tol is not None:
+        data["tol"] = file_tol
     return data
 
 
-def save_frame_file(path, frame: Frame, op: OperatorSpec, tol: float | None = None):
+def save_frame_file(
+    path, frame: Frame, op: OperatorSpec, file_tol: float | None = None
+):
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(frame_file_dict(frame, op, tol), fh, indent=2)
+        json.dump(frame_file_dict(frame, op, file_tol), fh, indent=2)
         fh.write("\n")
 
 

@@ -34,10 +34,11 @@ import numpy as np
 
 from .errors import InfeasibleError, NotPSDError
 from .frames import (
-    DEFAULT_TOL,
     DualSystem,
     Frame,
     OperatorSpec,
+    _system_scale,
+    _within,
     build_dual_system,
 )
 from .erasures import r2_closed_form, uniformity
@@ -94,31 +95,32 @@ def _require_pair(ds: DualSystem) -> None:
         raise NotPSDError("pair optimality tests require a PSD operator")
 
 
-def is_o1_optimal_pair(ds: DualSystem, tol: float = DEFAULT_TOL) -> bool:
-    """True iff every ``||f_i|| ||g_i||`` equals trace(K)/N within tol."""
+def is_o1_optimal_pair(ds: DualSystem) -> bool:
+    """True iff every ``||f_i|| ||g_i||`` equals trace(K)/N at the
+    diagonal scale."""
     _require_pair(ds)
-    target = ds.op.trace / ds.n_vectors
-    weights = ds.frame.norms() * ds.dual.norms()
-    return bool(np.max(np.abs(weights - target)) <= tol)
+    gaps = ds.frame.norms() * ds.dual.norms() - ds.op.trace / ds.n_vectors
+    return bool(np.all(_within(gaps, _system_scale(ds))))
 
 
-def is_r1_optimal_pair(ds: DualSystem, tol: float = DEFAULT_TOL) -> bool:
+def is_r1_optimal_pair(ds: DualSystem) -> bool:
     """True iff the pair is 1-uniform (constant diagonal inner products)."""
     _require_pair(ds)
-    c, _ = uniformity(ds, tol)
+    c, _ = uniformity(ds)
     return c is not None
 
 
-def is_r2_optimal_pair(ds: DualSystem, tol: float = DEFAULT_TOL) -> bool:
-    """True iff the pair is 2-uniform and attains the two-erasure bound."""
+def is_r2_optimal_pair(ds: DualSystem) -> bool:
+    """True iff the pair is 2-uniform and attains the two-erasure bound at
+    the diagonal scale."""
     _require_pair(ds)
-    c, c_prime = uniformity(ds, tol)
+    c, c_prime = uniformity(ds)
     if c is None or c_prime is None:
         return False
     bounds = pair_bounds(ds.op, ds.n_vectors)
     if bounds.r2_min is None:
         return False
-    return bool(abs(r2_closed_form(ds) - bounds.r2_min) <= tol)
+    return bool(_within(r2_closed_form(ds) - bounds.r2_min, _system_scale(ds)))
 
 
 def uniform_parseval_frame(dim: int, n_vectors: int) -> Frame:
@@ -177,9 +179,7 @@ def _rotate_column_norm_to_target(
     syn[:, j] = new_j
 
 
-def construct_optimal_self_dual(
-    op: OperatorSpec, n_vectors: int, tol: float = DEFAULT_TOL
-) -> Frame:
+def construct_optimal_self_dual(op: OperatorSpec, n_vectors: int) -> Frame:
     """Frame T with frame operator K and all ``||t_i||^2 = trace(K)/N``.
 
     (T, T) is then a 1-uniform self-dual pair attaining the one-erasure
@@ -189,6 +189,8 @@ def construct_optimal_self_dual(
     frame operator is K exactly), then equalize column norms with
     coefficient-space Givens rotations, each fixing one column exactly;
     rotations preserve the frame operator and at most N - 1 are needed.
+    The loop stops once every squared norm is on target at the scale of
+    the target.
     """
     if not op.psd_flag:
         raise NotPSDError("self-dual construction requires a PSD operator")
@@ -213,7 +215,7 @@ def construct_optimal_self_dual(
     target = op.trace / N
     for _ in range(N):
         sq = np.einsum("ij,ij->j", syn, syn)
-        if np.max(np.abs(sq - target)) <= min(tol, 1e-12) * max(1.0, target):
+        if _within(np.max(np.abs(sq - target)), target):
             break
         lo = int(np.argmin(sq))
         hi = int(np.argmax(sq))
@@ -221,21 +223,21 @@ def construct_optimal_self_dual(
     return Frame(syn)
 
 
-def unitary_transport(ds: DualSystem, U, tol: float = DEFAULT_TOL) -> DualSystem:
+def unitary_transport(ds: DualSystem, U) -> DualSystem:
     """Transport (F, G) to (UF, UG) by an orthogonal U commuting with K.
 
     All erasure measures are invariant under this map (the cross Gram matrix
-    itself is preserved).  Raises ValueError when U is not orthogonal or does
-    not commute with K within tol.
+    itself is preserved).  Raises ValueError when ``U^T U - I`` is not small
+    at the scale 1 or ``U K - K U`` at the scale ``||K||``.
     """
     U = np.asarray(U, dtype=float)
     n = ds.frame.dim
     if U.shape != (n, n):
         raise ValueError(f"expected a {n}x{n} matrix, got {U.shape}")
-    if np.linalg.norm(U.T @ U - np.eye(n)) > tol:
+    if not _within(np.linalg.norm(U.T @ U - np.eye(n)), 1.0):
         raise ValueError("matrix is not orthogonal within tol")
     K = ds.op.matrix
-    if np.linalg.norm(U @ K - K @ U) > tol * max(1.0, float(np.linalg.norm(K))):
+    if not _within(np.linalg.norm(U @ K - K @ U), np.linalg.norm(K)):
         raise ValueError("matrix does not commute with the operator")
     return build_dual_system(
         Frame(U @ ds.frame.synthesis),

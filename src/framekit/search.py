@@ -11,7 +11,8 @@ the exact re-evaluated objective strictly improves on the canonical value,
 so reported values are always true measure values of verified duals.  Seeded
 subgradient restarts with diminishing steps, which also converge to the
 global infimum, run only as the fallback when the exact solve returns no
-point, and as the whole search when the polish is switched off.
+point.  Margins, ties and stalls are judged relative to the canonical value,
+so the search follows a joint scaling of F and K.
 
 The spectral objective sees a dual only through its diagonal
 ``d = a0 + D^T c``.  The spectral polish is an epigraph LP on that
@@ -50,10 +51,11 @@ import numpy as np
 
 from .errors import DofTooLargeError, InfeasibleError, NumericalError
 from .frames import (
-    RANK_TOL,
     DualKind,
     Frame,
     OperatorSpec,
+    _rank,
+    _within,
     dual_parameterization,
     reconstruct_dual,
     verify_k_dual,
@@ -61,37 +63,32 @@ from .frames import (
 from .erasures import Measure, _pair_terms
 from .pairs import pair_bounds
 
+# First step of the diminishing subgradient steps ``STEP_INIT / sqrt(it)``;
+# a run stops after STALL_ITERS iterations without progress.
+STEP_INIT = 0.1
+STALL_ITERS = 50
+
+# Points per chart axis and largest dof of brute_force_grid_oracle.
+GRID_POINTS_PER_DOF = 11
+GRID_DOF_CAP = 4
+
 
 @dataclass(frozen=True)
 class SearchConfig:
-    """Budget and switches of the numerical searches.
+    """Budget of the numerical searches.
 
-    ``max_iters``, ``step_init``, ``tol_value`` and ``restarts`` budget the
-    subgradient restarts of :func:`minimize_measure`, which run only when
-    ``polish`` is off or the exact polish returns no point; ``restarts`` and
-    ``seed`` also drive the Nelder-Mead starts of
-    :func:`minimize_r2_within_uniform`.  The grid fields size
-    :func:`brute_force_grid_oracle`.
+    ``max_iters`` and ``restarts`` budget the subgradient restarts of
+    :func:`minimize_measure`, which run only when the exact polish returns
+    no point; ``restarts`` and ``seed`` also drive the Nelder-Mead starts of
+    :func:`minimize_r2_within_uniform`.
     """
 
     max_iters: int = 5000
-    step_init: float = 0.1
-    tol_value: float = 1e-8
     restarts: int = 8
     seed: int = 20240
-    grid_points_per_dof: int = 11
-    dof_cap_for_grid: int = 4
-    polish: bool = True
 
     def __post_init__(self):
-        if (
-            self.max_iters <= 0
-            or self.step_init <= 0
-            or self.tol_value <= 0
-            or self.restarts <= 0
-            or self.grid_points_per_dof <= 0
-            or self.dof_cap_for_grid < 0
-        ):
+        if self.max_iters <= 0 or self.restarts <= 0:
             raise ValueError("search configuration fields must be positive")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
@@ -125,6 +122,12 @@ class _Objective:
 
     def value(self, c: np.ndarray) -> float:
         return float(np.max(self.terms(c)[0]))
+
+    @cached_property
+    def canonical_value(self) -> float:
+        """The objective at the canonical dual (c = 0), the scale of every
+        margin, tie and stall test of the search."""
+        return self.value(np.zeros(self.dof))
 
     def terms(self, c: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Per-index terms at c, whose maximum is the objective, and the
@@ -160,7 +163,7 @@ class _Objective:
     def value_and_subgrad(self, c: np.ndarray) -> tuple[float, np.ndarray]:
         """Objective and the mean gradient of the terms tied at the max."""
         w, state = self.terms(c)
-        val, ties = _tied(w)
+        val, ties = _tied(w, self.canonical_value)
         grads = self.gradients(state, ties)
         # Summed in tie order: a reordered sum would perturb seeded results.
         sub = grads[:, 0]
@@ -187,10 +190,11 @@ class _Objective:
 
         d0 = self.a0 + start @ self.D
         M = self.M
+        scale = self.canonical_value
 
         def oracle(lam):
             diag = d0 + lam @ M
-            val, ties = _tied(np.abs(diag))
+            val, ties = _tied(np.abs(diag), scale)
             s = np.zeros_like(diag)
             s[ties] = np.sign(diag[ties]) / len(ties)
             return val, s, float(s[ties] @ (M[ties] @ s))
@@ -198,18 +202,18 @@ class _Objective:
         return np.zeros_like(d0), oracle, lambda lam: start + self.D @ lam
 
 
-def _tied(w: np.ndarray) -> tuple[float, np.ndarray]:
-    """The largest term and the indices tied with it."""
+def _tied(w: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
+    """The largest term and the indices tied with it at the given scale."""
     val = float(np.max(w))
-    return val, np.flatnonzero(w >= val - 1e-14)
+    return val, np.flatnonzero(_within(val - w, scale))
 
 
 def _subgradient_run(
-    obj: _Objective,
-    start: np.ndarray,
-    cfg: SearchConfig,
-    target: float | None,
+    obj: _Objective, start: np.ndarray, cfg: SearchConfig
 ) -> tuple[np.ndarray, float, list[float]]:
+    """Diminishing-step subgradient descent from start; a run stops at an
+    exact optimum (a zero step) or after STALL_ITERS iterations whose best
+    value moved by no more than DEFAULT_TOL of the canonical value."""
     x, oracle, coefficients = obj.descent_chart(start)
     best_x = x
     best = oracle(x)[0]
@@ -226,15 +230,11 @@ def _subgradient_run(
         if norm_sq <= 0.0:
             trace.append(best)
             break
-        if target is not None and val > target:
-            step = (val - target) / norm_sq
-        else:
-            step = cfg.step_init / math.sqrt(it)
-        x = x - step * sub
+        x = x - STEP_INIT / math.sqrt(it) * sub
         trace.append(best)
-        if stall_ref - best < cfg.tol_value:
+        if _within(stall_ref - best, obj.canonical_value):
             stall_count += 1
-            if stall_count >= 50:
+            if stall_count >= STALL_ITERS:
                 break
         else:
             stall_ref = best
@@ -266,7 +266,7 @@ def _polish_spectral(obj: _Objective) -> np.ndarray | None:
     U, s, Vt = np.linalg.svd(obj.D, full_matrices=dof < N)
     # The rank cut is relative to ||F||_F >= ||D||, not to s[0]: D can be
     # all rounding noise (null(F) spanned by zero vectors of F).
-    rank = int(np.count_nonzero(s > RANK_TOL * np.linalg.norm(obj.fsyn)))
+    rank = _rank(s, np.linalg.norm(obj.fsyn))
     P = Vt[rank:]
     # Scaled to unit size, so HiGHS's absolute tolerances act relatively.
     a0 = obj.a0 / top
@@ -295,7 +295,7 @@ def _polish_op_norm(obj: _Objective) -> np.ndarray | None:
     """
     import scipy.optimize
 
-    t0 = obj.value(np.zeros(obj.dof))
+    t0 = obj.canonical_value
     if t0 == 0.0:
         return None  # the canonical dual already has value 0
     x0 = np.concatenate([np.zeros(obj.dof), [1.0 + 1e-9]])
@@ -337,20 +337,18 @@ def minimize_measure(
     op: OperatorSpec,
     kind: Measure,
     cfg: SearchConfig = SearchConfig(),
-    target: float | None = None,
 ) -> MinimizeResult:
     """Minimize a one-erasure measure over all K-duals of F.
 
-    With ``cfg.polish`` (the default) the exact epigraph solve of the
-    measure runs once from the canonical dual (c = 0), and its point is kept
-    when its exact value beats the canonical one; ``trace`` is then the
-    canonical value, followed by the polished one if kept.  Only when
-    ``cfg.polish`` is off or the solve returns no point do the seeded
-    subgradient restarts run: restart 0 starts at the canonical dual and
-    further restarts draw random coefficients from a seeded generator, so
-    results are deterministic for a fixed (input, seed).  ``target`` enables
-    Polyak steps toward a known optimal value in those restarts.  The
-    reported value is always an exact objective value at a verified dual.
+    The exact epigraph solve of the measure runs once from the canonical
+    dual (c = 0), and its point is kept when its exact value beats the
+    canonical one by more than DEFAULT_TOL of it; ``trace`` is then the
+    canonical value, followed by the polished one if kept.  Only when the
+    solve returns no point do the seeded subgradient restarts run: restart
+    0 starts at the canonical dual and further restarts draw random
+    coefficients from a seeded generator, so results are deterministic for
+    a fixed (input, seed).  The reported value is always an exact objective
+    value at a verified dual.
     """
     param = dual_parameterization(frame, op)
     obj = _Objective(frame, param, kind)
@@ -358,18 +356,14 @@ def minimize_measure(
         value = obj.value(np.zeros(0))
         return MinimizeResult(param.base, value, (value,))
 
-    c_new = None
-    if cfg.polish:
-        polish = (
-            _polish_spectral if kind is Measure.SPECTRAL else _polish_op_norm
-        )
-        c_new = polish(obj)
+    polish = _polish_spectral if kind is Measure.SPECTRAL else _polish_op_norm
+    c_new = polish(obj)
     if c_new is not None:
         best_c, best_idx = np.zeros(param.dof), 0
-        best_val = obj.value(best_c)
+        best_val = obj.canonical_value
         best_trace = [best_val]
         val_new = obj.value(c_new)
-        if val_new < best_val - 1e-12:
+        if val_new < best_val and not _within(best_val - val_new, best_val):
             best_c, best_val = c_new, val_new
             best_trace.append(val_new)
     else:
@@ -381,7 +375,7 @@ def minimize_measure(
             else:
                 rng = np.random.default_rng([cfg.seed, idx])
                 start = rng.standard_normal(param.dof) * scale
-            c, val, trace = _subgradient_run(obj, start, cfg, target)
+            c, val, trace = _subgradient_run(obj, start, cfg)
             if val < best_val:
                 best_c, best_val, best_trace, best_idx = c, val, trace, idx
 
@@ -414,11 +408,10 @@ def minimize_r2_within_uniform(
     c0 = param.diagonal_coefficients(frame, np.full(N, op.trace / N))
     if c0 is None:
         raise InfeasibleError("no 1-uniform dual exists for this frame")
-    _, s, vt = np.linalg.svd(obj.D.T, full_matrices=True)
-    rank = int(np.count_nonzero(s > 1e-12 * (s[0] if s.size else 1.0)))
-    Z = vt[rank:]  # rows span the feasible directions
-
     fsyn = frame.synthesis
+    _, s, vt = np.linalg.svd(obj.D.T, full_matrices=True)
+    # Relative to ||F||_F >= ||D||, as in the spectral polish.
+    Z = vt[_rank(s, np.linalg.norm(fsyn)) :]  # rows span the feasible directions
 
     def r2_of(z: np.ndarray) -> float:
         c = c0 if Z.shape[0] == 0 else c0 + z @ Z
@@ -472,7 +465,7 @@ def minimize_r2_within_uniform(
 class GridOracleResult:
     value: float
     coefficients: tuple[float, ...]
-    num_minimizers: int  # grid points within 1e-9 of the minimum
+    num_minimizers: int  # grid points tied with the minimum
 
 
 def brute_force_grid_oracle(
@@ -483,21 +476,22 @@ def brute_force_grid_oracle(
 ) -> GridOracleResult:
     """Exhaustive minimum over a coefficient grid (validation only).
 
-    Enumerates ``grid_points_per_dof`` points per axis on [-1, 1] scaled by
-    the Frobenius norm of the canonical dual; refuses when dof exceeds the
-    configured cap.  Ties resolve to the lexicographically first grid point.
+    Enumerates GRID_POINTS_PER_DOF points per axis on [-1, 1] scaled by the
+    Frobenius norm of the canonical dual; refuses when dof exceeds
+    GRID_DOF_CAP.  Ties resolve to the lexicographically first grid point;
+    ``num_minimizers`` counts the points within DEFAULT_TOL of the
+    canonical value above the minimum.  ``cfg`` is not read: the grid has
+    no budget beyond its constants.
     """
     param = dual_parameterization(frame, op)
     obj = _Objective(frame, param, kind)
-    if param.dof > cfg.dof_cap_for_grid:
-        raise DofTooLargeError(
-            f"dof {param.dof} exceeds grid cap {cfg.dof_cap_for_grid}"
-        )
+    if param.dof > GRID_DOF_CAP:
+        raise DofTooLargeError(f"dof {param.dof} exceeds grid cap {GRID_DOF_CAP}")
     if param.dof == 0:
         return GridOracleResult(obj.value(np.zeros(0)), (), 1)
 
-    scale = max(float(np.linalg.norm(param.base.synthesis)), 1e-12)
-    axis = np.linspace(-1.0, 1.0, cfg.grid_points_per_dof) * scale
+    scale = float(np.linalg.norm(param.base.synthesis))
+    axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_DOF) * scale
     grids = np.meshgrid(*([axis] * param.dof), indexing="ij")
     points = np.stack([g.ravel() for g in grids], axis=1)  # P x dof
 
@@ -515,5 +509,5 @@ def brute_force_grid_oracle(
 
     arg = int(np.argmin(values))
     vmin = float(values[arg])
-    n_min = int(np.count_nonzero(values <= vmin + 1e-9))
+    n_min = int(np.count_nonzero(_within(values - vmin, obj.canonical_value)))
     return GridOracleResult(vmin, tuple(points[arg]), n_min)

@@ -7,7 +7,14 @@ import scipy.optimize
 
 import framekit as fk
 from framekit import fixtures
-from framekit.search import _Objective, _polish_spectral, _subgradient_run
+from framekit.frames import DEFAULT_TOL
+from framekit.search import (
+    STALL_ITERS,
+    STEP_INIT,
+    _Objective,
+    _polish_spectral,
+    _subgradient_run,
+)
 
 
 @pytest.fixture
@@ -253,12 +260,14 @@ def coefficient_space_polish(obj):
     return res.x[:dof] if res.success else None
 
 
-def coefficient_space_run(obj, start, cfg, target=None):
+def coefficient_space_run(obj, start, cfg):
     """Reference subgradient loop over all chart coefficients.
 
     Each iteration evaluates the terms at c and steps along the mean
-    gradient of the tied terms, a dof-vector.  Returns the best
-    coefficients, the best value and the trace of best values.
+    gradient of the tied terms, a dof-vector.  The run stalls after
+    STALL_ITERS iterations whose best value moved by at most DEFAULT_TOL of
+    the canonical value.  Returns the best coefficients, the best value and
+    the trace of best values.
     """
     c = start.copy()
     best_c = c.copy()
@@ -275,15 +284,11 @@ def coefficient_space_run(obj, start, cfg, target=None):
         if norm_sq == 0.0:
             trace.append(best)
             break
-        if target is not None and val > target:
-            step = (val - target) / norm_sq
-        else:
-            step = cfg.step_init / math.sqrt(it)
-        c = c - step * sub
+        c = c - STEP_INIT / math.sqrt(it) * sub
         trace.append(best)
-        if stall_ref - best < cfg.tol_value:
+        if abs(stall_ref - best) <= DEFAULT_TOL * obj.canonical_value:
             stall_count += 1
-            if stall_count >= 50:
+            if stall_count >= STALL_ITERS:
                 break
         else:
             stall_ref = best
@@ -388,8 +393,8 @@ def absolute_op_norm_polish(obj, c0):
 
 def loop_then_polish(frame, op, kind, cfg):
     """Reference search: every seeded subgradient restart, then the exact
-    polish from the best loop point, kept on a strict improvement.
-    Returns the value."""
+    polish from the best loop point, kept when it improves by more than
+    DEFAULT_TOL of the canonical value.  Returns the value."""
     param = fk.dual_parameterization(frame, op)
     obj = _Objective(frame, param, kind)
     if param.dof == 0:
@@ -402,13 +407,13 @@ def loop_then_polish(frame, op, kind, cfg):
         else:
             rng = np.random.default_rng([cfg.seed, idx])
             start = rng.standard_normal(param.dof) * scale
-        c, val, _ = _subgradient_run(obj, start, cfg, None)
+        c, val, _ = _subgradient_run(obj, start, cfg)
         if val < best_val:
             best_c, best_val = c, val
     if kind is fk.Measure.SPECTRAL:
         c_new = _polish_spectral(obj)
     else:
         c_new = absolute_op_norm_polish(obj, best_c)
-    if c_new is not None and obj.value(c_new) < best_val - 1e-12:
+    if c_new is not None and best_val - obj.value(c_new) > DEFAULT_TOL * obj.canonical_value:
         best_val = obj.value(c_new)
     return best_val

@@ -109,9 +109,26 @@ class TestExitCodes:
         assert main(["analyze", "--frame", str(bad)]) == 2
         assert "parse error" in capsys.readouterr().err
 
+    def test_undecodable_file_is_parse_error(self, tmp_path, capsys):
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'\xff\xfe{"dim": 1}')
+        assert main(["analyze", "--frame", str(bad)]) == 2
+        assert main(["pair-bounds", "--k", str(bad), "--n-vectors", "2"]) == 2
+        assert capsys.readouterr().err.count("parse error: invalid JSON") == 2
+
     def test_missing_file(self, capsys):
         assert main(["analyze", "--frame", "/nonexistent.json"]) == 2
         capsys.readouterr()
+
+    @pytest.mark.parametrize("K", [[[1, 0], [0]], "abc", [[1, "x"], [0, 1]]])
+    def test_non_numeric_k_is_parse_error(self, tmp_path, capsys, K):
+        frame_path, k_path = tmp_path / "frame.json", tmp_path / "k.json"
+        frame_path.write_text(json.dumps({"dim": 2, "vectors": [[1, 0], [0, 1]], "K": K}))
+        k_path.write_text(json.dumps({"K": K}))
+        assert main(["analyze", "--frame", str(frame_path)]) == 2
+        assert main(["pair-bounds", "--k", str(k_path), "--n-vectors", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("parse error: K is not a numeric matrix") == 2
 
     def test_domain_error_not_k_frame(self, tmp_path, capsys):
         data = {

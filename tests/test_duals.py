@@ -184,7 +184,7 @@ class TestLinearlyConnectedPair:
         connected_pairs = 0
         for _ in range(200):
             frame = degenerate_frame(rng, n_max=3)
-            components = fk.duals._matroid_components(frame.synthesis, 1e-8)
+            components = fk.duals._matroid_components(frame.synthesis)
             component = {k: m for m, c in enumerate(components) for k in c}
             for i, j in itertools.combinations(range(frame.n_vectors), 2):
                 expected, _ = subset_search_connected_pair(frame, i, j)

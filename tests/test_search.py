@@ -6,6 +6,7 @@ import pytest
 import framekit as fk
 from framekit.erasures import Measure
 import framekit.search as search_mod
+from framekit.frames import DEFAULT_TOL
 from framekit.search import _Objective, _polish_spectral, _subgradient_run
 from conftest import (
     assert_value_scales,
@@ -28,7 +29,7 @@ def reference_subgradient(obj, c):
     diag = np.einsum("ij,ij->j", G, obj.fsyn)
     gnorms = np.linalg.norm(G, axis=0)
     w = np.abs(diag) if obj.kind is Measure.SPECTRAL else obj.fnorms * gnorms
-    ties = np.flatnonzero(w >= np.max(w) - 1e-14)
+    ties = np.flatnonzero(np.max(w) - w <= DEFAULT_TOL * obj.canonical_value)
     sub = np.zeros(obj.dof)
     for i in ties:
         if obj.kind is Measure.SPECTRAL:
@@ -94,16 +95,6 @@ class TestMinimizeMeasure:
         monkeypatch.setattr(search_mod, "reconstruct_dual", lambda param, c: frame)
         with pytest.raises(fk.NumericalError):
             fk.minimize_measure(frame, op, Measure.OP_NORM, CFG)
-
-    def test_polyak_target_does_not_undershoot(self, ex1):
-        # target steers only the subgradient restarts, which run without
-        # the polish.
-        frame, op = ex1
-        cfg = fk.SearchConfig(max_iters=500, restarts=3, seed=99, polish=False)
-        result = fk.minimize_measure(
-            frame, op, Measure.SPECTRAL, cfg, target=1.0
-        )
-        assert result.value >= 1.0 - 1e-12
 
     def test_requires_parseval(self):
         frame = fk.build_frame(np.eye(2))
@@ -217,12 +208,14 @@ class TestExactSolveFirst:
         assert len(result.trace) <= 2 and result.trace[-1] == result.value
 
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
-    def test_loop_runs_without_polish(self, ex1, kind, monkeypatch):
-        frame, op = ex1
+    def test_loop_runs_without_polish(self, kind, monkeypatch):
+        # A canonical value of 0 leaves the exact solve nothing to improve:
+        # it returns no point and the restarts run, keeping the value 0.
+        frame, op = fk.Frame(np.zeros((2, 3))), fk.build_operator(np.zeros((2, 2)))
         runs = self.count_runs(monkeypatch)
-        cfg = fk.SearchConfig(max_iters=200, restarts=3, seed=99, polish=False)
-        fk.minimize_measure(frame, op, kind, cfg)
-        assert len(runs) == cfg.restarts
+        cfg = fk.SearchConfig(max_iters=200, restarts=3, seed=99)
+        result = fk.minimize_measure(frame, op, kind, cfg)
+        assert len(runs) == cfg.restarts and result.value == 0.0
 
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
     def test_loop_runs_when_polish_fails(self, ex1, kind, monkeypatch):
@@ -343,7 +336,7 @@ class TestDiagonalLoop:
         stopped = checked = 0
         for obj in spectral_charts(rng):
             for start in starts(obj):
-                _, value, trace = _subgradient_run(obj, start, BUDGET, None)
+                _, value, trace = _subgradient_run(obj, start, BUDGET)
                 _, ref_value, ref_trace = coefficient_space_run(obj, start, BUDGET)
                 assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-300)
                 checked += 1
@@ -358,17 +351,6 @@ class TestDiagonalLoop:
                 tail = np.array(ref_trace[len(trace) - 1 :])
                 assert np.ptp(tail) <= 1e-12 * max(1.0, value)
         assert checked >= 300 and stopped <= checked // 50
-
-    def test_polyak_steps_match_the_reference(self):
-        # Two Polyak steps from random starts, before exact ties can form.
-        rng = np.random.default_rng(21)
-        cfg = fk.SearchConfig(max_iters=2, restarts=1)
-        for obj in spectral_charts(rng):
-            for start in list(starts(obj))[1:]:
-                target = 0.5 * obj.value(start)
-                _, _, trace = _subgradient_run(obj, start, cfg, target)
-                _, _, ref_trace = coefficient_space_run(obj, start, cfg, target)
-                assert trace == pytest.approx(ref_trace, rel=1e-12)
 
 
 class TestMinimizeR2WithinUniform:
@@ -396,8 +378,7 @@ class TestMinimizeR2WithinUniform:
         assert result.value >= bound - 1e-6
         # returned dual really is 1-uniform
         ds = fk.build_dual_system(frame, result.frame, op)
-        c, _ = fk.uniformity(ds, tol=1e-6)
-        assert c is not None
+        assert np.max(np.abs(ds.diag - op.trace / 4)) <= 1e-6
 
     def test_infeasible(self, ex1):
         # the last diagonal inner product is pinned at 1 for every dual,
