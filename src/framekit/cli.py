@@ -314,16 +314,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     add_common(p)
     p.add_argument("--measure", choices=("opnorm", "spectral"), required=True)
-    p.add_argument("--seed", type=_nonneg_int, default=20240)
     p.add_argument(
-        "--max-iters", type=_pos_int, default=1500,
-        help="iterations per subgradient restart; the restarts are the "
-        "fallback of the exact solve",
+        "--seed", type=_nonneg_int, default=20240,
+        help="not read: optimal-dual runs one exact solve; kept so its "
+        "flags match search",
+    )
+    p.add_argument(
+        "--max-iters", type=_pos_int, default=200,
+        help="SLSQP iteration cap of the exact opnorm solve; the spectral "
+        "LP has no cap",
     )
     p.add_argument(
         "--restarts", type=_pos_int, default=4,
-        help="subgradient restarts, run only when the exact solve returns "
-        "no point",
+        help="not read: optimal-dual runs one exact solve; kept so its "
+        "flags match search",
     )
     p.set_defaults(func=cmd_optimal_dual)
 
@@ -336,16 +340,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("search", help="numerical minimization oracle")
     add_common(p)
     p.add_argument("--measure", choices=("o1", "r1", "r2u"), required=True)
-    p.add_argument("--seed", type=_nonneg_int, default=20240)
     p.add_argument(
-        "--max-iters", type=_pos_int, default=1500,
-        help="iterations per subgradient restart; the restarts are the "
-        "fallback of the exact solve",
+        "--seed", type=_nonneg_int, default=20240,
+        help="seed of the r2u Nelder-Mead starts; o1 and r1 are one exact "
+        "solve and read no seed",
+    )
+    p.add_argument(
+        "--max-iters", type=_pos_int, default=200,
+        help="SLSQP iteration cap of the exact o1 solve; the r1 LP and r2u "
+        "read no cap",
     )
     p.add_argument(
         "--restarts", type=_pos_int, default=4,
-        help="subgradient restarts, run only when the exact solve returns "
-        "no point; for r2u, the Nelder-Mead starts",
+        help="Nelder-Mead starts of r2u; o1 and r1 are one exact solve and "
+        "read no restarts",
     )
     p.set_defaults(func=cmd_search)
 

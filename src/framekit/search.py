@@ -7,28 +7,20 @@ coefficients (a norm of an affine map for the operator norm, the absolute
 value of an affine functional for the spectral radius), so each is a convex
 min-max problem with an exact epigraph form.  :func:`minimize_measure`
 solves that epigraph once, from the canonical dual, and keeps its point when
-the exact re-evaluated objective strictly improves on the canonical value,
-so reported values are always true measure values of verified duals.  Seeded
-subgradient restarts with diminishing steps, which also converge to the
-global infimum, run only as the fallback when the exact solve returns no
-point.  Margins, ties and stalls are judged relative to the canonical value,
-so the search follows a joint scaling of F and K.
+the exact re-evaluated objective improves on the canonical value by more
+than DEFAULT_TOL of it, so reported values are always true measure values
+of verified duals.  A solver that returns no usable point raises
+:class:`~framekit.errors.NumericalError`.
 
 The spectral objective sees a dual only through its diagonal
-``d = a0 + D^T c``.  The spectral polish is an epigraph LP on that
+``d = a0 + D^T c``.  The spectral solve is an epigraph LP on that
 diagonal: N + 1 variables, with the reachable diagonals written as equality
-rows.  Each spectral subgradient is ``D s`` for an N-vector s of signs on
-the tied terms, so the loop never leaves ``start + D lam``: it steps
-through lam in R^N, with ``d = a0 + D^T start + M lam`` and step norms
-``s^T M s``, where ``M = D^T D = (F^T F) o (W W^T)`` is an N x N Hadamard
-product.  No iteration touches the n (N - rank F) chart coefficients.  For
-the operator norm the polish is an SLSQP solve of the second-order-cone
+rows.  For the operator norm it is an SLSQP solve of the second-order-cone
 epigraph on the chart coefficients, with the bound in units of the
-canonical value so that it is scale-free, and the loop runs on the chart
-coefficients.  The per-term gradients (:meth:`_Objective.gradients`) are
-shared with :func:`framekit.duals.canonical_certificate`, whose exact
-optimality test at the canonical dual uses the same formula as the
-subgradient loop.
+canonical value so that it is scale-free.  The per-term gradients
+(:meth:`_Objective.gradients`) serve
+:func:`framekit.duals.canonical_certificate`, whose exact optimality test
+at the canonical dual is a KKT system in them.
 
 ``minimize_r2_within_uniform`` restricts the chart to duals with constant
 diagonal trace(K)/N (an affine constraint) and minimizes the two-erasure
@@ -43,7 +35,6 @@ load scipy.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -63,11 +54,6 @@ from .frames import (
 from .erasures import Measure, _pair_terms
 from .pairs import pair_bounds
 
-# First step of the diminishing subgradient steps ``STEP_INIT / sqrt(it)``;
-# a run stops after STALL_ITERS iterations without progress.
-STEP_INIT = 0.1
-STALL_ITERS = 50
-
 # Points per chart axis and largest dof of brute_force_grid_oracle.
 GRID_POINTS_PER_DOF = 11
 GRID_DOF_CAP = 4
@@ -77,13 +63,13 @@ GRID_DOF_CAP = 4
 class SearchConfig:
     """Budget of the numerical searches.
 
-    ``max_iters`` and ``restarts`` budget the subgradient restarts of
-    :func:`minimize_measure`, which run only when the exact polish returns
-    no point; ``restarts`` and ``seed`` also drive the Nelder-Mead starts of
+    ``max_iters`` caps the SLSQP iterations of the operator-norm solve of
+    :func:`minimize_measure`; the spectral LP has no budget.  ``restarts``
+    and ``seed`` drive only the Nelder-Mead starts of
     :func:`minimize_r2_within_uniform`.
     """
 
-    max_iters: int = 5000
+    max_iters: int = 200
     restarts: int = 8
     seed: int = 20240
 
@@ -125,8 +111,8 @@ class _Objective:
 
     @cached_property
     def canonical_value(self) -> float:
-        """The objective at the canonical dual (c = 0), the scale of every
-        margin, tie and stall test of the search."""
+        """The objective at the canonical dual (c = 0), the scale of the
+        keep rule of the search."""
         return self.value(np.zeros(self.dof))
 
     def terms(self, c: np.ndarray) -> tuple[np.ndarray, tuple]:
@@ -154,98 +140,8 @@ class _Objective:
         U = G[:, indices] / np.where(norms > 0, norms, 1.0)
         return self.fnorms[indices] * self.param.column_jacobian(U, indices)
 
-    @cached_property
-    def M(self) -> np.ndarray:
-        """``D^T D``, whose entry (i, j) is ``<f_i, f_j> <w_i, w_j>``."""
-        W = self.param.basis
-        return (self.fsyn.T @ self.fsyn) * (W @ W.T)
 
-    def value_and_subgrad(self, c: np.ndarray) -> tuple[float, np.ndarray]:
-        """Objective and the mean gradient of the terms tied at the max."""
-        w, state = self.terms(c)
-        val, ties = _tied(w, self.canonical_value)
-        grads = self.gradients(state, ties)
-        # Summed in tie order: a reordered sum would perturb seeded results.
-        sub = grads[:, 0]
-        for k in range(1, len(ties)):
-            sub = sub + grads[:, k]
-        return val, sub / len(ties)
-
-    def descent_chart(self, start: np.ndarray):
-        """Loop variable, step oracle and coefficient map of a run from start.
-
-        The oracle maps the loop variable x to the objective, a subgradient
-        in x and its squared norm as a chart step.  Operator norm: x is the
-        chart point c.  Spectral: x is lam in R^N with ``c = start + D lam``;
-        the subgradient is the tie-sign vector s / |T| and its norm
-        ``s^T M s = ||D s||^2``.
-        """
-        if self.kind is not Measure.SPECTRAL:
-
-            def oracle(c):
-                val, sub = self.value_and_subgrad(c)
-                return val, sub, float(sub @ sub)
-
-            return start, oracle, lambda c: c
-
-        d0 = self.a0 + start @ self.D
-        M = self.M
-        scale = self.canonical_value
-
-        def oracle(lam):
-            diag = d0 + lam @ M
-            val, ties = _tied(np.abs(diag), scale)
-            s = np.zeros_like(diag)
-            s[ties] = np.sign(diag[ties]) / len(ties)
-            return val, s, float(s[ties] @ (M[ties] @ s))
-
-        return np.zeros_like(d0), oracle, lambda lam: start + self.D @ lam
-
-
-def _tied(w: np.ndarray, scale: float) -> tuple[float, np.ndarray]:
-    """The largest term and the indices tied with it at the given scale."""
-    val = float(np.max(w))
-    return val, np.flatnonzero(_within(val - w, scale))
-
-
-def _subgradient_run(
-    obj: _Objective, start: np.ndarray, cfg: SearchConfig
-) -> tuple[np.ndarray, float, list[float]]:
-    """Diminishing-step subgradient descent from start; a run stops at an
-    exact optimum (a zero step) or after STALL_ITERS iterations whose best
-    value moved by no more than DEFAULT_TOL of the canonical value."""
-    x, oracle, coefficients = obj.descent_chart(start)
-    best_x = x
-    best = oracle(x)[0]
-    trace = [best]
-    stall_ref = best
-    stall_count = 0
-    for it in range(1, cfg.max_iters + 1):
-        val, sub, norm_sq = oracle(x)
-        if val < best:
-            best = val
-            best_x = x
-        # Zero means D s = 0: the point is optimal.  s^T M s of such an s
-        # can round below zero.
-        if norm_sq <= 0.0:
-            trace.append(best)
-            break
-        x = x - STEP_INIT / math.sqrt(it) * sub
-        trace.append(best)
-        if _within(stall_ref - best, obj.canonical_value):
-            stall_count += 1
-            if stall_count >= STALL_ITERS:
-                break
-        else:
-            stall_ref = best
-            stall_count = 0
-    # The spectral loop evaluates the diagonal from lam; report the exact
-    # objective at the coefficients it stands for.
-    best_c = coefficients(best_x)
-    return best_c, obj.value(best_c), trace
-
-
-def _polish_spectral(obj: _Objective) -> np.ndarray | None:
+def _polish_spectral(obj: _Objective) -> np.ndarray:
     """Exact epigraph LP on the diagonal d = a0 + D^T c.
 
     The objective depends on c only through d, and the reachable diagonals
@@ -253,14 +149,13 @@ def _polish_spectral(obj: _Objective) -> np.ndarray | None:
     ``P d = P a0``, where the rows of P span null(D): N + 1 variables and
     p = N - rank D equality rows (p >= 1, since the all-ones vector lies in
     null(D): ``sum_i D[k, i] = (F W)[a, m] = 0``).  One SVD of D gives P and
-    the minimum-norm coefficients of the optimal diagonal.
+    the minimum-norm coefficients of the optimal diagonal.  The canonical
+    value ``max |a0|`` must be positive; a failed LP raises NumericalError.
     """
     import scipy.optimize
 
     dof, N = obj.dof, obj.a0.shape[0]
     top = float(np.max(np.abs(obj.a0)))
-    if top == 0.0:
-        return None  # the canonical dual already has value 0
     # Vt needs N rows to hold a basis of null(D); the thin SVD keeps only
     # min(dof, N), and the full one costs nothing more when dof < N.
     U, s, Vt = np.linalg.svd(obj.D, full_matrices=dof < N)
@@ -280,24 +175,23 @@ def _polish_spectral(obj: _Objective) -> np.ndarray | None:
         bounds=[(None, None)] * N + [(0, None)], method="highs",
     )
     if not res.success:
-        return None
+        raise NumericalError(f"spectral LP failed: {res.message}")
     shift = top * (res.x[:N] - a0)
     return U[:, :rank] @ ((Vt[:rank] @ shift) / s[:rank])
 
 
-def _polish_op_norm(obj: _Objective) -> np.ndarray | None:
+def _polish_op_norm(obj: _Objective, max_iters: int) -> np.ndarray:
     """Epigraph NLP with squared-norm constraints, from the canonical dual.
 
     The bound t is posed in units of the canonical value t0, with
     ``t^2 >= (||f_i|| / t0)^2 ||g_i(c)||^2``.  Scaling F and K together
     leaves the duals, the chart and this problem unchanged, so SLSQP's
-    absolute ``ftol`` acts relatively.
+    absolute ``ftol`` acts relatively.  t0 must be positive; a point that
+    is not finite raises NumericalError.
     """
     import scipy.optimize
 
     t0 = obj.canonical_value
-    if t0 == 0.0:
-        return None  # the canonical dual already has value 0
     x0 = np.concatenate([np.zeros(obj.dof), [1.0 + 1e-9]])
     weights = (obj.fnorms / t0) ** 2
 
@@ -321,14 +215,14 @@ def _polish_op_norm(obj: _Objective) -> np.ndarray | None:
         constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
         bounds=[(None, None)] * obj.dof + [(0.0, None)],
         method="SLSQP",
-        options={"maxiter": 200, "ftol": 1e-12},
+        options={"maxiter": max_iters, "ftol": 1e-12},
     )
     # SLSQP can report failure (e.g. status 8, a line search that stalls)
     # at a point better than the canonical dual; minimize_measure keeps a
     # point only when its exact objective improves, so any finite point is
     # worth returning.
     if not np.all(np.isfinite(res.x)):
-        return None
+        raise NumericalError(f"opnorm SLSQP gave no finite point: {res.message}")
     return res.x[:-1]
 
 
@@ -342,47 +236,34 @@ def minimize_measure(
 
     The exact epigraph solve of the measure runs once from the canonical
     dual (c = 0), and its point is kept when its exact value beats the
-    canonical one by more than DEFAULT_TOL of it; ``trace`` is then the
-    canonical value, followed by the polished one if kept.  Only when the
-    solve returns no point do the seeded subgradient restarts run: restart
-    0 starts at the canonical dual and further restarts draw random
-    coefficients from a seeded generator, so results are deterministic for
-    a fixed (input, seed).  The reported value is always an exact objective
-    value at a verified dual.
+    canonical one by more than DEFAULT_TOL of it; ``trace`` is the
+    canonical value, followed by the solved one if kept.  With no chart
+    (dof 0) or a canonical value of 0 the canonical dual is optimal and no
+    solver runs.  A solver failure raises NumericalError.  The result is
+    deterministic, reads only ``cfg.max_iters``, and its value is always an
+    exact objective value at a verified dual.
     """
     param = dual_parameterization(frame, op)
     obj = _Objective(frame, param, kind)
-    if param.dof == 0:
-        value = obj.value(np.zeros(0))
+    value = obj.canonical_value
+    if param.dof == 0 or value == 0.0:
         return MinimizeResult(param.base, value, (value,))
 
-    polish = _polish_spectral if kind is Measure.SPECTRAL else _polish_op_norm
-    c_new = polish(obj)
-    if c_new is not None:
-        best_c, best_idx = np.zeros(param.dof), 0
-        best_val = obj.canonical_value
-        best_trace = [best_val]
-        val_new = obj.value(c_new)
-        if val_new < best_val and not _within(best_val - val_new, best_val):
-            best_c, best_val = c_new, val_new
-            best_trace.append(val_new)
+    if kind is Measure.SPECTRAL:
+        c = _polish_spectral(obj)
     else:
-        scale = max(1.0, float(np.linalg.norm(param.base.synthesis)))
-        best_c, best_val, best_trace, best_idx = None, np.inf, None, -1
-        for idx in range(cfg.restarts):
-            if idx == 0:
-                start = np.zeros(param.dof)
-            else:
-                rng = np.random.default_rng([cfg.seed, idx])
-                start = rng.standard_normal(param.dof) * scale
-            c, val, trace = _subgradient_run(obj, start, cfg)
-            if val < best_val:
-                best_c, best_val, best_trace, best_idx = c, val, trace, idx
-
-    dual = reconstruct_dual(param, best_c)
+        c = _polish_op_norm(obj, cfg.max_iters)
+    trace = [value]
+    c_value = obj.value(c)
+    if c_value < value and not _within(value - c_value, value):
+        value = c_value
+        trace.append(value)
+    else:
+        c = np.zeros(param.dof)
+    dual = reconstruct_dual(param, c)
     if verify_k_dual(frame, dual, op) is DualKind.NOT_DUAL:
         raise NumericalError("search result fails the K-duality check")
-    return MinimizeResult(dual, best_val, tuple(best_trace), best_idx)
+    return MinimizeResult(dual, value, tuple(trace))
 
 
 def minimize_r2_within_uniform(
@@ -420,6 +301,7 @@ def minimize_r2_within_uniform(
         return float(np.max(radii))
 
     q = Z.shape[0]
+    best_idx = 0
     if q == 0:
         best_z = np.zeros(0)
         best_val = r2_of(best_z)
@@ -447,7 +329,7 @@ def minimize_r2_within_uniform(
             val = r2_of(res.x)
             trace.append(val)
             if val < best_val:
-                best_z, best_val = res.x, val
+                best_z, best_val, best_idx = res.x, val, idx
 
     c_best = c0 if q == 0 else c0 + best_z @ Z
     dual = reconstruct_dual(param, c_best)
@@ -458,7 +340,7 @@ def minimize_r2_within_uniform(
             "pair_r2_min": bounds.r2_min,
             "gap_to_pair_bound": best_val - bounds.r2_min,
         }
-    return MinimizeResult(dual, best_val, tuple(trace), 0, comparison)
+    return MinimizeResult(dual, best_val, tuple(trace), best_idx, comparison)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,14 +8,14 @@ import scipy.optimize
 
 import framekit as fk
 from framekit import fixtures
+from framekit.erasures import Measure
 from framekit.frames import DEFAULT_TOL
-from framekit.search import (
-    STALL_ITERS,
-    STEP_INIT,
-    _Objective,
-    _polish_spectral,
-    _subgradient_run,
-)
+from framekit.search import _Objective, _polish_spectral
+
+# First step of the reference loop's diminishing steps STEP_INIT / sqrt(it);
+# a run stops after STALL_ITERS iterations without progress.
+STEP_INIT = 0.1
+STALL_ITERS = 50
 
 
 @pytest.fixture
@@ -260,11 +261,36 @@ def coefficient_space_polish(obj):
     return res.x[:dof] if res.success else None
 
 
+def reference_gradient(obj, G, i):
+    """Gradient of term i of the objective at the dual synthesis G, from
+    its definition."""
+    if obj.kind is Measure.SPECTRAL:
+        return np.sign(G[:, i] @ obj.fsyn[:, i]) * obj.D[:, i]
+    gnorm = np.linalg.norm(G[:, i])
+    if gnorm == 0.0:
+        return np.zeros(obj.dof)
+    u = G[:, [i]] / gnorm
+    return obj.fnorms[i] * obj.param.column_jacobian(u, [i])[:, 0]
+
+
+def reference_subgradient(obj, c):
+    """Objective at c and the mean gradient of the terms within DEFAULT_TOL
+    of the canonical value of the maximum, one term at a time."""
+    G = obj.dual_syn(c)
+    if obj.kind is Measure.SPECTRAL:
+        w = np.abs(np.einsum("ij,ij->j", G, obj.fsyn))
+    else:
+        w = obj.fnorms * np.linalg.norm(G, axis=0)
+    val = float(np.max(w))
+    ties = np.flatnonzero(val - w <= DEFAULT_TOL * obj.canonical_value)
+    return val, sum(reference_gradient(obj, G, i) for i in ties) / len(ties)
+
+
 def coefficient_space_run(obj, start, cfg):
     """Reference subgradient loop over all chart coefficients.
 
-    Each iteration evaluates the terms at c and steps along the mean
-    gradient of the tied terms, a dof-vector.  The run stalls after
+    Each iteration evaluates the terms at c and steps along
+    :func:`reference_subgradient`, a dof-vector.  The run stalls after
     STALL_ITERS iterations whose best value moved by at most DEFAULT_TOL of
     the canonical value.  Returns the best coefficients, the best value and
     the trace of best values.
@@ -276,7 +302,7 @@ def coefficient_space_run(obj, start, cfg):
     stall_ref = best
     stall_count = 0
     for it in range(1, cfg.max_iters + 1):
-        val, sub = obj.value_and_subgrad(c)
+        val, sub = reference_subgradient(obj, c)
         if val < best:
             best = val
             best_c = c.copy()
@@ -397,8 +423,8 @@ def loop_then_polish(frame, op, kind, cfg):
     DEFAULT_TOL of the canonical value.  Returns the value."""
     param = fk.dual_parameterization(frame, op)
     obj = _Objective(frame, param, kind)
-    if param.dof == 0:
-        return obj.value(np.zeros(0))
+    if param.dof == 0 or obj.canonical_value == 0.0:
+        return obj.canonical_value
     scale = max(1.0, float(np.linalg.norm(param.base.synthesis)))
     best_c, best_val = None, np.inf
     for idx in range(cfg.restarts):
@@ -407,7 +433,7 @@ def loop_then_polish(frame, op, kind, cfg):
         else:
             rng = np.random.default_rng([cfg.seed, idx])
             start = rng.standard_normal(param.dof) * scale
-        c, val, _ = _subgradient_run(obj, start, cfg)
+        c, val, _ = coefficient_space_run(obj, start, cfg)
         if val < best_val:
             best_c, best_val = c, val
     if kind is fk.Measure.SPECTRAL:
@@ -417,3 +443,19 @@ def loop_then_polish(frame, op, kind, cfg):
     if c_new is not None and best_val - obj.value(c_new) > DEFAULT_TOL * obj.canonical_value:
         best_val = obj.value(c_new)
     return best_val
+
+
+def break_solvers(monkeypatch):
+    """Make HiGHS report failure and SLSQP return a NaN point."""
+    monkeypatch.setattr(
+        scipy.optimize, "linprog",
+        lambda *args, **kwargs: SimpleNamespace(
+            success=False, message="planted failure", x=None
+        ),
+    )
+    monkeypatch.setattr(
+        scipy.optimize, "minimize",
+        lambda fun, x0, **kwargs: SimpleNamespace(
+            success=False, message="planted failure", x=np.full(len(x0), np.nan)
+        ),
+    )

@@ -15,6 +15,7 @@ from framekit.io import (
     save_frame_file,
 )
 from conftest import (
+    break_solvers,
     degenerate_frame,
     non_orthogonal_components,
     random_parseval_frame,
@@ -437,3 +438,21 @@ class TestVerifyExample:
         argv = ["optimal-dual", "--frame", ex1_file, "--measure", "spectral"]
         assert main(argv) == 4
         assert "numerical failure" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["search", "--measure", "r1"],
+            ["search", "--measure", "o1"],
+            ["optimal-dual", "--measure", "spectral"],
+            ["optimal-dual", "--measure", "opnorm"],
+        ],
+    )
+    def test_solver_failure_exits_4(self, ex1_file, capsys, monkeypatch, argv):
+        break_solvers(monkeypatch)
+        assert main([*argv, "--frame", ex1_file]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("numerical failure: ")
+        assert "planted failure" in captured.err
+        assert "Traceback" not in captured.err

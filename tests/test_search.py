@@ -5,54 +5,48 @@ import pytest
 
 import framekit as fk
 from framekit.erasures import Measure
-import framekit.search as search_mod
 from framekit.frames import DEFAULT_TOL
-from framekit.search import _Objective, _polish_spectral, _subgradient_run
+from framekit.search import _Objective, _polish_spectral
 from conftest import (
     assert_value_scales,
+    break_solvers,
     certificate_systems,
     coefficient_space_polish,
-    coefficient_space_run,
     loop_then_polish,
     random_block_frame,
     random_psd,
     random_parseval_frame,
+    reference_gradient,
+    reference_subgradient,
 )
 
 CFG = fk.SearchConfig(max_iters=500, restarts=3, seed=99)
 BUDGET = fk.SearchConfig(max_iters=300, restarts=2, seed=0)
 
 
-def reference_subgradient(obj, c):
-    """Mean gradient of the tied terms, one term at a time."""
-    G = obj.dual_syn(c)
-    diag = np.einsum("ij,ij->j", G, obj.fsyn)
-    gnorms = np.linalg.norm(G, axis=0)
-    w = np.abs(diag) if obj.kind is Measure.SPECTRAL else obj.fnorms * gnorms
-    ties = np.flatnonzero(np.max(w) - w <= DEFAULT_TOL * obj.canonical_value)
-    sub = np.zeros(obj.dof)
-    for i in ties:
-        if obj.kind is Measure.SPECTRAL:
-            sub += np.sign(diag[i]) * obj.D[:, i]
-        elif gnorms[i] > 0:
-            u = G[:, [i]] / gnorms[i]
-            sub += obj.fnorms[i] * obj.param.column_jacobian(u, [i])[:, 0]
-    return sub / len(ties)
-
-
 class TestObjective:
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
     def test_subgradient_matches_per_term_reference(self, mb, kind):
-        # All three Mercedes weights tie at the canonical dual (c = 0).
+        # The gradients canonical_certificate builds its KKT test from.  All
+        # three Mercedes weights tie at the canonical dual (c = 0).
         frame, op = mb
         obj = _Objective(frame, fk.dual_parameterization(frame, op), kind)
         rng = np.random.default_rng(4)
         points = np.vstack([np.zeros(obj.dof), rng.standard_normal((20, obj.dof))])
         assert np.ptp(obj.terms(points[0])[0]) <= 1e-14
         for c in points:
-            val, sub = obj.value_and_subgrad(c)
-            assert val == obj.value(c)
-            assert np.max(np.abs(sub - reference_subgradient(obj, c))) <= 1e-13
+            w, state = obj.terms(c)
+            grads = obj.gradients(state, np.arange(w.size))
+            G = obj.dual_syn(c)
+            for i in range(w.size):
+                reference = reference_gradient(obj, G, i)
+                assert np.max(np.abs(grads[:, i] - reference)) <= 1e-13
+            val = float(np.max(w))
+            ties = np.flatnonzero(val - w <= DEFAULT_TOL * obj.canonical_value)
+            sub = grads[:, ties].mean(axis=1)
+            ref_val, ref_sub = reference_subgradient(obj, c)
+            assert ref_val == pytest.approx(val, rel=1e-14)
+            assert np.max(np.abs(sub - ref_sub)) <= 1e-13
             for c2 in rng.standard_normal((10, obj.dof)):
                 assert obj.value(c2) >= val + sub @ (c2 - c) - 1e-12
 
@@ -121,8 +115,8 @@ class TestMinimizeMeasure:
             assert result.value >= op.trace / N - 1e-9
 
     def test_op_norm_keeps_slsqp_point_on_status_8(self):
-        # SLSQP stops with status 8 here at a point worth 0.4365755248; the
-        # subgradient runs alone reach 0.5718972807.
+        # SLSQP stops with status 8 here at a point worth 0.4365755248, well
+        # below the canonical value; the keep rule takes it.
         rng = np.random.default_rng(0)
         rank = 4 if rng.random() < 0.7 else int(rng.integers(1, 4))
         op = fk.build_operator(random_psd(rng, 4, rank))
@@ -143,6 +137,15 @@ class TestMinimizeMeasure:
         # both scales.
         systems = [(random_parseval_frame(rng, op, 12), op), *scaling_systems()]
         assert_value_scales(search_value(Measure.OP_NORM), systems, scale)
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_restarts_and_seed_do_not_change_the_result(self, ex1, kind):
+        frame, op = ex1
+        a = fk.minimize_measure(frame, op, kind, fk.SearchConfig(300, 1, 0))
+        b = fk.minimize_measure(frame, op, kind, fk.SearchConfig(300, 7, 12345))
+        assert a.value == b.value and a.trace == b.trace
+        assert a.restart_index == b.restart_index == 0
+        assert a.frame.synthesis.tobytes() == b.frame.synthesis.tobytes()
 
     def test_one_block_ten_by_two_hundred(self):
         rng = np.random.default_rng(11)
@@ -185,49 +188,32 @@ class TestExactSolveFirst:
             reference = loop_then_polish(frame, op, kind, BUDGET)
             assert value <= reference * (1 + 1e-9) + 1e-15
 
-    @staticmethod
-    def count_runs(monkeypatch):
-        runs = []
-
-        def counted(*args):
-            runs.append(args)
-            return _subgradient_run(*args)
-
-        monkeypatch.setattr(search_mod, "_subgradient_run", counted)
-        return runs
-
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
-    def test_polished_point_skips_the_loop(self, ex1, kind, monkeypatch):
+    def test_polished_point_skips_the_loop(self, ex1, kind):
         frame, op = ex1
-        runs = self.count_runs(monkeypatch)
         result = fk.minimize_measure(frame, op, kind, CFG)
-        assert runs == [] and result.restart_index == 0
+        assert result.restart_index == 0
         canonical = fk.build_dual_system(frame, fk.canonical_k_dual(frame, op), op)
         measure = fk.o1 if kind is Measure.OP_NORM else fk.r1
         assert result.trace[0] == pytest.approx(measure(canonical), rel=1e-12)
         assert len(result.trace) <= 2 and result.trace[-1] == result.value
 
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
-    def test_loop_runs_without_polish(self, kind, monkeypatch):
-        # A canonical value of 0 leaves the exact solve nothing to improve:
-        # it returns no point and the restarts run, keeping the value 0.
+    def test_zero_system_skips_the_solvers(self, kind, monkeypatch):
+        # A canonical value of 0 is optimal: no solver runs.
         frame, op = fk.Frame(np.zeros((2, 3))), fk.build_operator(np.zeros((2, 2)))
-        runs = self.count_runs(monkeypatch)
-        cfg = fk.SearchConfig(max_iters=200, restarts=3, seed=99)
-        result = fk.minimize_measure(frame, op, kind, cfg)
-        assert len(runs) == cfg.restarts and result.value == 0.0
+        break_solvers(monkeypatch)
+        result = fk.minimize_measure(frame, op, kind, CFG)
+        assert result.value == 0.0 and result.trace == (0.0,)
+        assert not np.any(result.frame.synthesis)
 
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
-    def test_loop_runs_when_polish_fails(self, ex1, kind, monkeypatch):
+    def test_solver_failure_is_numerical_error(self, ex1, kind, monkeypatch):
         frame, op = ex1
-        runs = self.count_runs(monkeypatch)
-        for name in ("_polish_spectral", "_polish_op_norm"):
-            monkeypatch.setattr(search_mod, name, lambda obj: None)
-        result = fk.minimize_measure(frame, op, kind, CFG)
-        assert len(runs) == CFG.restarts
-        assert result.trace == tuple(
-            _subgradient_run(*runs[result.restart_index])[2]
-        )
+        break_solvers(monkeypatch)
+        message = "SLSQP gave no finite" if kind is Measure.OP_NORM else "LP failed"
+        with pytest.raises(fk.NumericalError, match=message):
+            fk.minimize_measure(frame, op, kind, CFG)
 
 
 class TestPolishSpectral:
@@ -273,86 +259,6 @@ class TestPolishSpectral:
             assert value == pytest.approx(expected, rel=1e-9)
 
 
-def generic_chart(rng):
-    """A spectral objective on a random low-rank diagonal map D, with none
-    of the matroid structure of a frame's chart."""
-    N = int(rng.integers(3, 15))
-    rank = int(rng.integers(1, N))
-    dof = int(rng.integers(rank, 2 * N))
-    obj = _Objective.__new__(_Objective)
-    obj.kind = Measure.SPECTRAL
-    obj.D = rng.normal(size=(dof, rank)) @ rng.normal(size=(rank, N))
-    obj.a0 = rng.normal(size=N)
-    obj.dof = dof
-    obj.M = obj.D.T @ obj.D
-    return obj
-
-
-def spectral_charts(rng):
-    """Objectives of certificate_systems frames with dof > 0, then generic
-    low-rank charts."""
-    for frame, op in certificate_systems(rng, Measure.SPECTRAL, 140):
-        param = fk.dual_parameterization(frame, op)
-        if param.dof:
-            yield _Objective(frame, param, Measure.SPECTRAL)
-    for _ in range(40):
-        yield generic_chart(rng)
-
-
-def starts(obj):
-    """The restart points of a BUDGET search."""
-    yield np.zeros(obj.dof)
-    for idx in range(1, BUDGET.restarts):
-        yield np.random.default_rng([BUDGET.seed, idx]).standard_normal(obj.dof)
-
-
-class TestDiagonalLoop:
-    def test_gram_is_the_gram_of_the_diagonal_map(self):
-        rng = np.random.default_rng(13)
-        for frame, op in certificate_systems(rng, Measure.SPECTRAL, 40):
-            obj = _Objective(frame, fk.dual_parameterization(frame, op), Measure.SPECTRAL)
-            DtD = obj.D.T @ obj.D
-            assert np.max(np.abs(obj.M - DtD)) <= 1e-14 * max(1.0, np.max(np.abs(DtD)))
-
-    def test_oracle_matches_the_coefficient_chart(self):
-        # At c = start + D lam the step is D s, with squared norm s^T M s.
-        rng = np.random.default_rng(17)
-        for obj in spectral_charts(rng):
-            start = rng.standard_normal(obj.dof)
-            lam0, oracle, coefficients = obj.descent_chart(start)
-            assert not np.any(lam0)
-            for lam in rng.standard_normal((3, obj.a0.shape[0])):
-                c = coefficients(lam)
-                assert np.allclose(c, start + obj.D @ lam, rtol=0, atol=1e-12)
-                value, s, norm_sq = oracle(lam)
-                ref_value, ref_sub = obj.value_and_subgrad(c)
-                scale = 1e-12 * max(1.0, ref_value)
-                assert abs(value - ref_value) <= scale
-                assert np.max(np.abs(obj.D @ s - ref_sub)) <= scale
-                assert abs(norm_sq - ref_sub @ ref_sub) <= 1e-12 * max(1.0, norm_sq)
-
-    def test_runs_match_the_coefficient_space_reference(self):
-        rng = np.random.default_rng(19)
-        stopped = checked = 0
-        for obj in spectral_charts(rng):
-            for start in starts(obj):
-                _, value, trace = _subgradient_run(obj, start, BUDGET)
-                _, ref_value, ref_trace = coefficient_space_run(obj, start, BUDGET)
-                assert value == pytest.approx(ref_value, rel=1e-12, abs=1e-300)
-                checked += 1
-                if len(trace) == len(ref_trace):
-                    continue
-                # The loop stops where the tied signs s have D s = 0, an
-                # optimum.  In the coefficient chart that D s is rounding
-                # noise, which the reference follows, never improving, until
-                # it stalls.
-                stopped += 1
-                assert len(trace) < len(ref_trace)
-                tail = np.array(ref_trace[len(trace) - 1 :])
-                assert np.ptp(tail) <= 1e-12 * max(1.0, value)
-        assert checked >= 300 and stopped <= checked // 50
-
-
 class TestMinimizeR2WithinUniform:
     def test_mercedes(self, mb):
         frame, op = mb
@@ -379,6 +285,16 @@ class TestMinimizeR2WithinUniform:
         # returned dual really is 1-uniform
         ds = fk.build_dual_system(frame, result.frame, op)
         assert np.max(np.abs(ds.diag - op.trace / 4)) <= 1e-6
+
+    def test_reports_the_winning_start(self):
+        # Start 1 ends 9 % below start 0 on this draw.
+        rng = np.random.default_rng(1)
+        op = fk.build_operator(np.eye(3))
+        frame = random_parseval_frame(rng, op, 6)
+        result = fk.minimize_r2_within_uniform(frame, op, CFG)
+        assert result.restart_index == int(np.argmin(result.trace)) == 1
+        assert result.trace[1] < 0.95 * result.trace[0]
+        assert result.value == result.trace[result.restart_index]
 
     def test_infeasible(self, ex1):
         # the last diagonal inner product is pinned at 1 for every dual,
