@@ -30,7 +30,7 @@ from .duals import (
     perturbation_family,
 )
 from .erasures import build_report, report_to_dict
-from .errors import FrameKitError, NotParsevalError, NotPSDError, NumericalError
+from .errors import FrameKitError, NotParsevalError, NumericalError
 from .frames import (
     OperatorSpec,
     build_dual_system,
@@ -39,12 +39,7 @@ from .frames import (
     k_frame_bounds,
 )
 from .io import ParseError, load_frame_file, load_operator_file, round_floats
-from .pairs import (
-    is_o1_optimal_pair,
-    is_r1_optimal_pair,
-    is_r2_optimal_pair,
-    pair_bounds,
-)
+from .pairs import _r1_optimal, _r2_optimal, is_o1_optimal_pair, pair_bounds
 from .search import (
     SearchConfig,
     minimize_measure,
@@ -122,18 +117,17 @@ def _pair_bounds_dict(op: OperatorSpec, n_vectors: int) -> dict:
 
 def _load_system(path, tol_override=None):
     frame, op, tol = load_frame_file(path, tol_override)
-    k_frame_bounds(frame, op)
+    bounds = k_frame_bounds(frame, op)
     if not is_parseval_k_frame(frame, op):
         raise NotParsevalError(
             "input is a K-frame but not Parseval; canonical-dual analysis "
             "requires the Parseval property"
         )
-    return frame, op
+    return frame, op, bounds
 
 
 def cmd_analyze(args) -> int:
-    frame, op = _load_system(args.frame, args.tol)
-    A, B = k_frame_bounds(frame, op)
+    frame, op, (A, B) = _load_system(args.frame, args.tol)
     canonical = canonical_k_dual(frame, op)
     ds = build_dual_system(frame, canonical, op)
     report = build_report(ds, ms=tuple(args.rm or ()))
@@ -148,8 +142,8 @@ def cmd_analyze(args) -> int:
         doc["pair_bounds"] = _pair_bounds_dict(op, frame.n_vectors)
         doc["optimal_pair_flags"] = {
             "o1_optimal": is_o1_optimal_pair(ds),
-            "r1_optimal": is_r1_optimal_pair(ds),
-            "r2_optimal": frame.n_vectors >= 2 and is_r2_optimal_pair(ds),
+            "r1_optimal": _r1_optimal(report.uniform1),
+            "r2_optimal": _r2_optimal(ds, report.uniform2),
         }
     else:
         doc["pair_bounds"] = None
@@ -159,7 +153,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_canonical_dual(args) -> int:
-    frame, op = _load_system(args.frame, args.tol)
+    frame, op, _ = _load_system(args.frame, args.tol)
     canonical = canonical_k_dual(frame, op)
     _emit(
         {
@@ -183,10 +177,9 @@ def _certificate_dict(cert) -> dict:
 
 
 def cmd_optimal_dual(args) -> int:
-    frame, op = _load_system(args.frame, args.tol)
+    frame, op, _ = _load_system(args.frame, args.tol)
     kind = Measure.OP_NORM if args.measure == "opnorm" else Measure.SPECTRAL
     cert = canonical_certificate(frame, op, kind)
-    canonical = canonical_k_dual(frame, op)
     decomp = connected_decomposition(frame, op)
     cfg = SearchConfig(max_iters=args.max_iters, restarts=args.restarts, seed=args.seed)
     search = minimize_measure(frame, op, kind, cfg)
@@ -196,9 +189,8 @@ def cmd_optimal_dual(args) -> int:
         constructed = construct_spectrally_optimal_dual(frame, op)
     else:
         minimal = search.value
-        constructed = (
-            canonical if cert.verdict is not Verdict.NOT_OPTIMAL else search.frame
-        )
+        canonical_optimal = cert.verdict is not Verdict.NOT_OPTIMAL
+        constructed = canonical_k_dual(frame, op) if canonical_optimal else search.frame
     family = perturbation_family(frame, op, kind)
     doc = {
         "measure": args.measure,
@@ -223,14 +215,12 @@ def cmd_optimal_dual(args) -> int:
 
 def cmd_pair_bounds(args) -> int:
     op, _ = load_operator_file(args.k)
-    if not op.psd_flag:
-        raise NotPSDError("pair bounds require a PSD operator")
     _emit(_pair_bounds_dict(op, args.n_vectors), args.format)
     return 0
 
 
 def cmd_search(args) -> int:
-    frame, op = _load_system(args.frame, args.tol)
+    frame, op, _ = _load_system(args.frame, args.tol)
     cfg = SearchConfig(
         max_iters=args.max_iters, restarts=args.restarts, seed=args.seed
     )

@@ -59,23 +59,24 @@ from .errors import (
     HypothesesNotMetError,
     NoConnectedPairAvailableError,
     NotPSDError,
-    NotParsevalError,
     NotTwoUniformError,
     NumericalError,
 )
 from .frames import (
     DEFAULT_TOL,
     RANK_TOL,
+    DualParameterization,
     DualSystem,
     Frame,
     OperatorSpec,
+    _CanonicalDual,
     _diagonal_scale,
     _rank,
     _system_scale,
     _within,
     build_dual_system,
+    canonical_k_dual,
     dual_parameterization,
-    is_parseval_k_frame,
     reconstruct_dual,
 )
 from .erasures import Measure, _pair_products, uniformity
@@ -103,9 +104,7 @@ def _orthonormal_span(columns: np.ndarray) -> np.ndarray:
     if columns.shape[1] == 0:
         return np.zeros((columns.shape[0], 0))
     u, s, _ = np.linalg.svd(columns, full_matrices=False)
-    if s.size == 0 or s[0] == 0.0:
-        return np.zeros((columns.shape[0], 0))
-    return u[:, : _rank(s, s[0])]
+    return u[:, : _rank(s, s[0] if s.size else 0.0)]  # empty when s[0] == 0
 
 
 def weight_partition(
@@ -117,20 +116,23 @@ def weight_partition(
     diagonal scale of the canonical dual (``frames._diagonal_scale``), so
     scaling F and K together keeps the partition.
     """
-    if not is_parseval_k_frame(frame, op):
-        raise NotParsevalError("weight partition requires a Parseval K-frame")
-    if kind is Measure.SPECTRAL and not op.psd_flag:
+    canon = _CanonicalDual(frame, op, canonical_k_dual(frame, op))
+    return _weight_partition(canon, kind)
+
+
+def _weight_partition(canon: _CanonicalDual, kind: Measure) -> WeightPartition:
+    """:func:`weight_partition` of a validated canonical dual or chart."""
+    if kind is Measure.SPECTRAL and not canon.op.psd_flag:
         raise NotPSDError("spectral weights require a PSD operator")
-    syn = frame.synthesis
-    dual_syn = op.pinv @ syn
+    syn, dual_syn = canon.frame.synthesis, canon.base.synthesis
     if kind is Measure.OP_NORM:
         weights = np.linalg.norm(syn, axis=0) * np.linalg.norm(dual_syn, axis=0)
     else:
-        weights = np.einsum("ij,ij->j", dual_syn, syn)
+        weights = canon.canonical_diagonal
     top_value = float(np.max(weights))
-    scale = _diagonal_scale(syn, dual_syn, op.trace / frame.n_vectors)
+    scale = _diagonal_scale(syn, dual_syn, canon.op.trace / canon.frame.n_vectors)
     top = tuple(int(i) for i in np.flatnonzero(_within(top_value - weights, scale)))
-    rest = tuple(i for i in range(frame.n_vectors) if i not in top)
+    rest = tuple(i for i in range(canon.frame.n_vectors) if i not in top)
     return WeightPartition(
         measure_kind=kind,
         weights=weights,
@@ -312,15 +314,12 @@ def connected_decomposition(frame: Frame, op: OperatorSpec) -> ConnectedDecompos
     )
 
 
-def _component_means(frame: Frame, op: OperatorSpec) -> np.ndarray:
+def _component_means(canon: _CanonicalDual) -> np.ndarray:
     """Per index i, the mean of ``<K^+ f_i, f_i>`` over its matroid
     component: the K-dual diagonal of smallest largest absolute entry."""
-    if not is_parseval_k_frame(frame, op):
-        raise NotParsevalError("the spectral minimum requires a Parseval K-frame")
-    syn = frame.synthesis
-    diag = np.einsum("ij,ij->j", op.pinv @ syn, syn)
+    diag = canon.canonical_diagonal
     means = np.empty_like(diag)
-    for component in _matroid_components(syn):
+    for component in _matroid_components(canon.frame.synthesis):
         means[list(component)] = np.mean(diag[list(component)])
     return means
 
@@ -333,7 +332,8 @@ def min_r1_fixed_frame(frame: Frame, op: OperatorSpec) -> float:
     otherwise.  For orthogonal K-invariant blocks this is ``max_j
     delta_j``.
     """
-    return float(np.max(np.abs(_component_means(frame, op))))
+    canon = _CanonicalDual(frame, op, canonical_k_dual(frame, op))
+    return float(np.max(np.abs(_component_means(canon))))
 
 
 # ---------------------------------------------------------------------------
@@ -396,9 +396,8 @@ def construct_spectrally_optimal_dual(frame: Frame, op: OperatorSpec) -> Frame:
     diagonal always lies in the range of the chart's diagonal map, so a
     missed solve raises NumericalError.
     """
-    target = _component_means(frame, op)
     param = dual_parameterization(frame, op)
-    c = param.diagonal_coefficients(frame, target)
+    c = param.diagonal_coefficients(frame, _component_means(param))
     if c is None:
         raise NumericalError("the chart solve missed the component-mean diagonal")
     return reconstruct_dual(param, c)
@@ -462,17 +461,13 @@ def _complement_rows(u: np.ndarray, Q: np.ndarray) -> np.ndarray:
 
 
 def _family_radius(
-    frame: Frame,
-    base_dual: Frame,
-    direction: np.ndarray,
-    part: WeightPartition,
-    kind: Measure,
+    canon: _CanonicalDual, direction: np.ndarray, part: WeightPartition, kind: Measure
 ) -> float:
     """Largest delta with all rest weights < top value for |t| < delta."""
     L = part.top_value
     rest = list(part.rest)
-    f = frame.synthesis[:, rest]
-    v = base_dual.synthesis[:, rest]
+    f = canon.frame.synthesis[:, rest]
+    v = canon.base.synthesis[:, rest]
     u = direction[:, rest]
     if kind is Measure.OP_NORM:
         # ||g_i(t)||^2 = a t^2 + 2 b t + ||v||^2 meets (L / ||f_i||)^2 at the
@@ -491,13 +486,13 @@ def _family_radius(
         slopes = np.einsum("ij,ij->j", u, f)
         noise = RANK_TOL * np.linalg.norm(u, axis=0) * np.linalg.norm(f, axis=0)
         moving = np.abs(slopes) > noise
-        a0 = np.einsum("ij,ij->j", v[:, moving], f[:, moving])
+        a0 = canon.canonical_diagonal[rest][moving]
         bounds = (L - np.abs(a0)) / np.abs(slopes[moving])
     return float(np.min(bounds, initial=math.inf))
 
 
 def _family(
-    frame: Frame, param, part: WeightPartition, kind: Measure
+    param: DualParameterization, part: WeightPartition, kind: Measure
 ) -> PerturbationFamily:
     """The family from a factorization of the top constraints alone.
 
@@ -509,7 +504,7 @@ def _family(
     map, so the family is the complement of range(D_T), of dimension
     ``dof - rank D_T``.
     """
-    n, N = frame.dim, frame.n_vectors
+    n, N = param.frame.synthesis.shape
     top = list(part.top)
     if kind is Measure.OP_NORM:
         _, s, vt = np.linalg.svd(param.basis[top], full_matrices=False)
@@ -526,10 +521,10 @@ def _family(
             return np.kron(R, np.eye(n))
 
     else:
-        D_T = param.column_jacobian(frame.synthesis[:, top], top)
+        D_T = param.column_jacobian(param.frame.synthesis[:, top], top)
         U, s, _ = np.linalg.svd(D_T, full_matrices=False)
         # Relative to ||F||_F >= ||D_T||: D_T can be all rounding noise.
-        Q = U[:, : _rank(s, np.linalg.norm(frame.synthesis))]
+        Q = U[:, : _rank(s, np.linalg.norm(param.frame.synthesis))]
         dimension = param.dof - Q.shape[1]
 
         def axis():
@@ -544,7 +539,7 @@ def _family(
     direction = param.perturbation(u)
     return PerturbationFamily(
         direction=direction,
-        radius=_family_radius(frame, param.base, direction, part, kind),
+        radius=_family_radius(param, direction, part, kind),
         dimension=dimension,
         _build_basis=lambda: np.concatenate(
             [direction[None], param.perturbation(_complement_rows(u, constraints()))]
@@ -567,8 +562,8 @@ def perturbation_family(
     diagonal entry) and ``radius`` come from a thin factorization of the
     top constraints; ``basis`` is built only when read.
     """
-    part = weight_partition(frame, op, kind)
-    return _family(frame, dual_parameterization(frame, op), part, kind)
+    param = dual_parameterization(frame, op)
+    return _family(param, _weight_partition(param, kind), kind)
 
 
 class Verdict(enum.Enum):
@@ -585,7 +580,7 @@ class OptimalityCertificate:
 
 
 def _kkt_certificate(
-    frame: Frame, param, part: WeightPartition, kind: Measure
+    param: DualParameterization, part: WeightPartition, kind: Measure
 ) -> OptimalityCertificate:
     """Exact first-order optimality test at the canonical dual (c = 0).
 
@@ -601,7 +596,7 @@ def _kkt_certificate(
     """
     import scipy.optimize
 
-    obj = _Objective(frame, param, kind)
+    obj = _Objective(param, kind)
     top = list(part.top)
     _, state = obj.terms(np.zeros(param.dof))
     S = obj.gradients(state, top)
@@ -611,7 +606,7 @@ def _kkt_certificate(
     e[-1] = 1.0
     u, residual = scipy.optimize.nnls(E, e)
     if residual <= RANK_TOL:
-        multipliers = np.zeros(frame.n_vectors)
+        multipliers = np.zeros(param.frame.n_vectors)
         multipliers[top] = u / u.sum()
         return OptimalityCertificate(
             Verdict.OPTIMAL_KKT, {"hypothesis": "kkt", "multipliers": multipliers}
@@ -660,23 +655,20 @@ def canonical_certificate(
        it), ``step``, ``improved_value`` (the exact measure of
        ``canonical + step * direction``) and ``canonical_value``.
     """
-    if not is_parseval_k_frame(frame, op):
-        raise NotParsevalError("certificate requires a Parseval K-frame")
+    param = dual_parameterization(frame, op)
     if not op.psd_flag:
         raise NotPSDError("certificate requires a PSD operator")
-    part = weight_partition(frame, op, kind)
-    param = dual_parameterization(frame, op)
-
     if param.dof == 0:
         return OptimalityCertificate(
             Verdict.UNIQUE_OPTIMAL,
             {"hypothesis": "no_admissible_perturbations", "dof": 0},
         )
 
+    part = _weight_partition(param, kind)
     if not spans_intersect_trivially(part):
-        return _kkt_certificate(frame, param, part, kind)
+        return _kkt_certificate(param, part, kind)
 
-    family = _family(frame, param, part, kind)
+    family = _family(param, part, kind)
     if not family.exists:
         reason = (
             "rest_vectors_independent"
@@ -768,8 +760,6 @@ def two_uniform_spectral_optimality(
     if c1 is None or c2 is None:
         raise NotTwoUniformError("dual system is not 2-uniform")
     N = ds.n_vectors
-    if N < 2:
-        raise ValueError("two-erasure measure needs at least 2 vectors")
     c = (op.trace_sq - op.trace**2 / N) / (N * (N - 1))
     if not _within(c - c2, _system_scale(ds) ** 2):
         raise NumericalError(

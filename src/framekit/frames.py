@@ -15,10 +15,11 @@ the columns of W are an orthonormal basis of null(F) and C ranges over
 ``R^{n x (N - rank F)}``; that chart is exposed through
 :func:`dual_parameterization`.
 
-All objects are immutable after construction (arrays are marked read-only),
-so values can be shared freely across threads; every operation here is a pure
-function.  This module needs numpy alone: the K-frame bounds reduce their
-generalized eigenproblem to standard form by a Cholesky factor.
+All objects are immutable after construction (each copies its arrays and
+marks them read-only), so values can be shared freely across threads; every
+operation here is a pure function.  This module needs numpy alone: the
+K-frame bounds reduce their generalized eigenproblem to standard form by a
+Cholesky factor.
 """
 
 from __future__ import annotations
@@ -26,6 +27,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -54,8 +56,8 @@ def _rank(s: np.ndarray, scale: float) -> int:
     return int(np.count_nonzero(s > RANK_TOL * scale))
 
 
-def _readonly(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a, dtype=float)
+def _readonly(a) -> np.ndarray:
+    a = np.array(a, dtype=float, order="C")  # a copy: no later write reaches it
     a.setflags(write=False)
     return a
 
@@ -332,23 +334,48 @@ def _system_scale(ds: DualSystem) -> float:
 
 
 @dataclass(frozen=True, eq=False)
-class DualParameterization:
-    """Affine chart of all K-duals: ``G(C) = K^+ F + C W^T``.
+class _CanonicalDual:
+    """A Parseval K-frame F, its operator K and its canonical K-dual
+    ``base = K^+ F``: everything the fixed-frame weights read."""
 
+    frame: Frame
+    op: OperatorSpec
+    base: Frame
+
+    @cached_property
+    def canonical_diagonal(self) -> np.ndarray:
+        """``<K^+ f_i, f_i>``, the diagonal of the canonical dual."""
+        diag = np.einsum("ij,ij->j", self.base.synthesis, self.frame.synthesis)
+        diag.setflags(write=False)
+        return diag
+
+
+@dataclass(frozen=True, eq=False)
+class DualParameterization(_CanonicalDual):
+    """Affine chart of all K-duals of F: ``G(C) = K^+ F + C W^T``.
+
+    ``frame`` and ``op`` are the Parseval K-frame F and its operator K, and
     ``base`` is the canonical dual ``K^+ F``.  ``basis`` is W, an
     N x (N - rank F) matrix with orthonormal columns spanning null(F), so
     ``F W = 0`` to rounding and every ``C in R^{n x (N - rank F)}`` yields a
     valid K-dual.  A coefficient vector c of length ``dof = n (N - rank F)``
     stands for ``C[a, m] = c[m n + a]``; the perturbations ``e_a w_m^T`` in
-    that order are Frobenius-orthonormal.
+    that order are Frobenius-orthonormal.  The dual at c has the diagonal
+    ``canonical_diagonal + diagonal_map^T c``; both are built when first read.
     """
 
-    base: Frame
     basis: np.ndarray  # N x (N - rank F)
     dof: int
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _readonly(self.basis))
+
+    @cached_property
+    def diagonal_map(self) -> np.ndarray:
+        """D (dof x N), the chart derivatives of the diagonal ``<g_i, f_i>``."""
+        D = self.column_jacobian(self.frame.synthesis)
+        D.setflags(write=False)
+        return D
 
     def perturbation(self, coefficients) -> np.ndarray:
         """``C W^T`` for a coefficient vector, or a stack of them.
@@ -375,16 +402,16 @@ class DualParameterization:
     def diagonal_coefficients(self, frame: Frame, target):
         """Minimum-norm c whose dual has ``<g_i, f_i> = target_i``, or None.
 
-        The diagonal is affine in c, so this is the dual with that diagonal
-        closest to the canonical dual in Frobenius norm.  None when the
-        residual exceeds DEFAULT_TOL at the :func:`_diagonal_scale` of the
-        canonical dual: scale-free, and above the rounding of a canonical
-        diagonal that is exactly 0 (skew K).
+        ``frame`` is the chart's own F.  The diagonal is affine in c, so this
+        is the dual with that diagonal closest to the canonical dual in
+        Frobenius norm.  None when the residual exceeds DEFAULT_TOL at the
+        :func:`_diagonal_scale` of the canonical dual: scale-free, and above
+        the rounding of a canonical diagonal that is exactly 0 (skew K).
         """
-        base, syn = self.base.synthesis, frame.synthesis
-        rhs = target - np.einsum("ij,ij->j", base, syn)
-        D = self.column_jacobian(syn)
+        rhs = target - self.canonical_diagonal
+        D = self.diagonal_map
         c, *_ = np.linalg.lstsq(D.T, rhs, rcond=None)
+        syn, base = self.frame.synthesis, self.base.synthesis
         scale = _diagonal_scale(syn, base, np.max(np.abs(target)))
         ok = np.all(_within(D.T @ c - rhs, scale))
         return c if ok else None
@@ -395,12 +422,11 @@ def dual_parameterization(frame: Frame, op: OperatorSpec) -> DualParameterizatio
 
     W holds the right singular vectors of the synthesis matrix beyond its
     numerical rank, i.e. an orthonormal basis of null(F) in coefficient space.
-    Raises NotDualError when the canonical dual fails :func:`verify_k_dual`,
-    which happens when F passes the Parseval test but K keeps a
-    rounding-level singular value in its rank.
+    Raises NotParsevalError through :func:`canonical_k_dual`, and
+    NotDualError when the canonical dual fails :func:`verify_k_dual`, which
+    happens when F passes the Parseval test but K keeps a rounding-level
+    singular value in its rank.
     """
-    if not is_parseval_k_frame(frame, op):
-        raise NotParsevalError("dual parameterization requires a Parseval K-frame")
     base = canonical_k_dual(frame, op)
     if verify_k_dual(frame, base, op) is DualKind.NOT_DUAL:
         # F F^T = K K^T holds within tol, yet K^+ F misses F G^T = K: K
@@ -414,7 +440,7 @@ def dual_parameterization(frame: Frame, op: OperatorSpec) -> DualParameterizatio
         )
     _, s, vt = np.linalg.svd(frame.synthesis)
     W = vt[_rank(s, s[0] if s.size else 0.0) :].T
-    return DualParameterization(base=base, basis=W, dof=frame.dim * W.shape[1])
+    return DualParameterization(frame, op, base, W, frame.dim * W.shape[1])
 
 
 def reconstruct_dual(param: DualParameterization, coefficients) -> Frame:

@@ -78,14 +78,13 @@ def pair_bounds(op: OperatorSpec, n_vectors: int) -> PairBounds:
     mu = t2 - t * t / N
     if N < 2:
         return PairBounds(o1_min, o1_min, mu, None, None, None)
+    variant = None
     if mu >= 0:
         branch = Branch.MU_NONNEG
         r2_min = t / N + math.sqrt(mu / (N * (N - 1)))
     else:
         branch = Branch.MU_NEG
         r2_min = math.sqrt((t * t - t2) / (N * (N - 1)))
-    variant = None
-    if mu < 0:
         variant = math.sqrt(((N - 2) * t * t + N * t2) / (N * N * (N - 1)))
     return PairBounds(o1_min, o1_min, mu, r2_min, branch, variant)
 
@@ -106,21 +105,28 @@ def is_o1_optimal_pair(ds: DualSystem) -> bool:
 def is_r1_optimal_pair(ds: DualSystem) -> bool:
     """True iff the pair is 1-uniform (constant diagonal inner products)."""
     _require_pair(ds)
-    c, _ = uniformity(ds)
-    return c is not None
+    return _r1_optimal(uniformity(ds)[0])
 
 
 def is_r2_optimal_pair(ds: DualSystem) -> bool:
     """True iff the pair is 2-uniform and attains the two-erasure bound at
     the diagonal scale."""
     _require_pair(ds)
-    c, c_prime = uniformity(ds)
-    if c is None or c_prime is None:
+    return _r2_optimal(ds, uniformity(ds)[1])
+
+
+def _r1_optimal(c: float | None) -> bool:
+    """The r1 rule, given the diagonal constant c of :func:`uniformity`."""
+    return c is not None
+
+
+def _r2_optimal(ds: DualSystem, c_prime: float | None) -> bool:
+    """The r2 rule, given the product constant c' of :func:`uniformity`
+    (set only when the pair is 2-uniform and N >= 2, so r2_min exists)."""
+    if c_prime is None:
         return False
-    bounds = pair_bounds(ds.op, ds.n_vectors)
-    if bounds.r2_min is None:
-        return False
-    return bool(_within(r2_closed_form(ds) - bounds.r2_min, _system_scale(ds)))
+    bound = pair_bounds(ds.op, ds.n_vectors).r2_min
+    return bool(_within(r2_closed_form(ds) - bound, _system_scale(ds)))
 
 
 def uniform_parseval_frame(dim: int, n_vectors: int) -> Frame:

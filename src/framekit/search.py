@@ -35,6 +35,7 @@ load scipy.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,6 +44,7 @@ import numpy as np
 from .errors import DofTooLargeError, InfeasibleError, NumericalError
 from .frames import (
     DualKind,
+    DualParameterization,
     Frame,
     OperatorSpec,
     _rank,
@@ -92,16 +94,15 @@ class MinimizeResult:
 class _Objective:
     """Vectorized one-erasure objectives over the coefficient chart."""
 
-    def __init__(self, frame: Frame, param, kind: Measure):
+    def __init__(self, param: DualParameterization, kind: Measure):
         self.kind = kind
         self.param = param
-        self.fsyn = frame.synthesis
+        self.fsyn = param.frame.synthesis
         self.fnorms = np.linalg.norm(self.fsyn, axis=0)
         self.base = param.base.synthesis
         self.dof = param.dof
-        # Diagonal coefficients: diag(c) = a0 + D^T c.
-        self.a0 = np.einsum("ij,ij->j", self.base, self.fsyn)
-        self.D = param.column_jacobian(self.fsyn)
+        if kind is Measure.SPECTRAL:  # diag(c) = a0 + D^T c, from the chart
+            self.a0, self.D = param.canonical_diagonal, param.diagonal_map
 
     def dual_syn(self, c: np.ndarray) -> np.ndarray:
         return self.base + self.param.perturbation(c)
@@ -117,12 +118,13 @@ class _Objective:
 
     def terms(self, c: np.ndarray) -> tuple[np.ndarray, tuple]:
         """Per-index terms at c, whose maximum is the objective, and the
-        state :meth:`gradients` needs."""
+        state :meth:`gradients` needs.  A stack of points (..., dof) gives
+        terms of shape (..., N)."""
         if self.kind is Measure.SPECTRAL:
             diag = self.a0 + c @ self.D
             return np.abs(diag), (diag,)
         G = self.dual_syn(c)
-        gnorms = np.linalg.norm(G, axis=0)
+        gnorms = np.linalg.norm(G, axis=-2)
         return self.fnorms * gnorms, (G, gnorms)
 
     def gradients(self, state: tuple, indices) -> np.ndarray:
@@ -244,7 +246,7 @@ def minimize_measure(
     exact objective value at a verified dual.
     """
     param = dual_parameterization(frame, op)
-    obj = _Objective(frame, param, kind)
+    obj = _Objective(param, kind)
     value = obj.canonical_value
     if param.dof == 0 or value == 0.0:
         return MinimizeResult(param.base, value, (value,))
@@ -285,18 +287,17 @@ def minimize_r2_within_uniform(
     if N < 2:
         raise ValueError("two-erasure search needs at least 2 vectors")
     param = dual_parameterization(frame, op)
-    obj = _Objective(frame, param, Measure.SPECTRAL)
+    obj = _Objective(param, Measure.SPECTRAL)
     c0 = param.diagonal_coefficients(frame, np.full(N, op.trace / N))
     if c0 is None:
         raise InfeasibleError("no 1-uniform dual exists for this frame")
-    fsyn = frame.synthesis
     _, s, vt = np.linalg.svd(obj.D.T, full_matrices=True)
     # Relative to ||F||_F >= ||D||, as in the spectral polish.
-    Z = vt[_rank(s, np.linalg.norm(fsyn)) :]  # rows span the feasible directions
+    Z = vt[_rank(s, np.linalg.norm(obj.fsyn)) :]  # rows span the feasible directions
 
     def r2_of(z: np.ndarray) -> float:
-        c = c0 if Z.shape[0] == 0 else c0 + z @ Z
-        alpha = obj.dual_syn(c).T @ fsyn
+        c = c0 + z @ Z
+        alpha = obj.dual_syn(c).T @ obj.fsyn
         _, _, radii = _pair_terms(alpha)
         return float(np.max(radii))
 
@@ -331,10 +332,10 @@ def minimize_r2_within_uniform(
             if val < best_val:
                 best_z, best_val, best_idx = res.x, val, idx
 
-    c_best = c0 if q == 0 else c0 + best_z @ Z
+    c_best = c0 + best_z @ Z
     dual = reconstruct_dual(param, c_best)
     comparison = None
-    if op.psd_flag and N >= 2:
+    if op.psd_flag:
         bounds = pair_bounds(op, N)
         comparison = {
             "pair_r2_min": bounds.r2_min,
@@ -366,29 +367,15 @@ def brute_force_grid_oracle(
     no budget beyond its constants.
     """
     param = dual_parameterization(frame, op)
-    obj = _Objective(frame, param, kind)
+    obj = _Objective(param, kind)
     if param.dof > GRID_DOF_CAP:
         raise DofTooLargeError(f"dof {param.dof} exceeds grid cap {GRID_DOF_CAP}")
-    if param.dof == 0:
-        return GridOracleResult(obj.value(np.zeros(0)), (), 1)
 
     scale = float(np.linalg.norm(param.base.synthesis))
     axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_DOF) * scale
-    grids = np.meshgrid(*([axis] * param.dof), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)  # P x dof
-
-    values = np.empty(points.shape[0])
-    chunk = 1 << 16
-    for lo in range(0, points.shape[0], chunk):
-        pts = points[lo : lo + chunk]
-        G = obj.base[None, :, :] + param.perturbation(pts)
-        if kind is Measure.SPECTRAL:
-            diag = np.einsum("pij,ij->pj", G, frame.synthesis)
-            values[lo : lo + chunk] = np.max(np.abs(diag), axis=1)
-        else:
-            norms = np.linalg.norm(G, axis=1)
-            values[lo : lo + chunk] = np.max(obj.fnorms[None, :] * norms, axis=1)
-
+    # P x dof in lexicographic order; one point, the canonical dual, at dof 0.
+    points = np.array(list(itertools.product(axis, repeat=param.dof)))
+    values = np.max(obj.terms(points)[0], axis=1)
     arg = int(np.argmin(values))
     vmin = float(values[arg])
     n_min = int(np.count_nonzero(_within(values - vmin, obj.canonical_value)))

@@ -422,7 +422,7 @@ def loop_then_polish(frame, op, kind, cfg):
     polish from the best loop point, kept when it improves by more than
     DEFAULT_TOL of the canonical value.  Returns the value."""
     param = fk.dual_parameterization(frame, op)
-    obj = _Objective(frame, param, kind)
+    obj = _Objective(param, kind)
     if param.dof == 0 or obj.canonical_value == 0.0:
         return obj.canonical_value
     scale = max(1.0, float(np.linalg.norm(param.base.synthesis)))

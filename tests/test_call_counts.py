@@ -1,0 +1,133 @@
+"""Each public entry point validates its input once.
+
+Functions are counted the way bench/tracing.py spans them: the original is
+replaced, in every ``framekit`` module namespace that binds it, by a
+counting wrapper.  So a call through any module's name counts, and a
+private helper that skips the public name does not.
+"""
+
+import collections
+import contextlib
+import functools
+import io
+import sys
+
+import numpy as np
+import pytest
+
+import framekit as fk
+from framekit import fixtures
+from framekit.cli import main
+from framekit.erasures import Measure
+from framekit.frames import DualParameterization
+from framekit.io import save_frame_file
+from conftest import random_parseval_frame, random_psd
+
+COUNTED = {
+    "frames": ("is_parseval_k_frame", "dual_parameterization", "k_frame_bounds"),
+    "erasures": ("uniformity",),
+}
+CFG = fk.SearchConfig(max_iters=200, restarts=2, seed=0)
+
+
+@pytest.fixture
+def calls(monkeypatch):
+    """Calls of the COUNTED functions, by name, from here on."""
+    counts = collections.Counter()
+    modules = [m for k, m in sys.modules.items() if k == "framekit" or k.startswith("framekit.")]
+    for layer, names in COUNTED.items():
+        for name in names:
+            original = getattr(sys.modules[f"framekit.{layer}"], name)
+
+            @functools.wraps(original)
+            def counted(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            for module in modules:
+                for attr, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, attr, counted)
+    return counts
+
+
+ENTRY_POINTS = {
+    "canonical_k_dual": ("example-1", lambda f, op: fk.canonical_k_dual(f, op)),
+    "dual_parameterization": ("example-1", lambda f, op: fk.dual_parameterization(f, op)),
+    "weight_partition opnorm": (
+        "example-1", lambda f, op: fk.weight_partition(f, op, Measure.OP_NORM)),
+    "weight_partition spectral": (
+        "example-1", lambda f, op: fk.weight_partition(f, op, Measure.SPECTRAL)),
+    "min_r1_fixed_frame": ("example-1", lambda f, op: fk.min_r1_fixed_frame(f, op)),
+    "construct_spectrally_optimal_dual": (
+        "example-1", lambda f, op: fk.construct_spectrally_optimal_dual(f, op)),
+    "perturbation_family opnorm": (
+        "example-1", lambda f, op: fk.perturbation_family(f, op, Measure.OP_NORM)),
+    "perturbation_family spectral": (
+        "example-1", lambda f, op: fk.perturbation_family(f, op, Measure.SPECTRAL)),
+    "canonical_certificate opnorm": (
+        "example-1", lambda f, op: fk.canonical_certificate(f, op, Measure.OP_NORM)),
+    "canonical_certificate spectral": (
+        "example-1", lambda f, op: fk.canonical_certificate(f, op, Measure.SPECTRAL)),
+    "minimize_measure opnorm": (
+        "example-1", lambda f, op: fk.minimize_measure(f, op, Measure.OP_NORM, CFG)),
+    "minimize_measure spectral": (
+        "example-1", lambda f, op: fk.minimize_measure(f, op, Measure.SPECTRAL, CFG)),
+    "minimize_r2_within_uniform": (
+        "mercedes", lambda f, op: fk.minimize_r2_within_uniform(f, op, CFG)),
+    "brute_force_grid_oracle opnorm": (
+        "example-2", lambda f, op: fk.brute_force_grid_oracle(f, op, Measure.OP_NORM, CFG)),
+    "brute_force_grid_oracle spectral": (
+        "example-2", lambda f, op: fk.brute_force_grid_oracle(f, op, Measure.SPECTRAL, CFG)),
+}
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_one_parseval_check_per_entry_point(entry, calls):
+    example, call = ENTRY_POINTS[entry]
+    frame, op = fixtures.get_example(example)
+    calls.clear()
+    call(frame, op)
+    assert calls["is_parseval_k_frame"] == 1
+
+
+@pytest.fixture(scope="module")
+def ex1_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("inputs") / "ex1.json"
+    save_frame_file(path, *fixtures.example_1())
+    return str(path)
+
+
+# CLI commands run on example-1 and the most calls each may make.  The
+# dual_parameterization caps are the counts before the chart carried its
+# frame and operator: no command may build more charts than that.
+CLI_CAPS = {
+    "optimal-dual --measure spectral": {"is_parseval_k_frame": 6, "dual_parameterization": 4},
+    "optimal-dual --measure opnorm": {"is_parseval_k_frame": 5, "dual_parameterization": 3},
+    "search --measure r1": {"is_parseval_k_frame": 3, "dual_parameterization": 1},
+    "analyze": {"uniformity": 1, "k_frame_bounds": 1, "dual_parameterization": 0},
+}
+
+
+@pytest.mark.parametrize("command", CLI_CAPS)
+def test_cli_call_counts_on_example_1(command, ex1_file, calls):
+    name, *flags = command.split()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([name, "--frame", ex1_file, *flags]) == 0
+    for function, cap in CLI_CAPS[command].items():
+        assert calls[function] <= cap, f"{function}: {calls[function]} calls, at most {cap}"
+
+
+def test_operator_norm_paths_build_no_diagonal_map(monkeypatch):
+    # The dof x N diagonal map serves the spectral measure alone.
+    def refuse(self):
+        raise AssertionError("operator-norm path read the diagonal map")
+
+    monkeypatch.setattr(DualParameterization, "diagonal_map", property(refuse))
+    rng = np.random.default_rng(0)
+    op = fk.build_operator(random_psd(rng, 2))
+    frame = random_parseval_frame(rng, op, 4)
+    cert = fk.canonical_certificate(frame, op, Measure.OP_NORM)
+    assert cert.verdict is fk.Verdict.NOT_OPTIMAL  # reached the KKT test
+    result = fk.minimize_measure(frame, op, Measure.OP_NORM, CFG)
+    assert result.value < cert.evidence["canonical_value"]

@@ -536,11 +536,11 @@ class TestPerturbationFamily:
         rng = np.random.default_rng(47)
         for frame, op in certificate_systems(rng, kind, 60):
             part = fk.weight_partition(frame, op, kind)
-            base = fk.canonical_k_dual(frame, op)
+            param = fk.dual_parameterization(frame, op)
             direction = rng.normal(size=frame.synthesis.shape)
             direction[:, rng.random(frame.n_vectors) < 0.2] = 0.0
-            radius = _family_radius(frame, base, direction, part, kind)
-            expected = loop_family_radius(frame, base, direction, part, kind)
+            radius = _family_radius(param, direction, part, kind)
+            expected = loop_family_radius(frame, param.base, direction, part, kind)
             assert radius == pytest.approx(expected, rel=1e-15, abs=0)
 
     def test_rounding_noise_slope_bounds_nothing(self):
@@ -843,6 +843,11 @@ class TestTwoUniformSpectralOptimality:
         dual = fk.canonical_k_dual(frame, op)
         with pytest.raises(fk.NotTwoUniformError):
             fk.two_uniform_spectral_optimality(frame, dual, op)
+
+    def test_single_vector_is_not_two_uniform(self):
+        frame = fk.build_frame([[1.0]])
+        with pytest.raises(fk.NotTwoUniformError):
+            fk.two_uniform_spectral_optimality(frame, frame, fk.build_operator(np.eye(1)))
 
     def test_negative_trace_branch(self):
         # 2-uniform dual of a negative-trace operator: diagonal constant -1,

@@ -46,8 +46,26 @@ class TestBuildFrame:
         with pytest.raises(ValueError):
             frame.synthesis[0, 0] = 5.0
 
+    def test_owns_its_array(self):
+        # Frame copies its input: the caller's array stays writable, and a
+        # later write to it or to the base of a view changes no frame.
+        A = np.arange(6.0).reshape(2, 3)
+        B = np.arange(6.0).reshape(2, 3)
+        frame, view = fk.Frame(A), fk.Frame(B[:, :])
+        assert A.flags.writeable and B.flags.writeable
+        A[0, 0] = B[0, 0] = 9.0
+        assert frame.synthesis[0, 0] == 0.0 and view.synthesis[0, 0] == 0.0
+
 
 class TestBuildOperator:
+    def test_owns_its_matrix(self):
+        # A later write to the caller's matrix reaches none of K, K^+, trace.
+        B = np.diag([2.0, 1.0])
+        op = fk.build_operator(B[:, :])
+        assert B.flags.writeable
+        B[0, 0] = 9.0
+        assert op.matrix[0, 0] == 2.0 and op.pinv[0, 0] == 0.5 and op.trace == 3.0
+
     def test_rank_two_diagonal(self):
         op = fk.build_operator(np.diag([2.0, 1.0, 0.0]))
         assert np.allclose(op.pinv, np.diag([0.5, 1.0, 0.0]))

@@ -91,6 +91,13 @@ class TestOptimalityPredicates:
         assert fk.is_r2_optimal_pair(ds)
         assert abs(fk.r2_closed_form(ds) - fk.pair_bounds(op, 3).r2_min) < 1e-12
 
+    def test_single_vector_is_not_r2_optimal(self):
+        # One vector is 1-uniform, but with no pair it has no r2 bound.
+        frame = fk.build_frame([[1.0]])
+        ds = self_dual(frame, fk.build_operator(np.eye(1)))
+        assert fk.is_r1_optimal_pair(ds)
+        assert not fk.is_r2_optimal_pair(ds)
+
     def test_one_uniform_but_not_two_is_not_r2_optimal(self):
         s = 1 / math.sqrt(2)
         frame = fk.build_frame([[s, 0], [0, s], [-s, 0], [0, -s]])

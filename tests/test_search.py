@@ -30,7 +30,7 @@ class TestObjective:
         # The gradients canonical_certificate builds its KKT test from.  All
         # three Mercedes weights tie at the canonical dual (c = 0).
         frame, op = mb
-        obj = _Objective(frame, fk.dual_parameterization(frame, op), kind)
+        obj = _Objective(fk.dual_parameterization(frame, op), kind)
         rng = np.random.default_rng(4)
         points = np.vstack([np.zeros(obj.dof), rng.standard_normal((20, obj.dof))])
         assert np.ptp(obj.terms(points[0])[0]) <= 1e-14
@@ -222,7 +222,7 @@ class TestPolishSpectral:
         checked = 0
         for frame, op in certificate_systems(rng, Measure.SPECTRAL, 140):
             param = fk.dual_parameterization(frame, op)
-            obj = _Objective(frame, param, Measure.SPECTRAL)
+            obj = _Objective(param, Measure.SPECTRAL)
             if param.dof == 0 or not np.any(obj.a0):
                 continue  # minimize_measure polishes only when dof > 0
             reference = coefficient_space_polish(obj)
