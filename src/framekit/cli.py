@@ -232,6 +232,9 @@ def cmd_search(args) -> int:
             comparisons["pair_bound"] = op.trace / frame.n_vectors
         if args.measure == "r1":
             comparisons["fixed_frame_minimum"] = min_r1_fixed_frame(frame, op)
+        else:  # rounding can put it above the value: see minimize_measure
+            bound = result.comparison["fixed_frame_lower_bound"]
+            comparisons["fixed_frame_lower_bound"] = bound
     else:
         result = minimize_r2_within_uniform(frame, op, cfg)
         if result.comparison:
@@ -311,8 +314,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-iters", type=_pos_int, default=200,
-        help="SLSQP iteration cap of the exact opnorm solve; the spectral "
-        "LP has no cap",
+        help="not read: the spectral LP and the opnorm Lawson solve take no "
+        "iteration cap; kept so existing command lines still parse",
     )
     p.add_argument(
         "--restarts", type=_pos_int, default=4,
@@ -337,8 +340,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-iters", type=_pos_int, default=200,
-        help="SLSQP iteration cap of the exact o1 solve; the r1 LP and r2u "
-        "read no cap",
+        help="not read: the o1 Lawson solve, the r1 LP and r2u take no "
+        "iteration cap; kept so existing command lines still parse",
     )
     p.add_argument(
         "--restarts", type=_pos_int, default=4,

@@ -89,15 +89,28 @@ from .search import _Objective
 
 @dataclass(frozen=True, eq=False)
 class WeightPartition:
-    """Canonical-dual weights split into the argmax set and the rest."""
+    """Canonical-dual weights split into the argmax set and the rest.
+
+    The orthonormal bases of the two spans are built on first read: only
+    :func:`spans_intersect_trivially` needs them.
+    """
 
     measure_kind: Measure
     weights: np.ndarray
     top_value: float
     top: tuple[int, ...]
     rest: tuple[int, ...]
-    span_top: np.ndarray  # n x k orthonormal
-    span_rest: np.ndarray
+    synthesis: np.ndarray  # n x N, the frame's
+
+    @cached_property
+    def span_top(self) -> np.ndarray:
+        """n x k orthonormal basis of the span of the top vectors."""
+        return _orthonormal_span(self.synthesis[:, list(self.top)])
+
+    @cached_property
+    def span_rest(self) -> np.ndarray:
+        """Orthonormal basis of the span of the other vectors."""
+        return _orthonormal_span(self.synthesis[:, list(self.rest)])
 
 
 def _orthonormal_span(columns: np.ndarray) -> np.ndarray:
@@ -139,8 +152,7 @@ def _weight_partition(canon: _CanonicalDual, kind: Measure) -> WeightPartition:
         top_value=top_value,
         top=top,
         rest=rest,
-        span_top=_orthonormal_span(syn[:, list(top)]),
-        span_rest=_orthonormal_span(syn[:, list(rest)]),
+        synthesis=syn,
     )
 
 

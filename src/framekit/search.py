@@ -5,20 +5,27 @@ at block decompositions, uniformity, or bound formulas.  Both one-erasure
 objectives are pointwise maxima of convex functions of the perturbation
 coefficients (a norm of an affine map for the operator norm, the absolute
 value of an affine functional for the spectral radius), so each is a convex
-min-max problem with an exact epigraph form.  :func:`minimize_measure`
-solves that epigraph once, from the canonical dual, and keeps its point when
-the exact re-evaluated objective improves on the canonical value by more
-than DEFAULT_TOL of it, so reported values are always true measure values
-of verified duals.  A solver that returns no usable point raises
-:class:`~framekit.errors.NumericalError`.
+min-max problem.  :func:`minimize_measure` solves it once, from the
+canonical dual, and keeps its point when the exact re-evaluated objective
+improves on the canonical value by more than DEFAULT_TOL of it, so reported
+values are always true measure values of verified duals.  A solver that
+returns no usable point raises :class:`~framekit.errors.NumericalError`.
 
 The spectral objective sees a dual only through its diagonal
 ``d = a0 + D^T c``.  The spectral solve is an epigraph LP on that
 diagonal: N + 1 variables, with the reachable diagonals written as equality
-rows.  For the operator norm it is an SLSQP solve of the second-order-cone
-epigraph on the chart coefficients, with the bound in units of the
-canonical value so that it is scale-free.  The per-term gradients
-(:meth:`_Objective.gradients`) serve
+rows.
+
+The operator norm ``min max_i ||f_i|| ||g_i||`` splits over the matroid
+components of F and is solved by Lawson's reweighting (C. L. Lawson, PhD
+thesis, UCLA, 1961; Rice and Usow, Math. Comp. 22, 1968) in the rank F
+dimensional range of each component: every step is a weighted least-squares
+dual, which gives a lower bound, and a candidate, projected back onto the
+K-duals and evaluated exactly.  Where Lawson's update converges slowly,
+Newton steps on the weights take over.  A component stops when the two
+meet within LAWSON_GAP, so the value comes with a certified interval; one
+that hits LAWSON_MAX_STEPS keeps its best dual and leaves the interval
+open.  The per-term gradients (:meth:`_Objective.gradients`) serve
 :func:`framekit.duals.canonical_certificate`, whose exact optimality test
 at the canonical dual is a KKT system in them.
 
@@ -27,15 +34,16 @@ diagonal trace(K)/N (an affine constraint) and minimizes the two-erasure
 spectral radius by direct search; that objective is not convex, hence the
 restarts actually matter there.
 
-The three scipy solvers (HiGHS ``linprog``, SLSQP and Nelder-Mead) are
-imported inside the functions that call them and looked up on the
-``scipy.optimize`` module at each call, so importing this module does not
-load scipy.
+scipy is imported inside the functions that call it, so importing this
+module does not load it.  The two scipy solvers (HiGHS ``linprog`` and
+Nelder-Mead) are looked up on the ``scipy.optimize`` module at each call,
+and the Lawson QR on ``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -60,14 +68,30 @@ from .pairs import pair_bounds
 GRID_POINTS_PER_DOF = 11
 GRID_DOF_CAP = 4
 
+# The op-norm Lawson solve: its step cap per matroid component, the relative
+# gap between the exact value and the lower bound at which a component
+# stops, the floor of each weight relative to the largest, and the power of the update lam_i <- lam_i w_i^p (p = 2
+# stalls on about half of the random test systems; 1 converges slower).
+LAWSON_MAX_STEPS = 2000
+LAWSON_GAP = 1e-10
+LAWSON_FLOOR = 1e-14
+LAWSON_POWER = 1.5
+# Newton steps on the weights (see _lawson_component) start below the
+# relative gap NEWTON_GAP; their active set starts at the weights above
+# NEWTON_ACTIVE of the largest.
+NEWTON_GAP = 1e-2
+NEWTON_ACTIVE = 1e-6
+
 
 @dataclass(frozen=True)
 class SearchConfig:
     """Budget of the numerical searches.
 
-    ``max_iters`` caps the SLSQP iterations of the operator-norm solve of
-    :func:`minimize_measure`; the spectral LP has no budget.  ``restarts``
-    and ``seed`` drive only the Nelder-Mead starts of
+    No solver reads ``max_iters``: the exact solves of
+    :func:`minimize_measure` (the spectral LP, and the op-norm Lawson steps
+    with their module constant LAWSON_MAX_STEPS) have no budget here.  It
+    stays a validated field of the public configuration.  ``restarts`` and
+    ``seed`` drive only the Nelder-Mead starts of
     :func:`minimize_r2_within_uniform`.
     """
 
@@ -182,50 +206,191 @@ def _polish_spectral(obj: _Objective) -> np.ndarray:
     return U[:, :rank] @ ((Vt[:rank] @ shift) / s[:rank])
 
 
-def _polish_op_norm(obj: _Objective, max_iters: int) -> np.ndarray:
-    """Epigraph NLP with squared-norm constraints, from the canonical dual.
+@dataclass(frozen=True, eq=False)
+class _LawsonResult:
+    """The op-norm Lawson solve: the best projected dual found (synthesis),
+    its exact value, the certified lower bound, the final weights (each
+    matroid component's sum to 1) and the steps per component in the order
+    they ran; LAWSON_MAX_STEPS among them marks a capped run."""
 
-    The bound t is posed in units of the canonical value t0, with
-    ``t^2 >= (||f_i|| / t0)^2 ||g_i(c)||^2``.  Scaling F and K together
-    leaves the duals, the chart and this problem unchanged, so SLSQP's
-    absolute ``ftol`` acts relatively.  t0 must be positive; a point that
-    is not finite raises NumericalError.
+    dual: np.ndarray
+    value: float
+    bound: float
+    weights: np.ndarray
+    steps: tuple[int, ...]
+
+
+def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
+    """Lawson reweighting on one matroid component with n x N_B synthesis F
+    and canonical dual G0, given a lower bound ``known`` of the whole
+    minimum.
+
+    Returns (dual, value, bound, weights, steps).  With
+    u_i = f_i / ||f_i|| and weights lam in the simplex, the dual minimizing
+    ``sum_i lam_i ||f_i||^2 ||g_i||^2`` has
+    ``||f_i|| g_i = Y^T Q^T e_i / sqrt(lam_i)``, where ``Q R`` is a QR of
+    ``diag(lam)^(-1/2) U^T`` (U: the u_i in an orthonormal basis of
+    range F) and ``R^T Y = T``, T being the target ``F G0^T`` in that basis.
+    Its weighted value ``||Y||_F^2`` is at most the squared minimum, so
+    ``||Y||_F`` is a lower bound at every step.  Each candidate is projected
+    back onto the K-duals, ``E -> E (I - F^+ F)`` for ``E = G - G0``, and
+    evaluated exactly.  The run stops when the best exact value is within
+    LAWSON_GAP, relatively, of the larger of its best bound and ``known``:
+    below ``known`` the component cannot raise the maximum.  The start
+    ``lam ~ ||f_i||^-2`` gives the canonical dual; the update is
+    ``lam_i <- lam_i w_i^LAWSON_POWER`` with ``w_i = ||f_i|| ||g_i||``,
+    floored at LAWSON_FLOOR of the largest weight.  Once the gap is below
+    NEWTON_GAP and two updates have not halved it, :func:`_newton_weights`
+    steps instead, for as long as each Newton step halves the gap; a step
+    that does not is undone, and after two such misses only Lawson's update
+    runs.  Every step's candidate and bound are exact whatever the weights,
+    so neither update can spoil the interval.  A LAPACK call that reports
+    failure, or a non-finite candidate, raises NumericalError.
     """
-    import scipy.optimize
+    fnorms = np.linalg.norm(F, axis=0)
+    size = F.shape[1]
+    value = float(np.max(fnorms * np.linalg.norm(G0, axis=0)))
+    lam = np.full(size, 1.0 / size)
+    if value <= known * (1.0 + LAWSON_GAP):
+        return G0, value, 0.0, lam, 0
+    _, s, Vt = np.linalg.svd(F, full_matrices=False)
+    rank = _rank(s, s[0])
+    if rank in (0, size):  # a loop or a coloop: its dual does not matter
+        return G0, value, value, lam, 0
+    # LAPACK's QR and triangular solve directly: on components of a few
+    # vectors numpy's wrappers cost three times the factorization.
+    from scipy.linalg import lapack
 
-    t0 = obj.canonical_value
-    x0 = np.concatenate([np.zeros(obj.dof), [1.0 + 1e-9]])
-    weights = (obj.fnorms / t0) ** 2
+    V = Vt[:rank].T  # orthonormal basis of the row space of F
+    coords = s[:rank, None] * Vt[:rank]  # F in an orthonormal basis of range F
+    U = coords / fnorms
+    T = coords @ G0.T
+    G0V = G0 @ V
+    lam = fnorms**-2.0
+    lam /= lam.sum()
+    best, bound = (G0, value), 0.0
+    gaps = [math.inf, math.inf]  # relative gaps of the last two steps
+    before_newton, misses = None, 0
+    for step in range(1, LAWSON_MAX_STEPS + 1):
+        root = lam**-0.5
+        qr, tau, _, info = lapack.dgeqrf(U.T * root[:, None])
+        Y, solved = lapack.dtrtrs(qr[:rank], T, trans=1)  # R^T Y = T
+        Q, _, built = lapack.dorgqr(qr, tau)
+        if info or solved or built:  # a singular R leaves Y = T: no bound
+            raise NumericalError(
+                f"opnorm Lawson step {step}: LAPACK info {info}, {solved}, {built}"
+            )
+        H = (Q @ Y) * root[:, None]  # row i is ||f_i|| g_i
+        G = H.T / fnorms
+        G -= (G @ V - G0V) @ V.T  # the projection onto the K-duals
+        w = fnorms * np.sqrt(np.einsum("ij,ij->j", G, G))
+        top = float(w.max())
+        if not math.isfinite(top):
+            raise NumericalError(f"opnorm Lawson step {step} gave a non-finite iterate")
+        bound = max(bound, math.sqrt(np.vdot(Y, Y)))
+        if top < best[1]:
+            best = (G, top)
+        if best[1] <= max(bound, known) * (1.0 + LAWSON_GAP):
+            return best[0], best[1], bound, lam, step
+        gap = best[1] / bound - 1.0
+        if before_newton is None:  # Lawson's update made this step
+            newton = gap <= NEWTON_GAP and gap > 0.5 * gaps[0]
+        else:  # a Newton step made it: go on while each halves the gap
+            newton = gap <= 0.5 * gaps[1]
+            if not newton:  # back to where the Newton step started
+                misses += 1
+                lam, w = before_newton
+        gaps, before_newton = [gaps[1], gap], None
+        if newton and misses < 2:
+            new = _newton_weights(lam, H, Q)
+            if new is not None:
+                before_newton, lam = (lam, w), new
+                continue
+        lam = lam * w**LAWSON_POWER
+        np.maximum(lam, LAWSON_FLOOR * lam.max(), out=lam)
+        lam /= lam.sum()
+    return best[0], best[1], bound, lam, LAWSON_MAX_STEPS
 
-    def cons_f(x):
-        c, t = x[:-1], x[-1]
-        G = obj.dual_syn(c)
-        return t * t - weights * np.einsum("ij,ij->j", G, G)
 
-    def cons_jac(x):
-        c, t = x[:-1], x[-1]
-        G = obj.dual_syn(c)
-        jac = np.zeros((G.shape[1], x.size))
-        jac[:, :-1] = -2.0 * (weights[None, :] * obj.param.column_jacobian(G)).T
-        jac[:, -1] = 2.0 * t
-        return jac
+def _newton_weights(lam: np.ndarray, H: np.ndarray, Q: np.ndarray):
+    """Newton step on the weights towards ``||h_i(lam)|| = t`` (t free) on
+    an active set, keeping ``sum lam = 1``; None when its system is
+    singular or no index stays active.
 
-    res = scipy.optimize.minimize(
-        lambda x: x[-1],
-        x0,
-        jac=lambda x: np.eye(x0.size)[-1],
-        constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
-        bounds=[(None, None)] * obj.dof + [(0.0, None)],
-        method="SLSQP",
-        options={"maxiter": max_iters, "ftol": 1e-12},
+    ``H`` (row i is h_i) and ``Q`` come from the Lawson step at ``lam``.
+    With ``S = U diag(1/lam) U^T``, the derivative of ``||h_i||`` in
+    ``lam_j`` is ``<h_i, h_j> (Q Q^T)_ij / (||h_i|| sqrt(lam_i lam_j))``,
+    minus ``||h_i|| / lam_i`` on the diagonal.  On the indices whose
+    multipliers are positive at the optimum these equations are the KKT
+    conditions, so the step converges quadratically where Lawson's update
+    is slow.  The active set starts at the weights above NEWTON_ACTIVE of
+    the largest; an index the step would drive to zero or below leaves it,
+    at the floor, and the step is solved again.
+    """
+    norms = np.sqrt(np.einsum("ij,ij->i", H, H))
+    roots = np.sqrt(lam)
+    J = (H @ H.T) * (Q @ Q.T) / np.outer(norms * roots, roots)
+    J[np.diag_indices_from(J)] -= norms / lam
+    active = lam > NEWTON_ACTIVE * lam.max()
+    while np.any(active):
+        idx = np.flatnonzero(active)
+        m = idx.size
+        A = np.zeros((m + 1, m + 1))
+        A[:m, :m] = J[np.ix_(idx, idx)]
+        A[:m, m], A[m, :m] = -1.0, 1.0
+        try:
+            delta = np.linalg.solve(A, np.append(-norms[idx], 0.0))[:m]
+        except np.linalg.LinAlgError:
+            return None
+        step = lam[idx] + delta
+        if np.all(step > 0.0):
+            new = np.full_like(lam, LAWSON_FLOOR * step.max())
+            new[active] = step
+            return new / new.sum()
+        active[idx[step <= 0.0]] = False
+    return None
+
+
+def _lawson_op_norm(param: DualParameterization) -> _LawsonResult:
+    """Op-norm Lawson solve, one matroid component at a time.
+
+    null(F) is the direct sum of the null(F_B) over the components B, the
+    target of component B is ``F_B (K^+ F_B)^T`` and the objective is a max
+    over indices, so the minimum is the largest component minimum and the
+    lower bound the largest component bound.  The singletons, whose dual is
+    fixed, run first, then the others in decreasing order of their
+    canonical value, each stopping once it is below the bound of those
+    before it.  Builds no dof-sized object.
+    """
+    from .duals import _matroid_components  # duals imports this module
+
+    F, G0 = param.frame.synthesis, param.base.synthesis
+    canonical = np.linalg.norm(F, axis=0) * np.linalg.norm(G0, axis=0)
+    components = sorted(  # singletons (one dual, exact bound) first
+        _matroid_components(F),
+        key=lambda c: (len(c) > 1, -float(np.max(canonical[list(c)]))),
     )
-    # SLSQP can report failure (e.g. status 8, a line search that stalls)
-    # at a point better than the canonical dual; minimize_measure keeps a
-    # point only when its exact objective improves, so any finite point is
-    # worth returning.
-    if not np.all(np.isfinite(res.x)):
-        raise NumericalError(f"opnorm SLSQP gave no finite point: {res.message}")
-    return res.x[:-1]
+    dual = G0.copy()
+    weights = np.empty(F.shape[1])
+    value = bound = 0.0
+    steps = []
+    for component in components:
+        idx = list(component)
+        G, v, b, lam, k = _lawson_component(F[:, idx], G0[:, idx], bound)
+        dual[:, idx], weights[idx] = G, lam
+        value, bound = max(value, v), max(bound, b)
+        steps.append(k)
+    return _LawsonResult(dual, value, bound, weights, tuple(steps))
+
+
+def _solve_op_norm(obj: _Objective) -> tuple[np.ndarray, float]:
+    """Chart coefficients of the op-norm Lawson dual and its certified
+    lower bound.  A component that hit LAWSON_MAX_STEPS gives its best
+    projected dual, and the interval to the bound stays open."""
+    lawson = _lawson_op_norm(obj.param)
+    E = lawson.dual - obj.base
+    c = (E @ obj.param.basis).T.ravel()  # C = E W, with c[m n + a] = C[a, m]
+    return c, lawson.bound
 
 
 def minimize_measure(
@@ -236,25 +401,33 @@ def minimize_measure(
 ) -> MinimizeResult:
     """Minimize a one-erasure measure over all K-duals of F.
 
-    The exact epigraph solve of the measure runs once from the canonical
-    dual (c = 0), and its point is kept when its exact value beats the
-    canonical one by more than DEFAULT_TOL of it; ``trace`` is the
-    canonical value, followed by the solved one if kept.  With no chart
-    (dof 0) or a canonical value of 0 the canonical dual is optimal and no
-    solver runs.  A solver failure raises NumericalError.  The result is
-    deterministic, reads only ``cfg.max_iters``, and its value is always an
-    exact objective value at a verified dual.
+    The exact solve of the measure (the spectral LP, or the op-norm Lawson
+    solve) runs once from the canonical dual (c = 0), and its point is kept
+    when its exact value beats the canonical one by more than DEFAULT_TOL
+    of it; ``trace`` is the canonical value, followed by the solved one if
+    kept.  With no chart (dof 0) or a canonical value of 0 the canonical
+    dual is optimal and no solver runs.  For the operator norm
+    ``comparison`` holds the lower bound ``fixed_frame_lower_bound`` (the
+    value itself when no solver runs).  The bound is exact up to a relative
+    rounding error of about cond(R) * 1e-16, R being the triangular factor
+    of the last Lawson step, so on ill-conditioned components it can exceed
+    the value by that much.  A solver failure raises NumericalError.  The
+    result is deterministic, reads nothing from ``cfg``, and its value is
+    always an exact objective value at a verified dual.
     """
     param = dual_parameterization(frame, op)
     obj = _Objective(param, kind)
     value = obj.canonical_value
+    bound = value  # the op-norm lower bound when no solver runs: exact
     if param.dof == 0 or value == 0.0:
-        return MinimizeResult(param.base, value, (value,))
+        return MinimizeResult(
+            param.base, value, (value,), comparison=_lower_bound(kind, bound)
+        )
 
     if kind is Measure.SPECTRAL:
         c = _polish_spectral(obj)
     else:
-        c = _polish_op_norm(obj, cfg.max_iters)
+        c, bound = _solve_op_norm(obj)
     trace = [value]
     c_value = obj.value(c)
     if c_value < value and not _within(value - c_value, value):
@@ -265,7 +438,14 @@ def minimize_measure(
     dual = reconstruct_dual(param, c)
     if verify_k_dual(frame, dual, op) is DualKind.NOT_DUAL:
         raise NumericalError("search result fails the K-duality check")
-    return MinimizeResult(dual, value, tuple(trace))
+    return MinimizeResult(
+        dual, value, tuple(trace), comparison=_lower_bound(kind, bound)
+    )
+
+
+def _lower_bound(kind: Measure, bound: float) -> dict | None:
+    """The comparison of an op-norm result: its certified lower bound."""
+    return {"fixed_frame_lower_bound": bound} if kind is Measure.OP_NORM else None
 
 
 def minimize_r2_within_uniform(

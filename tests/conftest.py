@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.optimize
 
 import framekit as fk
@@ -446,16 +447,17 @@ def loop_then_polish(frame, op, kind, cfg):
 
 
 def break_solvers(monkeypatch):
-    """Make HiGHS report failure and SLSQP return a NaN point."""
+    """Make HiGHS report failure and the QR of every op-norm Lawson step
+    return NaN factors, so its iterate is not finite."""
+    monkeypatch.setattr(
+        scipy.linalg.lapack, "dgeqrf",
+        lambda a, *args, **kwargs: (
+            np.full_like(a, np.nan), np.full(min(a.shape), np.nan), None, 0
+        ),
+    )
     monkeypatch.setattr(
         scipy.optimize, "linprog",
         lambda *args, **kwargs: SimpleNamespace(
             success=False, message="planted failure", x=None
-        ),
-    )
-    monkeypatch.setattr(
-        scipy.optimize, "minimize",
-        lambda fun, x0, **kwargs: SimpleNamespace(
-            success=False, message="planted failure", x=np.full(len(x0), np.nan)
         ),
     )

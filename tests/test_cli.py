@@ -318,6 +318,25 @@ class TestOtherCommands:
         assert main(["search", "--frame", ex2_file, "--measure", "r2u"]) == 0
         capsys.readouterr()
 
+    def test_search_o1_reports_the_lawson_lower_bound(self, tmp_path, capsys):
+        rng = np.random.default_rng(2)
+        op = fk.build_operator(random_psd(rng, 3))
+        frame = random_parseval_frame(rng, op, 8)
+        path = str(tmp_path / "frame.json")
+        save_frame_file(path, frame, op)
+        assert main(["search", "--frame", path, "--measure", "o1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        lower = doc["comparisons"]["fixed_frame_lower_bound"]
+        assert set(lower) == {"bound", "gap"}
+        assert doc["value"] < fk.o1(fk.build_dual_system(frame, fk.canonical_k_dual(frame, op), op))
+        assert 0 < lower["bound"] <= doc["value"]
+        assert lower["gap"] == pytest.approx(doc["value"] - lower["bound"], abs=1e-12)
+        assert lower["gap"] <= 1e-10 * lower["bound"] + 1e-12
+        # r1 reports no such bound; its minimum is closed-form.
+        assert main(["search", "--frame", path, "--measure", "r1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert "fixed_frame_lower_bound" not in doc["comparisons"]
+
     def test_optimal_dual_spectral_kkt(self, ex1_file, capsys):
         assert (
             main(
@@ -448,11 +467,21 @@ class TestVerifyExample:
             ["optimal-dual", "--measure", "opnorm"],
         ],
     )
-    def test_solver_failure_exits_4(self, ex1_file, capsys, monkeypatch, argv):
+    def test_solver_failure_exits_4(
+        self, ex1_file, mb, tmp_path, capsys, monkeypatch, argv
+    ):
+        # HiGHS reports the planted failure; the op-norm Lawson step gets
+        # NaN QR factors.  Example-1's op-norm minimum is the weight of a
+        # coloop, so the Lawson solve takes no step there: Mercedes does.
+        op_norm = argv[-1] in ("o1", "opnorm")
+        path = ex1_file
+        if op_norm:
+            path = str(tmp_path / "mercedes.json")
+            save_frame_file(path, *mb)
         break_solvers(monkeypatch)
-        assert main([*argv, "--frame", ex1_file]) == 4
+        assert main([*argv, "--frame", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("numerical failure: ")
-        assert "planted failure" in captured.err
+        assert ("non-finite iterate" if op_norm else "planted failure") in captured.err
         assert "Traceback" not in captured.err

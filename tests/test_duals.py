@@ -84,6 +84,20 @@ class TestWeightPartition:
         with pytest.raises(fk.NotParsevalError):
             fk.weight_partition(frame, op, Measure.OP_NORM)
 
+    def test_span_bases_are_built_on_first_read(self, ex1, monkeypatch):
+        # Only spans_intersect_trivially reads them: the family never does,
+        # the certificate reads both.
+        frame, op = ex1
+        calls = []
+        span = fk.duals._orthonormal_span
+        monkeypatch.setattr(
+            fk.duals, "_orthonormal_span", lambda columns: calls.append(1) or span(columns)
+        )
+        fk.perturbation_family(frame, op, Measure.SPECTRAL)
+        assert len(calls) == 0
+        fk.canonical_certificate(frame, op, Measure.SPECTRAL)
+        assert len(calls) == 2
+
 
 class TestSpansIntersectTrivially:
     def test_rank_deficient_example_overlaps(self, ex1):

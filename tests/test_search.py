@@ -1,18 +1,25 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.optimize
 
 import framekit as fk
 from framekit.erasures import Measure
 from framekit.frames import DEFAULT_TOL
-from framekit.search import _Objective, _polish_spectral
+import framekit.search as search_mod
+from framekit.search import _Objective, _lawson_op_norm, _polish_spectral
 from conftest import (
+    absolute_op_norm_polish,
     assert_value_scales,
     break_solvers,
     certificate_systems,
     coefficient_space_polish,
+    degenerate_frame,
     loop_then_polish,
+    parseval_operator,
     random_block_frame,
     random_psd,
     random_parseval_frame,
@@ -208,12 +215,175 @@ class TestExactSolveFirst:
         assert not np.any(result.frame.synthesis)
 
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
-    def test_solver_failure_is_numerical_error(self, ex1, kind, monkeypatch):
-        frame, op = ex1
+    def test_solver_failure_is_numerical_error(self, ex1, mb, kind, monkeypatch):
+        # Example-1's op-norm minimum is the weight of a coloop, so the
+        # Lawson solve takes no step there: Mercedes does.
+        frame, op = mb if kind is Measure.OP_NORM else ex1
         break_solvers(monkeypatch)
-        message = "SLSQP gave no finite" if kind is Measure.OP_NORM else "LP failed"
+        message = "non-finite iterate" if kind is Measure.OP_NORM else "LP failed"
         with pytest.raises(fk.NumericalError, match=message):
             fk.minimize_measure(frame, op, kind, CFG)
+
+
+def nth_system(seed, count, n):
+    """Draw n of ``certificate_systems(default_rng(seed), OP_NORM, count)``."""
+    systems = certificate_systems(np.random.default_rng(seed), Measure.OP_NORM, count)
+    return next(itertools.islice(systems, n, None))
+
+
+def lawson(frame, op):
+    return _lawson_op_norm(fk.dual_parameterization(frame, op))
+
+
+def assert_certified(result):
+    """The Lawson interval is within the stop gap and not capped."""
+    assert search_mod.LAWSON_MAX_STEPS not in result.steps
+    assert result.value - result.bound <= search_mod.LAWSON_GAP * result.bound
+
+
+def lawson_systems():
+    """One-block, block, degenerate (parallel and zero vectors, not capped)
+    and rank-deficient-K frames."""
+    rng = np.random.default_rng(7)
+    op = fk.build_operator(random_psd(rng, 5))
+    yield random_parseval_frame(rng, op, 50), op
+    frame, op, _ = random_block_frame(rng, [(3, 6), (3, 8), (1, 1), (2, 4)])
+    yield frame, op
+    frame = fk.Frame(np.array([[1.0, 2.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0, 1.0]]))
+    yield frame, parseval_operator(frame)
+    op = fk.build_operator(random_psd(rng, 4, rank=2))
+    yield random_parseval_frame(rng, op, 9), op
+
+
+class TestLawson:
+    def test_projected_dual_is_checked_not_the_iterate(self):
+        # The smallest weight ends at 8e-15 of the largest here, and the
+        # unprojected iterate misses F G^T = K by 1e-10 of ||K||.  The
+        # projected, exactly evaluated dual is a K-dual to rounding and
+        # lands within 1e-9 of the reference.  With cond(R) near 1.2e7 the
+        # bound's rounding error is about 1e-9 relative: it lies 1.9e-10
+        # above the reference and 4.4e-11 above the value, so the reported
+        # gap is negative.
+        frame, op = nth_system(37, 104, 17)
+        result = lawson(frame, op)
+        residual = np.linalg.norm(frame.synthesis @ result.dual.T - op.matrix)
+        assert residual <= 1e-13 * np.linalg.norm(op.matrix)
+        reference = loop_then_polish(frame, op, Measure.OP_NORM, BUDGET)
+        assert result.value <= reference * (1 + 1e-9)
+        minimized = fk.minimize_measure(frame, op, Measure.OP_NORM, BUDGET)
+        bound = minimized.comparison["fixed_frame_lower_bound"]
+        assert minimized.value <= reference * (1 + 1e-9)
+        assert bound <= reference * (1 + 1e-9)
+        assert minimized.value - bound <= search_mod.LAWSON_GAP * bound
+        assert bound - minimized.value <= 1e-9 * minimized.value
+
+    @pytest.mark.parametrize("draw", [60, 84])
+    def test_stop_gap_is_below_the_reference_tolerance(self, draw):
+        # With a stop gap of 1e-9, draw 84 lands 1.8e-9 above the reference
+        # of test_never_worse_than_loop_then_polish, whose tolerance is 1e-9.
+        assert search_mod.LAWSON_GAP <= 1e-10
+        frame, op = nth_system(37, 104, draw)
+        result = lawson(frame, op)
+        assert_certified(result)
+        value = fk.minimize_measure(frame, op, Measure.OP_NORM, BUDGET).value
+        assert value <= loop_then_polish(frame, op, Measure.OP_NORM, BUDGET) * (1 + 1e-9)
+
+    def test_update_converges_within_the_cap(self):
+        # The update lam * w^2 stalls: 108 of these 200 draws hit a
+        # 5,000-step cap.  The update in use caps none of them.
+        for frame, op in certificate_systems(np.random.default_rng(101), Measure.OP_NORM, 200):
+            param = fk.dual_parameterization(frame, op)
+            if param.dof and _Objective(param, Measure.OP_NORM).canonical_value:
+                assert_certified(_lawson_op_norm(param))
+
+    @pytest.mark.parametrize("seed, count, draw", [(104, 40, 14), (101, 200, 144)])
+    def test_slow_runs_close_within_the_gap(self, seed, count, draw):
+        # Draw 14 of rng(104) is a (2,5) frame with two equal vectors and a
+        # zero vector: the weights of the equal pair decay like 1/steps
+        # while their terms stay tight, so Lawson's update alone ends 1.1e-7
+        # above the reference at the step cap.  On draw 144 of rng(101),
+        # where every weight is positive at the optimum, it takes 442 steps.
+        # The Newton steps close both.
+        frame, op = nth_system(seed, count, draw)
+        param = fk.dual_parameterization(frame, op)
+        obj = _Objective(param, Measure.OP_NORM)
+        reference = obj.value(absolute_op_norm_polish(obj, np.zeros(param.dof)))
+        result = lawson(frame, op)
+        assert_certified(result)
+        assert max(result.steps) <= 30
+        value = fk.minimize_measure(frame, op, Measure.OP_NORM, BUDGET).value
+        assert value <= reference * (1 + 1e-9)
+
+    def test_failed_triangular_solve_is_numerical_error(self, mb, monkeypatch):
+        # dtrtrs reports a singular R and leaves the right-hand side in
+        # place; that is no lower bound, so it must not certify anything.
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dtrtrs", lambda a, b, *args, **kwargs: (b, 1)
+        )
+        with pytest.raises(fk.NumericalError, match="LAPACK info"):
+            fk.minimize_measure(*mb, Measure.OP_NORM, CFG)
+
+    def test_weak_duality(self):
+        # No K-dual, random or optimal, lies below the bound.
+        rng = np.random.default_rng(13)
+        for frame, op in lawson_systems():
+            param = fk.dual_parameterization(frame, op)
+            bound = _lawson_op_norm(param).bound
+            obj = _Objective(param, Measure.OP_NORM)
+            scale = np.linalg.norm(param.base.synthesis)
+            for c in rng.standard_normal((50, param.dof)) * scale * rng.uniform(0, 1, (50, 1)):
+                dual = fk.reconstruct_dual(param, c)
+                assert fk.o1(fk.build_dual_system(frame, dual, op)) >= bound * (1 - DEFAULT_TOL)
+            assert obj.value(np.zeros(param.dof)) >= bound * (1 - DEFAULT_TOL)
+
+    def test_gap_on_fixtures_and_frames(self, ex1, ex2, mb):
+        for frame, op in (ex1, ex2, mb, *lawson_systems()):
+            result = lawson(frame, op)
+            assert_certified(result)
+            dual = fk.Frame(result.dual)
+            assert fk.verify_k_dual(frame, dual, op) is fk.DualKind.K_DUAL_PAIR
+            o1 = fk.o1(fk.build_dual_system(frame, dual, op))
+            assert o1 == pytest.approx(result.value, rel=1e-14)
+
+    @pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e3, 1e6])
+    def test_bound_and_weights_follow_a_joint_scale(self, scale):
+        for frame, op in lawson_systems():
+            base = lawson(frame, op)
+            scaled = lawson(fk.Frame(scale * frame.synthesis), fk.build_operator(scale * op.matrix))
+            assert scaled.steps == base.steps
+            assert scaled.bound / scale == pytest.approx(base.bound, rel=1e-12)
+            np.testing.assert_allclose(scaled.weights, base.weights, rtol=1e-12)
+
+    def test_rank_deficient_k_and_zero_vectors(self):
+        rng = np.random.default_rng(17)
+        op = fk.build_operator(random_psd(rng, 4, rank=2))
+        syn = random_parseval_frame(rng, op, 8).synthesis
+        frame = fk.Frame(np.hstack([syn[:, :3], np.zeros((4, 2)), syn[:, 3:]]))
+        result = lawson(frame, op)
+        assert_certified(result)
+        assert not np.any(result.dual[:, 3:5])  # zero vectors keep g_i = 0
+        minimized = fk.minimize_measure(frame, op, Measure.OP_NORM, BUDGET)
+        assert minimized.comparison["fixed_frame_lower_bound"] == result.bound
+        assert minimized.value <= result.value * (1 + DEFAULT_TOL)
+
+    def test_zero_operator(self):
+        frame, op = fk.Frame(np.zeros((2, 3))), fk.build_operator(np.zeros((2, 2)))
+        result = fk.minimize_measure(frame, op, Measure.OP_NORM, CFG)
+        assert result.value == 0.0
+        assert result.comparison == {"fixed_frame_lower_bound": 0.0}
+
+    def test_fast_path_never_calls_slsqp(self, ex1, ex2, mb, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("SLSQP ran")
+
+        monkeypatch.setattr(scipy.optimize, "minimize", refuse)
+        rng = np.random.default_rng(1)
+        op = fk.build_operator(random_psd(rng, 5))
+        for frame, op in (ex1, ex2, mb, (random_parseval_frame(rng, op, 50), op)):
+            result = fk.minimize_measure(frame, op, Measure.OP_NORM, BUDGET)
+            bound = result.comparison["fixed_frame_lower_bound"]
+            assert result.value >= bound * (1 - DEFAULT_TOL)
+            assert result.value <= bound * (1 + 2 * search_mod.LAWSON_GAP)
 
 
 class TestPolishSpectral:
