@@ -361,7 +361,12 @@ class DualParameterization(_CanonicalDual):
     valid K-dual.  A coefficient vector c of length ``dof = n (N - rank F)``
     stands for ``C[a, m] = c[m n + a]``; the perturbations ``e_a w_m^T`` in
     that order are Frobenius-orthonormal.  The dual at c has the diagonal
-    ``canonical_diagonal + diagonal_map^T c``; both are built when first read.
+    ``canonical_diagonal + D^T c``, D being the dof x N diagonal map.  The
+    diagonal solves (:meth:`diagonal_coefficients`, the spectral LP) need
+    only null(D) and the minimum-norm lift of a diagonal shift, and
+    :attr:`_diagonal_factor` reads both from the N x N Gram ``D^T D``; D
+    itself (:attr:`diagonal_map`) is built only where that Gram cannot
+    decide the rank of D.  Each is built when first read.
     """
 
     basis: np.ndarray  # N x (N - rank F)
@@ -376,6 +381,42 @@ class DualParameterization(_CanonicalDual):
         D = self.column_jacobian(self.frame.synthesis)
         D.setflags(write=False)
         return D
+
+    @cached_property
+    def _diagonal_factor(self):
+        """(null, lift): an N x p orthonormal basis of null(D), the diagonal
+        shifts no dual reaches, and the map from a shift r to the
+        minimum-norm c with ``D^T c`` the projection of r onto range(D^T).
+
+        The Gram ``M = D^T D = (F^T F) o (W W^T)`` is N x N.  Its
+        eigenvalues above ``RANK_TOL ||F||_F^2`` count as rank
+        (``||M|| <= ||F||_F^2``).  The eigenvectors of the others are taken
+        as null(D) only when ``||D null||_F``, the norm of the
+        ``F diag(q) W`` over them, is at most ``RANK_TOL ||F||_F``: the rank
+        rule of D itself, computed without squaring its condition number.
+        Then ``c = F diag(mu) W`` with ``mu = M^+ r`` from the other
+        eigenpairs.  When the check fails, M cannot resolve a singular value
+        of D between ``RANK_TOL ||F||_F`` and about ``1e-5 ||F||_F``, and
+        one SVD of D gives both instead.
+        """
+        F, W = self.frame.synthesis, self.basis
+        scale = float(np.linalg.norm(F))
+        w, Q = np.linalg.eigh((F.T @ F) * (W @ W.T))
+        p = F.shape[1] - _rank(w, scale**2)  # eigh sorts ascending
+        null = Q[:, :p]
+        # ||D null||_F^2 = sum_j ||F diag(null[:, j]) W||_F^2, taken a row
+        # of F at a time: no n x N x p stack.
+        residual = math.sqrt(sum(np.vdot(X, X) for X in (null.T * f @ W for f in F)))
+        if residual <= RANK_TOL * scale:
+            Q, inv = Q[:, p:], 1.0 / w[p:]
+            return null, lambda r: ((F * (Q @ (inv * (Q.T @ r)))) @ W).T.ravel()
+        # Vt needs N rows to hold a basis of null(D); the thin SVD keeps
+        # only min(dof, N), and the full one costs nothing more when dof < N.
+        U, s, Vt = np.linalg.svd(self.diagonal_map, full_matrices=self.dof < F.shape[1])
+        # Relative to ||F||_F >= ||D||, not to s[0]: D can be all rounding
+        # noise (null(F) spanned by zero vectors of F).
+        rank = _rank(s, scale)
+        return Vt[rank:].T, lambda r: U[:, :rank] @ ((Vt[:rank] @ r) / s[:rank])
 
     def perturbation(self, coefficients) -> np.ndarray:
         """``C W^T`` for a coefficient vector, or a stack of them.
@@ -404,17 +445,28 @@ class DualParameterization(_CanonicalDual):
 
         ``frame`` is the chart's own F.  The diagonal is affine in c, so this
         is the dual with that diagonal closest to the canonical dual in
-        Frobenius norm.  None when the residual exceeds DEFAULT_TOL at the
-        :func:`_diagonal_scale` of the canonical dual: scale-free, and above
-        the rounding of a canonical diagonal that is exactly 0 (skew K).
+        Frobenius norm.  c sums lifts of :attr:`_diagonal_factor`: of the
+        shift, then of what the exact diagonal of its dual still misses, for
+        as long as each lift halves the miss.  A lift on the Gram loses up to
+        cond(D)^2 * 1e-16 of the shift, and the refinement stops at rounding
+        or at the part of the miss in null(D), which no dual reaches.  None
+        when the final miss exceeds DEFAULT_TOL at the
+        :func:`_diagonal_scale` of the canonical dual (scale-free, and above
+        the rounding of a canonical diagonal that is exactly 0, as for a
+        skew K).
         """
         rhs = target - self.canonical_diagonal
-        D = self.diagonal_map
-        c, *_ = np.linalg.lstsq(D.T, rhs, rcond=None)
+        _, lift = self._diagonal_factor
         syn, base = self.frame.synthesis, self.base.synthesis
         scale = _diagonal_scale(syn, base, np.max(np.abs(target)))
-        ok = np.all(_within(D.T @ c - rhs, scale))
-        return c if ok else None
+        c, miss = np.zeros(self.dof), rhs
+        while True:
+            step = lift(miss)
+            left = miss - np.einsum("ij,ij->j", self.perturbation(step), syn)
+            if not np.max(np.abs(left)) < 0.5 * np.max(np.abs(miss)):  # also 0, NaN
+                break
+            c, miss = c + step, left
+        return c if np.all(_within(miss, scale)) else None
 
 
 def dual_parameterization(frame: Frame, op: OperatorSpec) -> DualParameterization:

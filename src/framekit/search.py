@@ -12,9 +12,13 @@ values are always true measure values of verified duals.  A solver that
 returns no usable point raises :class:`~framekit.errors.NumericalError`.
 
 The spectral objective sees a dual only through its diagonal
-``d = a0 + D^T c``.  The spectral solve is an epigraph LP on that
-diagonal: N + 1 variables, with the reachable diagonals written as equality
-rows.
+``d = a0 + D^T c``, D being the dof x N diagonal map of the chart.  The
+spectral solve is an epigraph LP on that diagonal: N + 1 variables, with
+the reachable diagonals written as equality rows that span null(D).  The
+chart reads null(D), and the minimum-norm coefficients of the optimal
+diagonal, from the N x N Gram ``D^T D`` with a certified null space, so no
+dof-sized matrix is built; the spectral terms and their KKT gradients come
+from the dual's diagonal and the top columns of D alone.
 
 The operator norm ``min max_i ||f_i|| ||g_i||`` splits over the matroid
 components of F and is solved by Lawson's reweighting (C. L. Lawson, PhD
@@ -125,8 +129,8 @@ class _Objective:
         self.fnorms = np.linalg.norm(self.fsyn, axis=0)
         self.base = param.base.synthesis
         self.dof = param.dof
-        if kind is Measure.SPECTRAL:  # diag(c) = a0 + D^T c, from the chart
-            self.a0, self.D = param.canonical_diagonal, param.diagonal_map
+        if kind is Measure.SPECTRAL:
+            self.a0 = param.canonical_diagonal
 
     def dual_syn(self, c: np.ndarray) -> np.ndarray:
         return self.base + self.param.perturbation(c)
@@ -144,23 +148,25 @@ class _Objective:
         """Per-index terms at c, whose maximum is the objective, and the
         state :meth:`gradients` needs.  A stack of points (..., dof) gives
         terms of shape (..., N)."""
-        if self.kind is Measure.SPECTRAL:
-            diag = self.a0 + c @ self.D
-            return np.abs(diag), (diag,)
         G = self.dual_syn(c)
+        if self.kind is Measure.SPECTRAL:
+            diag = np.einsum("...ij,ij->...j", G, self.fsyn)
+            return np.abs(diag), (diag,)
         gnorms = np.linalg.norm(G, axis=-2)
         return self.fnorms * gnorms, (G, gnorms)
 
     def gradients(self, state: tuple, indices) -> np.ndarray:
         """Gradients (dof x len(indices)) of the terms at the given indices.
 
-        Spectral: ``sign(<g_i, f_i>) D[:, i]``.  Operator norm:
+        Spectral: ``sign(<g_i, f_i>)`` times the chart derivative of
+        ``<g_i, f_i>``, column i of the diagonal map.  Operator norm:
         ``||f_i||`` times the chart derivative of ``||g_i||``, i.e. of
         ``<g_i, g_i / ||g_i||>``; zero where ``g_i = 0``.
         """
         if self.kind is Measure.SPECTRAL:
             (diag,) = state
-            return self.D[:, indices] * np.sign(diag[indices])
+            D_T = self.param.column_jacobian(self.fsyn[:, indices], indices)
+            return D_T * np.sign(diag[indices])
         G, gnorms = state
         norms = gnorms[indices]
         U = G[:, indices] / np.where(norms > 0, norms, 1.0)
@@ -174,21 +180,28 @@ def _polish_spectral(obj: _Objective) -> np.ndarray:
     are ``a0 + range(D^T)``.  So the LP is min t with ``|d_i| <= t`` and
     ``P d = P a0``, where the rows of P span null(D): N + 1 variables and
     p = N - rank D equality rows (p >= 1, since the all-ones vector lies in
-    null(D): ``sum_i D[k, i] = (F W)[a, m] = 0``).  One SVD of D gives P and
-    the minimum-norm coefficients of the optimal diagonal.  The canonical
-    value ``max |a0|`` must be positive; a failed LP raises NumericalError.
+    null(D): ``sum_i D[k, i] = (F W)[a, m] = 0``).  P comes from the chart's ``_diagonal_factor``, built on the
+    N x N Gram ``D^T D`` with a certified null space.  The coefficients of
+    the optimal diagonal come from ``diagonal_coefficients``, which checks
+    that their dual reproduces the LP diagonal exactly.  The canonical
+    value ``max |a0|`` must be positive; a failed LP, or coefficients that
+    miss the LP diagonal, raise NumericalError.
     """
+    import scipy.linalg
     import scipy.optimize
 
-    dof, N = obj.dof, obj.a0.shape[0]
+    N = obj.a0.shape[0]
     top = float(np.max(np.abs(obj.a0)))
-    # Vt needs N rows to hold a basis of null(D); the thin SVD keeps only
-    # min(dof, N), and the full one costs nothing more when dof < N.
-    U, s, Vt = np.linalg.svd(obj.D, full_matrices=dof < N)
-    # The rank cut is relative to ||F||_F >= ||D||, not to s[0]: D can be
-    # all rounding noise (null(F) spanned by zero vectors of F).
-    rank = _rank(s, np.linalg.norm(obj.fsyn))
-    P = Vt[rank:]
+    null, _ = obj.param._diagonal_factor
+    # The rows in echelon form, with the identity on the columns a pivoted
+    # QR picks, scaled to unit norm: on a frame's chart null(D) is spanned
+    # by the indicators of the matroid components of F, so these rows are
+    # those indicators to rounding and HiGHS meets them exactly.  Any basis
+    # of the subspace gives them; the eigenvector basis itself left
+    # equality residuals of 1e-10 on block frames.
+    _, piv = scipy.linalg.qr(null.T, mode="r", pivoting=True)
+    P = np.linalg.solve(null[piv[: null.shape[1]]].T, null.T)
+    P /= np.linalg.norm(P, axis=1, keepdims=True)
     # Scaled to unit size, so HiGHS's absolute tolerances act relatively.
     a0 = obj.a0 / top
     cost = np.zeros(N + 1)
@@ -202,8 +215,10 @@ def _polish_spectral(obj: _Objective) -> np.ndarray:
     )
     if not res.success:
         raise NumericalError(f"spectral LP failed: {res.message}")
-    shift = top * (res.x[:N] - a0)
-    return U[:, :rank] @ ((Vt[:rank] @ shift) / s[:rank])
+    c = obj.param.diagonal_coefficients(obj.param.frame, top * res.x[:N])
+    if c is None:
+        raise NumericalError("the chart lift missed the spectral LP diagonal")
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -471,8 +486,8 @@ def minimize_r2_within_uniform(
     c0 = param.diagonal_coefficients(frame, np.full(N, op.trace / N))
     if c0 is None:
         raise InfeasibleError("no 1-uniform dual exists for this frame")
-    _, s, vt = np.linalg.svd(obj.D.T, full_matrices=True)
-    # Relative to ||F||_F >= ||D||, as in the spectral polish.
+    _, s, vt = np.linalg.svd(param.diagonal_map.T, full_matrices=True)
+    # Relative to ||F||_F >= ||D||, as in the chart's diagonal factor.
     Z = vt[_rank(s, np.linalg.norm(obj.fsyn)) :]  # rows span the feasible directions
 
     def r2_of(z: np.ndarray) -> float:

@@ -239,20 +239,28 @@ def certificate_systems(rng, kind, count):
             yield kkt_instance(rng, kind)
 
 
+def dense_diagonal_map(param):
+    """The dof x N diagonal map D: ``D[m n + a, i] = W[i, m] F[a, i]``, the
+    chart derivatives of ``<g_i, f_i>``."""
+    return param.column_jacobian(param.frame.synthesis)
+
+
 def coefficient_space_polish(obj):
     """Reference spectral polish: the epigraph LP over all chart coefficients.
 
     min t subject to -t <= a0 + D^T c <= t, with the dof coefficients c and t
-    as variables: a dense 2N x (dof + 1) constraint matrix.  Returns the
-    coefficients, or None when HiGHS reports failure.
+    as variables: a dense 2N x (dof + 1) constraint matrix, with the
+    diagonal map D built from its definition.  Returns the coefficients, or
+    None when HiGHS reports failure.
     """
     dof, N = obj.dof, obj.a0.shape[0]
+    D = dense_diagonal_map(obj.param)
     cost = np.zeros(dof + 1)
     cost[-1] = 1.0
     A = np.zeros((2 * N, dof + 1))
-    A[:N, :dof] = obj.D.T
+    A[:N, :dof] = D.T
     A[:N, -1] = -1.0
-    A[N:, :dof] = -obj.D.T
+    A[N:, :dof] = -D.T
     A[N:, -1] = -1.0
     b = np.concatenate([-obj.a0, obj.a0])
     res = scipy.optimize.linprog(
@@ -266,7 +274,7 @@ def reference_gradient(obj, G, i):
     """Gradient of term i of the objective at the dual synthesis G, from
     its definition."""
     if obj.kind is Measure.SPECTRAL:
-        return np.sign(G[:, i] @ obj.fsyn[:, i]) * obj.D[:, i]
+        return np.sign(G[:, i] @ obj.fsyn[:, i]) * dense_diagonal_map(obj.param)[:, i]
     gnorm = np.linalg.norm(G[:, i])
     if gnorm == 0.0:
         return np.zeros(obj.dof)

@@ -131,3 +131,29 @@ def test_operator_norm_paths_build_no_diagonal_map(monkeypatch):
     assert cert.verdict is fk.Verdict.NOT_OPTIMAL  # reached the KKT test
     result = fk.minimize_measure(frame, op, Measure.OP_NORM, CFG)
     assert result.value < cert.evidence["canonical_value"]
+
+
+def test_spectral_paths_on_a_generic_chart_build_no_diagonal_map(monkeypatch, tmp_path):
+    # The spectral solves read null(D) and the lift of a diagonal from the
+    # N x N Gram; the dof x N map is only the fallback where that Gram
+    # cannot decide the rank of D.
+    def refuse(self):
+        raise AssertionError("spectral path read the diagonal map")
+
+    monkeypatch.setattr(DualParameterization, "diagonal_map", property(refuse))
+    rng = np.random.default_rng(0)
+    op = fk.build_operator(random_psd(rng, 3))
+    frame = random_parseval_frame(rng, op, 7)
+    cert = fk.canonical_certificate(frame, op, Measure.SPECTRAL)
+    assert cert.verdict is fk.Verdict.NOT_OPTIMAL  # reached the KKT test
+    result = fk.minimize_measure(frame, op, Measure.SPECTRAL, CFG)
+    assert result.value < cert.evidence["canonical_value"]
+    constructed = fk.construct_spectrally_optimal_dual(frame, op)
+    ds = fk.build_dual_system(frame, constructed, op)
+    assert np.max(np.abs(ds.diag)) == pytest.approx(result.value, rel=1e-9)
+    path = tmp_path / "generic.json"
+    save_frame_file(path, frame, op)
+    for command in ("optimal-dual --measure spectral", "search --measure r1"):
+        name, *flags = command.split()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main([name, "--frame", str(path), *flags]) == 0

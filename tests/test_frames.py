@@ -8,7 +8,18 @@ from hypothesis import strategies as st
 
 import framekit as fk
 from framekit import fixtures
-from conftest import random_block_frame, random_parseval_frame, random_psd
+from framekit.erasures import Measure
+from framekit.frames import RANK_TOL, DualParameterization
+from framekit.search import _Objective
+from conftest import (
+    coefficient_space_polish,
+    dense_diagonal_map,
+    non_orthogonal_components,
+    parseval_operator,
+    random_block_frame,
+    random_parseval_frame,
+    random_psd,
+)
 
 S2 = math.sqrt(2.0)
 
@@ -448,6 +459,83 @@ class TestDualParameterization:
             kind = fk.verify_k_dual(frame, cand, op)
             if kind is not fk.DualKind.NOT_DUAL:
                 assert np.allclose(cand.synthesis, np.eye(3))
+
+
+def near_joined_components(weight=1e-5, seed=0):
+    """Two matroid components joined by a vector of the given weight: one
+    component.  At 1e-5 its diagonal map D has two singular values near
+    1e-6 of ||F||_F, below what the Gram D^T D resolves and above D's rank
+    cut."""
+    frame, _ = non_orthogonal_components(np.random.default_rng(seed))
+    F = frame.synthesis
+    u, v = F[:, 0] / np.linalg.norm(F[:, 0]), F[:, -1] / np.linalg.norm(F[:, -1])
+    frame = fk.Frame(np.column_stack([F, weight * (u + v)]))
+    return frame, parseval_operator(frame)
+
+
+class TestDiagonalRoutes:
+    @pytest.fixture
+    def map_reads(self, monkeypatch):
+        """Reads of DualParameterization.diagonal_map from here on."""
+        reads = []
+        build = DualParameterization.diagonal_map.func
+        monkeypatch.setattr(
+            DualParameterization, "diagonal_map",
+            property(lambda self: reads.append(1) or build(self)),
+        )
+        return reads
+
+    def test_unresolved_rank_takes_the_diagonal_map(self, map_reads):
+        frame, op = near_joined_components()
+        param = fk.dual_parameterization(frame, op)
+        F = frame.synthesis
+        scale = np.linalg.norm(F)
+        s = np.linalg.svd(dense_diagonal_map(param), compute_uv=False)
+        assert np.count_nonzero(s <= RANK_TOL * scale) == 1  # one component
+        assert np.count_nonzero(s <= 1e-5 * scale) == 3
+        # The Gram sees three null directions; only D resolves two of them.
+        gram = (F.T @ F) * (param.basis @ param.basis.T)
+        assert np.count_nonzero(np.linalg.eigvalsh(gram) <= RANK_TOL * scale**2) == 3
+        assert param._diagonal_factor[0].shape[1] == 1
+        assert map_reads
+
+        obj = _Objective(param, Measure.SPECTRAL)
+        expected = obj.value(coefficient_space_polish(obj))
+        result = fk.minimize_measure(frame, op, Measure.SPECTRAL)
+        assert result.value == pytest.approx(expected, rel=1e-9)
+        assert result.value == pytest.approx(fk.min_r1_fixed_frame(frame, op), rel=1e-9)
+
+        # The dense reference: lstsq on D^T to the component-mean diagonal.
+        target = np.full(frame.n_vectors, np.mean(param.canonical_diagonal))
+        c, *_ = np.linalg.lstsq(
+            dense_diagonal_map(param).T, target - param.canonical_diagonal, rcond=None
+        )
+        reference = fk.reconstruct_dual(param, c).synthesis
+        constructed = fk.construct_spectrally_optimal_dual(frame, op).synthesis
+        assert np.linalg.norm(constructed - reference) <= 1e-9 * np.linalg.norm(reference)
+
+    def test_ill_conditioned_gram_refines_its_lift(self, map_reads):
+        # At weight 3e-4 the Gram resolves D's rank, but cond(D)^2 * 1e-16 is
+        # 7e-8: the first lift misses the component means by 2.8 times
+        # DEFAULT_TOL, and refining it reaches them to rounding.
+        frame, op = near_joined_components(3e-4, seed=2)
+        minimum = fk.min_r1_fixed_frame(frame, op)
+        constructed = fk.construct_spectrally_optimal_dual(frame, op)
+        diag = fk.build_dual_system(frame, constructed, op).diag
+        assert np.max(np.abs(diag - np.mean(diag))) <= 1e-14 * minimum
+        assert abs(diag[0]) == pytest.approx(minimum, rel=1e-13)
+        result = fk.minimize_measure(frame, op, Measure.SPECTRAL)
+        assert result.value == pytest.approx(minimum, rel=1e-13)
+        assert not map_reads
+
+    def test_unreachable_target_needs_no_diagonal_map(self, map_reads):
+        # example-1 pins its last diagonal at 1 for every dual: the Gram
+        # certifies that null direction, so trace(K)/N is refused without D.
+        frame, op = fixtures.example_1()
+        param = fk.dual_parameterization(frame, op)
+        target = np.full(frame.n_vectors, op.trace / frame.n_vectors)
+        assert param.diagonal_coefficients(frame, target) is None
+        assert not map_reads
 
 
 class TestDualSystem:

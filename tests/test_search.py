@@ -19,6 +19,7 @@ from conftest import (
     coefficient_space_polish,
     degenerate_frame,
     loop_then_polish,
+    non_orthogonal_components,
     parseval_operator,
     random_block_frame,
     random_psd,
@@ -224,6 +225,18 @@ class TestExactSolveFirst:
         with pytest.raises(fk.NumericalError, match=message):
             fk.minimize_measure(frame, op, kind, CFG)
 
+    def test_unreachable_lp_diagonal_is_numerical_error(self, ex1, monkeypatch):
+        # A zero diagonal changes the component sums, which no dual does.
+        frame, op = ex1
+        monkeypatch.setattr(
+            scipy.optimize, "linprog",
+            lambda *args, **kwargs: SimpleNamespace(
+                success=True, x=np.zeros(frame.n_vectors + 1)
+            ),
+        )
+        with pytest.raises(fk.NumericalError, match="missed the spectral LP diagonal"):
+            fk.minimize_measure(frame, op, Measure.SPECTRAL, CFG)
+
 
 def nth_system(seed, count, n):
     """Draw n of ``certificate_systems(default_rng(seed), OP_NORM, count)``."""
@@ -404,29 +417,37 @@ class TestPolishSpectral:
             checked += 1
         assert checked >= 100
 
-    def test_matches_reference_on_generic_charts(self):
-        # On a frame's chart null(D) is spanned by the indicators of the
-        # matroid components of F, so the minimum-norm lift of any diagonal
-        # lands on the component means, an optimum.  A generic low-rank D
-        # has no such structure: only the exact LP reaches the optimum.
+    def test_matches_reference_at_any_scale(self):
+        # Charts of frames with several matroid components, so the LP has an
+        # equality row per component.  On a chart null(D) is spanned by the
+        # component indicators, so the minimum-norm lift of any diagonal
+        # lands on the component means, an optimum: the polish must also
+        # reach the diagonal its LP returned, or it raises.  The reference
+        # runs at unit scale; the polish gets F and K scaled by 10^k.
         rng = np.random.default_rng(29)
-        for _ in range(40):
-            N = int(rng.integers(3, 15))
-            rank = int(rng.integers(1, N))
-            dof = int(rng.integers(rank, 2 * N))
-            D = rng.normal(size=(dof, rank)) @ rng.normal(size=(rank, N))
-            a0 = rng.normal(size=N)
-            # fsyn only sets the scale of the rank cut; ||D||_F bounds ||D||.
-            reference = coefficient_space_polish(
-                SimpleNamespace(D=D, a0=a0, dof=dof, fsyn=D)
-            )
-            expected = np.max(np.abs(a0 + reference @ D))
-            # The reference runs at unit scale; the polish must not need to.
+        checked = 0
+        for k in range(40):
+            if k % 2:
+                frame, op, _ = random_block_frame(rng)
+            else:
+                dims = rng.integers(1, 3, size=int(rng.integers(2, 4)))
+                sizes = dims + rng.integers(1, 4, size=dims.size)
+                frame, op = non_orthogonal_components(rng, dims, sizes)
+            obj = _Objective(fk.dual_parameterization(frame, op), Measure.SPECTRAL)
+            if obj.dof == 0 or not np.any(obj.a0):
+                continue
+            expected = obj.value(coefficient_space_polish(obj))
             scale = 10.0 ** rng.integers(-9, 10)
-            obj = SimpleNamespace(D=D, a0=scale * a0, dof=dof, fsyn=D)
-            c = _polish_spectral(obj)
-            value = np.max(np.abs(obj.a0 + c @ D)) / scale
-            assert value == pytest.approx(expected, rel=1e-9)
+            scaled = _Objective(
+                fk.dual_parameterization(
+                    fk.Frame(scale * frame.synthesis), fk.build_operator(scale * op.matrix)
+                ),
+                Measure.SPECTRAL,
+            )
+            c = _polish_spectral(scaled)
+            assert scaled.value(c) / scale == pytest.approx(expected, rel=1e-9)
+            checked += 1
+        assert checked >= 30
 
 
 class TestMinimizeR2WithinUniform:
