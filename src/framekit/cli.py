@@ -14,7 +14,7 @@ Exit codes: 0 success, 2 parse error, 3 domain-precondition failure,
 from __future__ import annotations
 
 import argparse
-import json
+import functools
 import sys
 
 import numpy as np
@@ -38,7 +38,7 @@ from .frames import (
     is_parseval_k_frame,
     k_frame_bounds,
 )
-from .io import ParseError, load_frame_file, load_operator_file, round_floats
+from .io import ParseError, dumps_rounded, load_frame_file, load_operator_file
 from .pairs import _r1_optimal, _r2_optimal, is_o1_optimal_pair, pair_bounds
 from .search import (
     SearchConfig,
@@ -65,7 +65,7 @@ def _pos_int(text: str) -> int:
 
 def _emit_json(doc: dict) -> None:
     doc = {"schema": SCHEMA, **doc}
-    print(json.dumps(round_floats(doc), indent=2))
+    print(dumps_rounded(doc))
 
 
 def _fmt(x) -> str:
@@ -359,9 +359,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser every ``main`` call reuses: built on the first call, not
+    at import.  ``parse_args`` keeps no state between calls (each gets a
+    fresh namespace, and ``--rm`` appends to a fresh list)."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ParseError as exc:

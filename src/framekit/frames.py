@@ -95,8 +95,15 @@ def build_frame(vectors) -> Frame:
     """Assemble a Frame from a sequence of equal-length real vectors.
 
     Raises ValueError on an empty sequence, ragged lengths, or non-finite
-    entries.
+    entries.  Well-formed input converts in one call; the per-vector loop
+    runs only to word the error, naming the first bad vector.
     """
+    try:
+        rows = np.asarray(vectors, dtype=float)
+    except (TypeError, ValueError, OverflowError):
+        rows = None
+    if rows is not None and rows.ndim == 2 and rows.size and np.isfinite(rows).all():
+        return Frame(rows.T)
     vecs = [np.asarray(v, dtype=float) for v in vectors]
     if not vecs:
         raise ValueError("frame needs at least one vector")

@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 from types import SimpleNamespace
 
@@ -11,6 +12,7 @@ import framekit as fk
 from framekit import fixtures
 from framekit.erasures import Measure
 from framekit.frames import DEFAULT_TOL
+from framekit.io import round_floats
 from framekit.search import _Objective, _polish_spectral
 
 # First step of the reference loop's diminishing steps STEP_INIT / sqrt(it);
@@ -32,6 +34,13 @@ def ex2():
 @pytest.fixture
 def mb():
     return fixtures.mercedes()
+
+
+def reference_emit(doc):
+    """The CLI's JSON text by definition: every real rounded to 12
+    significant digits by ``round_floats``, then ``json.dumps(indent=2)``.
+    ``io.dumps_rounded`` must give these bytes."""
+    return json.dumps(round_floats(doc), indent=2)
 
 
 def random_psd(rng, n, rank=None):

@@ -6,6 +6,8 @@ import pytest
 import scipy.linalg
 
 import framekit as fk
+import framekit.cli as cli
+from framekit import fixtures
 from framekit.cli import main
 from framekit.io import (
     frame_file_dict,
@@ -18,8 +20,10 @@ from conftest import (
     break_solvers,
     degenerate_frame,
     non_orthogonal_components,
+    random_block_frame,
     random_parseval_frame,
     random_psd,
+    reference_emit,
 )
 
 S2 = math.sqrt(2.0)
@@ -203,6 +207,68 @@ class TestExitCodes:
         err = capsys.readouterr().err
         smallest = np.linalg.svd(K, compute_uv=False)[-1]
         assert "domain error" in err and f"{smallest:.3e}" in err
+
+
+class TestOversizedNumbers:
+    """Literals no float holds exit 2 with a message naming their field:
+    integers past the float range (OverflowError in the conversion) and
+    past the interpreter's 4300-digit limit for int (ValueError in
+    ``json.load``)."""
+
+    def run(self, tmp_path, capsys, data, argv):
+        path = tmp_path / "big.json"
+        path.write_text(json.dumps(data) if isinstance(data, dict) else data)
+        assert main([arg.format(path=path) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        return captured.err
+
+    def test_vectors_past_float_range(self, tmp_path, capsys):
+        data = dict(EX1_DATA, vectors=[[1, 0, 0], [10**400, 0, 0]])
+        err = self.run(tmp_path, capsys, data, ["analyze", "--frame", "{path}"])
+        assert err == "parse error: bad vectors: int too large to convert to float\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--frame", "{path}"], ["pair-bounds", "--k", "{path}", "--n-vectors", "4"]],
+    )
+    def test_k_past_float_range(self, tmp_path, capsys, argv):
+        data = dict(EX1_DATA, K=[[10**400, 0, 0], [0, 1, 0], [0, 0, 0]])
+        err = self.run(tmp_path, capsys, data, argv)
+        assert err == "parse error: K is not a numeric matrix: int too large to convert to float\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--frame", "{path}"], ["pair-bounds", "--k", "{path}", "--n-vectors", "4"]],
+    )
+    def test_tol_past_float_range(self, tmp_path, capsys, argv):
+        err = self.run(tmp_path, capsys, dict(EX1_DATA, tol=10**400), argv)
+        assert err.startswith("parse error: tol must be a number in (0, 1), got 1000")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("vectors", '[[1, 0, 0], [-DIGITS, 0, 0]]', "bad vectors: vector 1 has a non-finite entry"),
+            ("K", '[[DIGITS, 0, 0], [0, 1, 0], [0, 0, 0]]', "K has a non-finite entry"),
+            ("tol", "DIGITS", "tol must be a number in (0, 1), got inf"),
+            ("dim", "DIGITS", "dim must be an integer, got inf"),
+        ],
+    )
+    def test_past_the_digit_limit(self, tmp_path, capsys, field, value, message):
+        text = json.dumps(dict(EX1_DATA, **{field: "HERE"}))
+        text = text.replace('"HERE"', value.replace("DIGITS", "7" * 5000))
+        err = self.run(tmp_path, capsys, text, ["analyze", "--frame", "{path}"])
+        assert err == f"parse error: {message}\n"
+
+    @pytest.mark.parametrize(
+        "vectors, message",
+        [(5, "'int' object is not iterable"),
+         ([[{"a": 1}, 0, 0]], "float() argument must be a string or a real number, not 'dict'")],
+    )
+    def test_vectors_of_the_wrong_type(self, tmp_path, capsys, vectors, message):
+        data = dict(EX1_DATA, vectors=vectors)
+        err = self.run(tmp_path, capsys, data, ["analyze", "--frame", "{path}"])
+        assert err == f"parse error: bad vectors: {message}\n"
 
 
 class TestAnalyze:
@@ -406,6 +472,80 @@ class TestOtherCommands:
         doc = json.loads(capsys.readouterr().out)
         assert doc["certificate"]["verdict"] == "unique_optimal"
         assert doc["perturbation_family"]["exists"] is False
+
+
+@pytest.fixture(scope="module")
+def stdout_inputs(tmp_path_factory):
+    """The three fixtures, a one-block frame with rank-deficient K and a
+    block frame, as frame files: name -> (path, N)."""
+    root = tmp_path_factory.mktemp("stdout")
+    rng = np.random.default_rng(7)
+    op = fk.build_operator(random_psd(rng, 3, rank=2))
+    systems = {name: fixtures.get_example(name) for name in fixtures.EXAMPLE_NAMES}
+    systems["one-block"] = (random_parseval_frame(rng, op, 6), op)
+    systems["blocks"] = random_block_frame(np.random.default_rng(3))[:2]
+    paths = {}
+    for name, (frame, op) in systems.items():
+        save_frame_file(root / f"{name}.json", frame, op)
+        paths[name] = (str(root / f"{name}.json"), frame.n_vectors)
+    return paths
+
+
+STDOUT_COMMANDS = [
+    ["analyze", "--rm", "2"],
+    ["canonical-dual"],
+    ["optimal-dual", "--measure", "opnorm"],
+    ["optimal-dual", "--measure", "spectral"],
+    ["pair-bounds"],
+    ["search", "--measure", "o1"],
+    ["search", "--measure", "r1"],
+]
+# r2u (Nelder-Mead) on the fixtures alone, N <= 4 as in the benchmark;
+# example-1 has no 1-uniform dual and exits 3.
+STDOUT_CASES = [
+    (name, command)
+    for name in ["example-1", "example-2", "mercedes", "one-block", "blocks"]
+    for command in STDOUT_COMMANDS
+] + [(name, ["search", "--measure", "r2u"]) for name in fixtures.EXAMPLE_NAMES]
+
+
+class TestStdoutMatchesReferenceEmitter:
+    """Every subcommand prints what it printed with ``_emit_json`` set to
+    ``conftest.reference_emit``, with the same exit code."""
+
+    def run_both(self, argv, capsys, monkeypatch):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        with monkeypatch.context() as m:
+            m.setattr(
+                cli, "_emit_json",
+                lambda doc: print(reference_emit({"schema": cli.SCHEMA, **doc})),
+            )
+            ref_rc = main(argv)
+        assert (rc, out, err) == (ref_rc, *capsys.readouterr())
+        return rc, out
+
+    @pytest.mark.parametrize("fmt", ["json", "table"])
+    @pytest.mark.parametrize(
+        "name, command", STDOUT_CASES, ids=[f"{n}-{' '.join(c)}" for n, c in STDOUT_CASES]
+    )
+    def test_frame_commands(self, stdout_inputs, name, command, fmt, capsys, monkeypatch):
+        path, n_vectors = stdout_inputs[name]
+        if command[0] == "pair-bounds":
+            argv = [*command, "--k", path, "--n-vectors", str(n_vectors)]
+        else:
+            argv = [*command, "--frame", path]
+        rc, out = self.run_both([*argv, "--format", fmt], capsys, monkeypatch)
+        if (name, command[-1]) == ("example-1", "r2u"):
+            assert (rc, out) == (3, "")
+        else:
+            assert rc == 0
+            if fmt == "json":
+                assert json.loads(out)["schema"] == "framekit/1"
+
+    @pytest.mark.parametrize("name", ["example-1", "example-2", "mercedes"])
+    def test_verify_example(self, name, capsys, monkeypatch):
+        assert self.run_both(["verify-example", name], capsys, monkeypatch)[0] == 0
 
 
 class TestVerifyExample:

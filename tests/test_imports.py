@@ -1,7 +1,8 @@
 """scipy is imported by the exact solvers alone, never by ``import framekit``.
 
-conftest.py imports scipy into this process, so the import checks run in
-fresh interpreters.
+Importing the CLI builds no argument parser; ``main`` builds one on its first
+call and reuses it.  conftest.py imports scipy into this process, so the
+import checks run in fresh interpreters.
 """
 
 import ast
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+import framekit.cli as cli
 from framekit import fixtures
 from framekit.cli import main
 from framekit.io import save_frame_file
@@ -34,6 +36,33 @@ with contextlib.redirect_stdout(out):
     rc = framekit.cli.main(sys.argv[1:]) if sys.argv[1:] else None
 print(json.dumps({"import": after_import, "run": loaded(), "rc": rc, "out": out.getvalue()}))
 """
+
+# Counts ArgumentParser constructions (the parser and its subparsers) after
+# the import and after each of two ``main`` calls, and lists the framekit
+# modules the import loaded, as one JSON line.
+PARSER_PROBE = """
+import argparse, contextlib, io, json, sys
+built = []
+init = argparse.ArgumentParser.__init__
+def counting_init(self, *args, **kwargs):
+    built.append(kwargs.get("prog"))
+    init(self, *args, **kwargs)
+argparse.ArgumentParser.__init__ = counting_init
+import framekit, framekit.cli
+counts = [len(built)]
+modules = sorted(m for m in sys.modules if m.split(".")[0] == "framekit")
+for _ in range(2):
+    with contextlib.redirect_stdout(io.StringIO()):
+        framekit.cli.main(["verify-example", "mercedes"])
+    counts.append(len(built))
+print(json.dumps({"parsers": counts, "modules": modules}))
+"""
+
+FRAMEKIT_MODULES = sorted(
+    ["framekit"]
+    + [f"framekit.{name}" for name in
+       ("cli", "duals", "erasures", "errors", "fixtures", "frames", "io", "pairs", "search")]
+)
 
 
 def module_level_scipy_imports(path):
@@ -57,11 +86,11 @@ def module_level_scipy_imports(path):
     return sorted(lines)
 
 
-def probe(argv=()):
+def probe(argv=(), script=PROBE):
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     proc = subprocess.run(
-        [sys.executable, "-c", PROBE, *argv],
+        [sys.executable, "-c", script, *argv],
         capture_output=True, text=True, env=env, timeout=120, check=True,
     )
     return json.loads(proc.stdout.splitlines()[-1])
@@ -137,3 +166,34 @@ def test_solver_command_loads_scipy_with_unchanged_output(inputs):
     assert (result["rc"], result["out"]) == in_process(argv)
     doc = json.loads(result["out"])
     assert result["rc"] == 0 and abs(doc["value"] - 1.0) <= 1e-9
+
+
+def test_import_builds_no_parser_and_main_builds_one():
+    result = probe(script=PARSER_PROBE)
+    at_import, first, second = result["parsers"]
+    assert at_import == 0
+    assert first > 0 and second == first
+    assert result["modules"] == FRAMEKIT_MODULES
+
+
+def test_main_calls_share_no_state(inputs, monkeypatch):
+    seen = []
+    build_report = cli.build_report
+
+    def recording(ds, ms=()):
+        seen.append(ms)
+        return build_report(ds, ms=ms)
+
+    monkeypatch.setattr(cli, "build_report", recording)
+    argv = argv_for("analyze", inputs)
+    assert in_process([*argv, "--rm", "2"])[0] == 0
+    second = in_process(argv)
+    assert seen == [(2,), ()]
+    assert cli._parser().parse_args(argv).rm is None
+    fresh = probe(argv)
+    assert second == (fresh["rc"], fresh["out"])
+
+
+def test_build_parser_returns_a_fresh_parser():
+    assert cli.build_parser() is not cli.build_parser()
+    assert cli._parser() is cli._parser()
