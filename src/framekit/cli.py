@@ -23,11 +23,12 @@ from . import fixtures
 from .duals import (
     Measure,
     Verdict,
-    canonical_certificate,
-    connected_decomposition,
-    construct_spectrally_optimal_dual,
-    min_r1_fixed_frame,
-    perturbation_family,
+    _canonical_certificate,
+    _connected_decomposition,
+    _construct_spectral,
+    _family,
+    _min_r1,
+    _weight_partition,
 )
 from .erasures import build_report, report_to_dict
 from .errors import FrameKitError, NotParsevalError, NumericalError
@@ -35,6 +36,7 @@ from .frames import (
     OperatorSpec,
     build_dual_system,
     canonical_k_dual,
+    dual_parameterization,
     is_parseval_k_frame,
     k_frame_bounds,
 )
@@ -42,8 +44,8 @@ from .io import ParseError, dumps_rounded, load_frame_file, load_operator_file
 from .pairs import _r1_optimal, _r2_optimal, is_o1_optimal_pair, pair_bounds
 from .search import (
     SearchConfig,
-    minimize_measure,
-    minimize_r2_within_uniform,
+    _minimize_measure,
+    _minimize_r2_within_uniform,
 )
 
 SCHEMA = "framekit/1"
@@ -179,19 +181,19 @@ def _certificate_dict(cert) -> dict:
 def cmd_optimal_dual(args) -> int:
     frame, op, _ = _load_system(args.frame, args.tol)
     kind = Measure.OP_NORM if args.measure == "opnorm" else Measure.SPECTRAL
-    cert = canonical_certificate(frame, op, kind)
-    decomp = connected_decomposition(frame, op)
-    cfg = SearchConfig(max_iters=args.max_iters, restarts=args.restarts, seed=args.seed)
-    search = minimize_measure(frame, op, kind, cfg)
+    param = dual_parameterization(frame, op)  # the one chart of this call
+    cert = _canonical_certificate(param, kind)
+    decomp = _connected_decomposition(frame, op, param.components)
+    search = _minimize_measure(param, kind)
 
     if kind is Measure.SPECTRAL:
-        minimal = min_r1_fixed_frame(frame, op)
-        constructed = construct_spectrally_optimal_dual(frame, op)
+        minimal = _min_r1(param)
+        constructed = _construct_spectral(param)
     else:
         minimal = search.value
         canonical_optimal = cert.verdict is not Verdict.NOT_OPTIMAL
-        constructed = canonical_k_dual(frame, op) if canonical_optimal else search.frame
-    family = perturbation_family(frame, op, kind)
+        constructed = param.base if canonical_optimal else search.frame
+    family = _family(param, _weight_partition(param, kind), kind)
     doc = {
         "measure": args.measure,
         "certificate": _certificate_dict(cert),
@@ -224,19 +226,20 @@ def cmd_search(args) -> int:
     cfg = SearchConfig(
         max_iters=args.max_iters, restarts=args.restarts, seed=args.seed
     )
+    param = dual_parameterization(frame, op)  # the one chart of this call
     comparisons = {}
     if args.measure in ("o1", "r1"):
         kind = Measure.OP_NORM if args.measure == "o1" else Measure.SPECTRAL
-        result = minimize_measure(frame, op, kind, cfg)
+        result = _minimize_measure(param, kind)
         if op.psd_flag:
             comparisons["pair_bound"] = op.trace / frame.n_vectors
         if args.measure == "r1":
-            comparisons["fixed_frame_minimum"] = min_r1_fixed_frame(frame, op)
+            comparisons["fixed_frame_minimum"] = _min_r1(param)
         else:  # rounding can put it above the value: see minimize_measure
             bound = result.comparison["fixed_frame_lower_bound"]
             comparisons["fixed_frame_lower_bound"] = bound
     else:
-        result = minimize_r2_within_uniform(frame, op, cfg)
+        result = _minimize_r2_within_uniform(param, cfg)
         if result.comparison:
             comparisons["pair_bound"] = result.comparison["pair_r2_min"]
     doc = {

@@ -39,9 +39,16 @@ Han and Mohapatra (J. Funct. Anal., 2013).
 Linear connectivity of i and j holds exactly when they lie in a common
 circuit of the vector matroid of F (Oxley, *Matroid Theory*, ch. 4).
 
-scipy is imported inside the two functions that use it, so importing this
-module does not load it: the pivoted QR of :func:`_matroid_components` and
-the NNLS solve of :func:`_kkt_certificate`.
+Every fixed-frame answer here reads one K-dual chart
+(:class:`~framekit.frames.DualParameterization`): its matroid components,
+decided once, and for the spectral answers its diagonal factor, which
+certifies those components against the chart's diagonal map or raises
+NumericalError.  The public ``(frame, op)`` functions build the chart and
+call a private function that takes it, so a caller holding a chart (the
+CLI) builds it once.
+
+scipy is imported inside the one function here that uses it, so importing
+this module does not load it: the NNLS solve of :func:`_kkt_certificate`.
 """
 
 from __future__ import annotations
@@ -70,7 +77,9 @@ from .frames import (
     Frame,
     OperatorSpec,
     _CanonicalDual,
+    _components,
     _diagonal_scale,
+    _matroid_components,
     _rank,
     _system_scale,
     _within,
@@ -199,47 +208,6 @@ class ConnectionWitness:
     coefficients: np.ndarray
 
 
-def _components(linked: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Connected components of a symmetric boolean adjacency, sorted."""
-    N = linked.shape[0]
-    unseen = np.ones(N, dtype=bool)
-    components = []
-    for start in range(N):
-        if not unseen[start]:
-            continue
-        # Breadth-first search, one vectorized step per graph distance.
-        component = np.zeros(N, dtype=bool)
-        frontier = component.copy()
-        frontier[start] = True
-        while frontier.any():
-            component |= frontier
-            frontier = linked[frontier].any(axis=0) & ~component
-        unseen &= ~component
-        components.append(tuple(int(i) for i in np.flatnonzero(component)))
-    return tuple(components)
-
-
-def _matroid_components(syn: np.ndarray) -> tuple[tuple[int, ...], ...]:
-    """Components of the vector matroid on the columns of ``syn``.
-
-    Pivoted QR picks a basis B; linking each basis index to the columns with
-    a coordinate above DEFAULT_TOL on it in ``B^+ F`` (the fundamental
-    circuits) gives a graph with the same components.  The coordinates are
-    ratios of columns, so the cut does not depend on units.  Zero columns
-    stay singletons.
-    """
-    import scipy.linalg
-
-    N = syn.shape[1]
-    _, R, piv = scipy.linalg.qr(syn, mode="economic", pivoting=True)
-    pivots = np.abs(np.diag(R))
-    basis = piv[: _rank(pivots, pivots[0])]
-    coords, *_ = np.linalg.lstsq(syn[:, basis], syn, rcond=None)
-    linked = np.zeros((N, N), dtype=bool)
-    linked[basis] = ~_within(coords, 1.0)
-    return _components(linked | linked.T)
-
-
 def is_linearly_connected_pair(
     frame: Frame, i: int, j: int
 ) -> tuple[bool, ConnectionWitness | None]:
@@ -301,10 +269,16 @@ def connected_decomposition(frame: Frame, op: OperatorSpec) -> ConnectedDecompos
     ``connectivity_verified[j]`` reports, without rejecting, whether block j
     is one matroid component.
     """
+    return _connected_decomposition(frame, op, _matroid_components(frame.synthesis))
+
+
+def _connected_decomposition(
+    frame: Frame, op: OperatorSpec, matroid: tuple[tuple[int, ...], ...]
+) -> ConnectedDecomposition:
+    """:func:`connected_decomposition`, given the matroid components of F."""
     syn = frame.synthesis
     norms = np.linalg.norm(syn, axis=0)
     blocks = _components(~_within(syn.T @ syn, np.outer(norms, norms)))
-    matroid = _matroid_components(syn)
 
     K = op.matrix
     k_scale = float(np.linalg.norm(K))
@@ -326,12 +300,18 @@ def connected_decomposition(frame: Frame, op: OperatorSpec) -> ConnectedDecompos
     )
 
 
-def _component_means(canon: _CanonicalDual) -> np.ndarray:
+def _component_means(param: DualParameterization) -> np.ndarray:
     """Per index i, the mean of ``<K^+ f_i, f_i>`` over its matroid
-    component: the K-dual diagonal of smallest largest absolute entry."""
-    diag = canon.canonical_diagonal
+    component: the K-dual diagonal of smallest largest absolute entry.
+
+    The components are the chart's, read through its diagonal factor, so
+    they are certified as null(D) or NumericalError is raised: this closed
+    form, the spectral LP and the construction answer from one decision.
+    """
+    param._diagonal_factor  # certifies param.components, or raises
+    diag = param.canonical_diagonal
     means = np.empty_like(diag)
-    for component in _matroid_components(canon.frame.synthesis):
+    for component in param.components:
         means[list(component)] = np.mean(diag[list(component)])
     return means
 
@@ -342,10 +322,16 @@ def min_r1_fixed_frame(frame: Frame, op: OperatorSpec) -> float:
     Equals ``max_B |sum_{i in B} <K^+ f_i, f_i>| / |B|`` over the matroid
     components B of F, for any Parseval K-frame; NotParsevalError
     otherwise.  For orthogonal K-invariant blocks this is ``max_j
-    delta_j``.
+    delta_j``.  NumericalError when the components cannot be certified
+    against the chart's diagonal map (see
+    :attr:`~framekit.frames.DualParameterization._diagonal_factor`).
     """
-    canon = _CanonicalDual(frame, op, canonical_k_dual(frame, op))
-    return float(np.max(np.abs(_component_means(canon))))
+    return _min_r1(dual_parameterization(frame, op))
+
+
+def _min_r1(param: DualParameterization) -> float:
+    """:func:`min_r1_fixed_frame` on a chart."""
+    return float(np.max(np.abs(_component_means(param))))
 
 
 # ---------------------------------------------------------------------------
@@ -406,10 +392,15 @@ def construct_spectrally_optimal_dual(frame: Frame, op: OperatorSpec) -> Frame:
     those with this diagonal; it is unique, so it follows any reordering of
     the frame.  NotParsevalError when F is not a Parseval K-frame.  The
     diagonal always lies in the range of the chart's diagonal map, so a
-    missed solve raises NumericalError.
+    missed solve raises NumericalError, as do components the chart cannot
+    certify.
     """
-    param = dual_parameterization(frame, op)
-    c = param.diagonal_coefficients(frame, _component_means(param))
+    return _construct_spectral(dual_parameterization(frame, op))
+
+
+def _construct_spectral(param: DualParameterization) -> Frame:
+    """:func:`construct_spectrally_optimal_dual` on a chart."""
+    c = param.diagonal_coefficients(param.frame, _component_means(param))
     if c is None:
         raise NumericalError("the chart solve missed the component-mean diagonal")
     return reconstruct_dual(param, c)
@@ -667,8 +658,14 @@ def canonical_certificate(
        it), ``step``, ``improved_value`` (the exact measure of
        ``canonical + step * direction``) and ``canonical_value``.
     """
-    param = dual_parameterization(frame, op)
-    if not op.psd_flag:
+    return _canonical_certificate(dual_parameterization(frame, op), kind)
+
+
+def _canonical_certificate(
+    param: DualParameterization, kind: Measure
+) -> OptimalityCertificate:
+    """:func:`canonical_certificate` on a chart."""
+    if not param.op.psd_flag:
         raise NotPSDError("certificate requires a PSD operator")
     if param.dof == 0:
         return OptimalityCertificate(

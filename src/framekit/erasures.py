@@ -120,6 +120,23 @@ def _pair_products(alpha: np.ndarray):
     return (iu, ju), alpha[iu, ju] * alpha[ju, iu]
 
 
+def _pair_radii(s: np.ndarray, disc: np.ndarray) -> np.ndarray:
+    """Two-erasure radii ``max |(s +/- sqrt(disc)) / 2|`` of pairs with
+    diagonal sum s and discriminant disc, under the principal complex
+    square root with both signs evaluated.
+
+    When every disc is finite and >= 0 the roots are real, and
+    ``(|s| + sqrt(disc)) / 2`` in real arithmetic gives the same bits at a
+    fraction of the cost.  Otherwise the complex formula runs: numpy's
+    complex modulus matches no real formula bit for bit (``np.hypot``
+    rounds differently), and NaN and inf keep their complex results.
+    """
+    if disc.size and 0.0 <= disc.min() and disc.max() < math.inf:
+        return (np.abs(s) + np.sqrt(disc)) / 2.0
+    root = np.sqrt(disc.astype(complex))
+    return np.maximum(np.abs((s + root) / 2.0), np.abs((s - root) / 2.0))
+
+
 def _pair_terms(
     alpha: np.ndarray, diag: np.ndarray | None = None
 ) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
@@ -128,15 +145,46 @@ def _pair_terms(
     Pairs run over ``np.triu_indices(N, 1)``, i.e. lexicographically.  The
     nonzero eigenvalues of the error operator of pair (i, j) are
     ``(d_i + d_j +/- sqrt(disc)) / 2`` with ``disc = (d_i - d_j)^2 + 4 prod``
-    and d the diagonal of alpha (or ``diag`` when given); the square root is
-    the principal complex branch and both signs are evaluated.
+    and d the diagonal of alpha (or ``diag`` when given); the radius is the
+    larger modulus of the two (:func:`_pair_radii`).
     """
     d = np.diag(alpha) if diag is None else diag
     (iu, ju), prods = _pair_products(alpha)
-    s = d[iu] + d[ju]
-    root = np.sqrt(((d[iu] - d[ju]) ** 2 + 4.0 * prods).astype(complex))
-    radii = np.maximum(np.abs((s + root) / 2.0), np.abs((s - root) / 2.0))
+    radii = _pair_radii(d[iu] + d[ju], (d[iu] - d[ju]) ** 2 + 4.0 * prods)
     return (iu, ju), prods, radii
+
+
+# Rows of the upper triangle per step of _max_pair_radius: at N = 600 a
+# step's arrays stay near 300 kB, inside the cache, while a step costs far
+# more than its Python overhead.
+_PAIR_BLOCK = 64
+
+
+def _max_pair_radius(alpha: np.ndarray, d: np.ndarray) -> tuple[float, tuple[int, int]]:
+    """Largest two-erasure radius over pairs i < j and the lexicographically
+    first pair attaining it, as ``np.argmax`` over the radii of
+    :func:`_pair_terms` picks it (the first NaN, if any).
+
+    Runs over blocks of _PAIR_BLOCK rows, each on the columns right of its
+    first row; the entries with j <= i in a block are masked, and no array
+    of all N (N - 1) / 2 pairs is built.
+    """
+    N = alpha.shape[0]
+    best, best_pair = -np.inf, None
+    for a in range(0, N - 1, _PAIR_BLOCK):
+        b = min(a + _PAIR_BLOCK, N - 1)
+        di, dj = d[a:b, None], d[None, a + 1 :]
+        prods = alpha[a:b, a + 1 :] * alpha[a + 1 :, a:b].T
+        radii = _pair_radii(di + dj, (di - dj) ** 2 + 4.0 * prods)
+        rows, cols = np.indices(radii.shape, sparse=True)
+        radii[cols < rows] = -np.inf  # j = a + 1 + col <= i = a + row
+        row, col = divmod(int(np.argmax(radii)), radii.shape[1])
+        value = radii[row, col]
+        if value > best or math.isnan(value):
+            best, best_pair = float(value), (a + row, a + 1 + col)
+            if math.isnan(value):
+                break
+    return best, best_pair
 
 
 def r2_closed_form(ds: DualSystem) -> float:
@@ -149,9 +197,7 @@ def r2_closed_form_argmax(ds: DualSystem) -> tuple[float, tuple[int, int]]:
     """As :func:`r2_closed_form`, also returning the lexic. first argmax pair."""
     if ds.n_vectors < 2:
         raise ValueError("two-erasure measure needs at least 2 vectors")
-    (iu, ju), _, radii = _pair_terms(ds.cross_gram)
-    k = int(np.argmax(radii))
-    return float(radii[k]), (int(iu[k]), int(ju[k]))
+    return _max_pair_radius(ds.cross_gram, ds.diag)
 
 
 def rm_bruteforce(
@@ -231,8 +277,8 @@ def r2_simplified_uniform(ds: DualSystem) -> float:
     N = ds.n_vectors
     if N < 2:
         raise ValueError("two-erasure measure needs at least 2 vectors")
-    _, _, radii = _pair_terms(ds.cross_gram, np.full(N, ds.op.trace / N))
-    return float(np.max(radii))
+    value, _ = _max_pair_radius(ds.cross_gram, np.full(N, ds.op.trace / N))
+    return value
 
 
 @dataclass(frozen=True, eq=False)

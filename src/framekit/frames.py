@@ -17,9 +17,12 @@ the columns of W are an orthonormal basis of null(F) and C ranges over
 
 All objects are immutable after construction (each copies its arrays and
 marks them read-only), so values can be shared freely across threads; every
-operation here is a pure function.  This module needs numpy alone: the
-K-frame bounds reduce their generalized eigenproblem to standard form by a
-Cholesky factor.
+operation here is a pure function.  The K-frame bounds need numpy alone:
+they reduce their generalized eigenproblem to standard form by a Cholesky
+factor.  scipy is imported inside the two chart steps that use it, so
+importing this module does not load it: the pivoted QR of
+:func:`_matroid_components` and the LAPACK triangular solves of the chart's
+diagonal factor.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from .errors import (
     NotDualError,
     NotKFrameError,
     NotParsevalError,
+    NumericalError,
 )
 
 # The tolerance rule.  A value decision (equal within tolerance) compares a
@@ -340,6 +344,47 @@ def _system_scale(ds: DualSystem) -> float:
     )
 
 
+def _components(linked: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Connected components of a symmetric boolean adjacency, sorted."""
+    N = linked.shape[0]
+    unseen = np.ones(N, dtype=bool)
+    components = []
+    for start in range(N):
+        if not unseen[start]:
+            continue
+        # Breadth-first search, one vectorized step per graph distance.
+        component = np.zeros(N, dtype=bool)
+        frontier = component.copy()
+        frontier[start] = True
+        while frontier.any():
+            component |= frontier
+            frontier = linked[frontier].any(axis=0) & ~component
+        unseen &= ~component
+        components.append(tuple(int(i) for i in np.flatnonzero(component)))
+    return tuple(components)
+
+
+def _matroid_components(syn: np.ndarray) -> tuple[tuple[int, ...], ...]:
+    """Components of the vector matroid on the columns of ``syn``.
+
+    Pivoted QR picks a basis B; linking each basis index to the columns with
+    a coordinate above DEFAULT_TOL on it in ``B^+ F`` (the fundamental
+    circuits) gives a graph with the same components.  The coordinates are
+    ratios of columns, so the cut does not depend on units.  Zero columns
+    stay singletons.
+    """
+    import scipy.linalg
+
+    N = syn.shape[1]
+    _, R, piv = scipy.linalg.qr(syn, mode="economic", pivoting=True)
+    pivots = np.abs(np.diag(R))
+    basis = piv[: _rank(pivots, pivots[0])]
+    coords, *_ = np.linalg.lstsq(syn[:, basis], syn, rcond=None)
+    linked = np.zeros((N, N), dtype=bool)
+    linked[basis] = ~_within(coords, 1.0)
+    return _components(linked | linked.T)
+
+
 @dataclass(frozen=True, eq=False)
 class _CanonicalDual:
     """A Parseval K-frame F, its operator K and its canonical K-dual
@@ -365,22 +410,32 @@ class DualParameterization(_CanonicalDual):
     ``base`` is the canonical dual ``K^+ F``.  ``basis`` is W, an
     N x (N - rank F) matrix with orthonormal columns spanning null(F), so
     ``F W = 0`` to rounding and every ``C in R^{n x (N - rank F)}`` yields a
-    valid K-dual.  A coefficient vector c of length ``dof = n (N - rank F)``
-    stands for ``C[a, m] = c[m n + a]``; the perturbations ``e_a w_m^T`` in
-    that order are Frobenius-orthonormal.  The dual at c has the diagonal
-    ``canonical_diagonal + D^T c``, D being the dof x N diagonal map.  The
-    diagonal solves (:meth:`diagonal_coefficients`, the spectral LP) need
-    only null(D) and the minimum-norm lift of a diagonal shift, and
-    :attr:`_diagonal_factor` reads both from the N x N Gram ``D^T D``; D
-    itself (:attr:`diagonal_map`) is built only where that Gram cannot
-    decide the rank of D.  Each is built when first read.
+    valid K-dual; ``row_basis`` is V, N x rank F, the orthonormal
+    complement of W (``V V^T + W W^T = I``).  A coefficient vector c of
+    length ``dof = n (N - rank F)`` stands for ``C[a, m] = c[m n + a]``; the
+    perturbations ``e_a w_m^T`` in that order are Frobenius-orthonormal.
+
+    The chart is the one context of every fixed-frame answer about F.  It
+    decides the matroid components of F once (:attr:`components`).  The
+    dual at c has the diagonal ``canonical_diagonal + D^T c``, D being the
+    dof x N diagonal map, and ``F diag(lam) W = 0`` holds exactly when lam
+    is constant on each component, so null(D) is the span of the component
+    indicators.  :attr:`_diagonal_factor` certifies that against D's rank
+    rule by one Cholesky of the N x N Gram ``D^T D`` and gives the
+    minimum-norm lift of a diagonal shift; the diagonal solves
+    (:meth:`diagonal_coefficients`, the spectral LP) and the spectral closed
+    form read the components through it, and where the certificate fails
+    and D itself (:attr:`diagonal_map`) disagrees with the components, they
+    raise NumericalError.  Each is built when first read.
     """
 
     basis: np.ndarray  # N x (N - rank F)
     dof: int
+    row_basis: np.ndarray  # N x rank F
 
     def __post_init__(self):
         object.__setattr__(self, "basis", _readonly(self.basis))
+        object.__setattr__(self, "row_basis", _readonly(self.row_basis))
 
     @cached_property
     def diagonal_map(self) -> np.ndarray:
@@ -390,40 +445,87 @@ class DualParameterization(_CanonicalDual):
         return D
 
     @cached_property
-    def _diagonal_factor(self):
-        """(null, lift): an N x p orthonormal basis of null(D), the diagonal
-        shifts no dual reaches, and the map from a shift r to the
-        minimum-norm c with ``D^T c`` the projection of r onto range(D^T).
+    def components(self) -> tuple[tuple[int, ...], ...]:
+        """The matroid components of F (:func:`_matroid_components`, a
+        pivoted QR at DEFAULT_TOL), decided once for every reader."""
+        return _matroid_components(self.frame.synthesis)
 
-        The Gram ``M = D^T D = (F^T F) o (W W^T)`` is N x N.  Its
-        eigenvalues above ``RANK_TOL ||F||_F^2`` count as rank
-        (``||M|| <= ||F||_F^2``).  The eigenvectors of the others are taken
-        as null(D) only when ``||D null||_F``, the norm of the
-        ``F diag(q) W`` over them, is at most ``RANK_TOL ||F||_F``: the rank
-        rule of D itself, computed without squaring its condition number.
-        Then ``c = F diag(mu) W`` with ``mu = M^+ r`` from the other
-        eigenpairs.  When the check fails, M cannot resolve a singular value
-        of D between ``RANK_TOL ||F||_F`` and about ``1e-5 ||F||_F``, and
-        one SVD of D gives both instead.
+    @cached_property
+    def _diagonal_factor(self):
+        """(null, lift): E, the N x p normalized indicators of the p
+        :attr:`components` (``1/sqrt|B|`` on component B, exact zeros
+        elsewhere), which span null(D), the diagonal shifts no dual reaches;
+        and the map from a shift r to the minimum-norm c with ``D^T c`` the
+        projection of r onto range(D^T).
+
+        With ``s = ||F||_F`` (``||D|| <= s``) and the Gram
+        ``M = D^T D = (F^T F) o (W W^T)``, built as ``(F^T F) o (I - V V^T)``,
+        the components are certified when
+
+        * ``||F_B W_B||_F <= RANK_TOL s`` for every component B: E lies in
+          null(D) by D's own rank rule, computed without squaring its
+          condition number; and
+        * ``M + s^2 E E^T - RANK_TOL s^2 I`` has a Cholesky factor: no
+          eigenvalue of M outside span(E) is at or below the cut.
+
+        Then ``c = F diag(mu) W`` with ``(M + s^2 E E^T) mu = r - E E^T r``,
+        solved with the Cholesky factor of ``M + s^2 E E^T``; no N x N
+        eigendecomposition runs.  Otherwise M cannot resolve a singular
+        value of D between ``RANK_TOL s`` and about ``1e-5 s``, or E misses
+        null(D): one SVD of D decides its rank by its own rule and gives the
+        lift, and its null space is accepted only when it is span(E).  When
+        it is not, the components and D disagree, and NumericalError names
+        the components rather than answer from either side.
         """
-        F, W = self.frame.synthesis, self.basis
+        from scipy.linalg import lapack
+
+        F, W, V = self.frame.synthesis, self.basis, self.row_basis
+        N = F.shape[1]
         scale = float(np.linalg.norm(F))
-        w, Q = np.linalg.eigh((F.T @ F) * (W @ W.T))
-        p = F.shape[1] - _rank(w, scale**2)  # eigh sorts ascending
-        null = Q[:, :p]
-        # ||D null||_F^2 = sum_j ||F diag(null[:, j]) W||_F^2, taken a row
-        # of F at a time: no n x N x p stack.
-        residual = math.sqrt(sum(np.vdot(X, X) for X in (null.T * f @ W for f in F)))
+        label = np.empty(N, dtype=int)
+        for k, component in enumerate(self.components):
+            label[list(component)] = k
+        sizes = np.bincount(label)[label]  # |B| of the component of each index
+        null = np.zeros((N, len(self.components)))
+        null[np.arange(N), label] = 1.0 / np.sqrt(sizes)
+        residual = max(np.linalg.norm(F[:, c] @ W[c]) for c in map(list, self.components))
         if residual <= RANK_TOL * scale:
-            Q, inv = Q[:, p:], 1.0 / w[p:]
-            return null, lambda r: ((F * (Q @ (inv * (Q.T @ r)))) @ W).T.ravel()
+            gram = V @ V.T
+            np.negative(gram, out=gram)
+            gram[np.diag_indices(N)] += 1.0  # W W^T = I - V V^T
+            gram *= F.T @ F
+            gram += (label[:, None] == label) * (scale**2 / sizes)[:, None]  # s^2 E E^T
+            shifted = gram.copy()
+            shifted[np.diag_indices(N)] -= RANK_TOL * scale**2
+            try:
+                np.linalg.cholesky(shifted)
+                upper = np.linalg.cholesky(gram).T  # U^T U = gram, Fortran order for LAPACK
+            except np.linalg.LinAlgError:
+                pass
+            else:
+
+                def lift(r):
+                    r = r - np.bincount(label, r)[label] / sizes  # r - E E^T r
+                    mu = lapack.dtrtrs(upper, lapack.dtrtrs(upper, r, trans=1)[0])[0]
+                    return ((F * mu) @ W).T.ravel()
+
+                return null, lift
         # Vt needs N rows to hold a basis of null(D); the thin SVD keeps
         # only min(dof, N), and the full one costs nothing more when dof < N.
-        U, s, Vt = np.linalg.svd(self.diagonal_map, full_matrices=self.dof < F.shape[1])
+        U, s, Vt = np.linalg.svd(self.diagonal_map, full_matrices=self.dof < N)
         # Relative to ||F||_F >= ||D||, not to s[0]: D can be all rounding
         # noise (null(F) spanned by zero vectors of F).
         rank = _rank(s, scale)
-        return Vt[rank:].T, lambda r: U[:, :rank] @ ((Vt[:rank] @ r) / s[:rank])
+        found = Vt[rank:].T
+        if found.shape[1] != null.shape[1] or not _within(
+            np.linalg.norm(found - null @ (null.T @ found)), 1.0
+        ):
+            raise NumericalError(
+                f"the matroid components {self.components} of the frame do not "
+                f"span the {found.shape[1]} null directions of its diagonal map: "
+                "the frame is too close to one with other components to decide"
+            )
+        return null, lambda r: U[:, :rank] @ ((Vt[:rank] @ r) / s[:rank])
 
     def perturbation(self, coefficients) -> np.ndarray:
         """``C W^T`` for a coefficient vector, or a stack of them.
@@ -498,8 +600,9 @@ def dual_parameterization(frame: Frame, op: OperatorSpec) -> DualParameterizatio
             " noise"
         )
     _, s, vt = np.linalg.svd(frame.synthesis)
-    W = vt[_rank(s, s[0] if s.size else 0.0) :].T
-    return DualParameterization(frame, op, base, W, frame.dim * W.shape[1])
+    rank = _rank(s, s[0] if s.size else 0.0)
+    W = vt[rank:].T
+    return DualParameterization(frame, op, base, W, frame.dim * W.shape[1], vt[:rank].T)
 
 
 def reconstruct_dual(param: DualParameterization, coefficients) -> Frame:

@@ -109,6 +109,8 @@ def _read_json(path):
         raise ParseError(f"cannot read {path}: {exc}") from exc
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ParseError(f"invalid JSON in {path}: {exc}") from exc
+    except RecursionError as exc:  # nesting past the interpreter's limit
+        raise ParseError(f"invalid JSON in {path}: nested too deeply") from exc
 
 
 def load_frame_file(

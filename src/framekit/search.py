@@ -14,11 +14,13 @@ returns no usable point raises :class:`~framekit.errors.NumericalError`.
 The spectral objective sees a dual only through its diagonal
 ``d = a0 + D^T c``, D being the dof x N diagonal map of the chart.  The
 spectral solve is an epigraph LP on that diagonal: N + 1 variables, with
-the reachable diagonals written as equality rows that span null(D).  The
-chart reads null(D), and the minimum-norm coefficients of the optimal
-diagonal, from the N x N Gram ``D^T D`` with a certified null space, so no
-dof-sized matrix is built; the spectral terms and their KKT gradients come
-from the dual's diagonal and the top columns of D alone.
+the reachable diagonals written as equality rows that span null(D).  Those
+rows are the exact indicators of the chart's matroid components, which
+span null(D); the chart certifies them by a Cholesky factor of the N x N
+Gram ``D^T D`` and lifts the optimal diagonal to minimum-norm coefficients
+with it, so no dof-sized matrix is built and no QR of the rows is taken.
+The spectral terms and their KKT gradients come from the dual's diagonal
+and the top columns of D alone.
 
 The operator norm ``min max_i ||f_i|| ||g_i||`` splits over the matroid
 components of F and is solved by Lawson's reweighting (C. L. Lawson, PhD
@@ -179,29 +181,22 @@ def _polish_spectral(obj: _Objective) -> np.ndarray:
     The objective depends on c only through d, and the reachable diagonals
     are ``a0 + range(D^T)``.  So the LP is min t with ``|d_i| <= t`` and
     ``P d = P a0``, where the rows of P span null(D): N + 1 variables and
-    p = N - rank D equality rows (p >= 1, since the all-ones vector lies in
-    null(D): ``sum_i D[k, i] = (F W)[a, m] = 0``).  P comes from the chart's ``_diagonal_factor``, built on the
-    N x N Gram ``D^T D`` with a certified null space.  The coefficients of
-    the optimal diagonal come from ``diagonal_coefficients``, which checks
-    that their dual reproduces the LP diagonal exactly.  The canonical
-    value ``max |a0|`` must be positive; a failed LP, or coefficients that
-    miss the LP diagonal, raise NumericalError.
+    one equality row per matroid component.  P is the transpose of the
+    chart's ``_diagonal_factor`` null basis: the exact component
+    indicators, ``1/sqrt|B|`` on component B and exact zeros elsewhere, so
+    HiGHS meets them exactly and no QR of the rows is taken.  The
+    coefficients of the optimal diagonal come from ``diagonal_coefficients``,
+    which checks that their dual reproduces the LP diagonal exactly.  The
+    canonical value ``max |a0|`` must be positive; a failed LP, coefficients
+    that miss the LP diagonal, or components the chart cannot certify raise
+    NumericalError.
     """
-    import scipy.linalg
     import scipy.optimize
 
     N = obj.a0.shape[0]
     top = float(np.max(np.abs(obj.a0)))
     null, _ = obj.param._diagonal_factor
-    # The rows in echelon form, with the identity on the columns a pivoted
-    # QR picks, scaled to unit norm: on a frame's chart null(D) is spanned
-    # by the indicators of the matroid components of F, so these rows are
-    # those indicators to rounding and HiGHS meets them exactly.  Any basis
-    # of the subspace gives them; the eigenvector basis itself left
-    # equality residuals of 1e-10 on block frames.
-    _, piv = scipy.linalg.qr(null.T, mode="r", pivoting=True)
-    P = np.linalg.solve(null[piv[: null.shape[1]]].T, null.T)
-    P /= np.linalg.norm(P, axis=1, keepdims=True)
+    P = null.T
     # Scaled to unit size, so HiGHS's absolute tolerances act relatively.
     a0 = obj.a0 / top
     cost = np.zeros(N + 1)
@@ -375,14 +370,12 @@ def _lawson_op_norm(param: DualParameterization) -> _LawsonResult:
     lower bound the largest component bound.  The singletons, whose dual is
     fixed, run first, then the others in decreasing order of their
     canonical value, each stopping once it is below the bound of those
-    before it.  Builds no dof-sized object.
+    before it.  The components are the chart's.  Builds no dof-sized object.
     """
-    from .duals import _matroid_components  # duals imports this module
-
     F, G0 = param.frame.synthesis, param.base.synthesis
     canonical = np.linalg.norm(F, axis=0) * np.linalg.norm(G0, axis=0)
     components = sorted(  # singletons (one dual, exact bound) first
-        _matroid_components(F),
+        param.components,
         key=lambda c: (len(c) > 1, -float(np.max(canonical[list(c)]))),
     )
     dual = G0.copy()
@@ -430,7 +423,11 @@ def minimize_measure(
     result is deterministic, reads nothing from ``cfg``, and its value is
     always an exact objective value at a verified dual.
     """
-    param = dual_parameterization(frame, op)
+    return _minimize_measure(dual_parameterization(frame, op), kind)
+
+
+def _minimize_measure(param: DualParameterization, kind: Measure) -> MinimizeResult:
+    """:func:`minimize_measure` on a chart."""
     obj = _Objective(param, kind)
     value = obj.canonical_value
     bound = value  # the op-norm lower bound when no solver runs: exact
@@ -451,7 +448,7 @@ def minimize_measure(
     else:
         c = np.zeros(param.dof)
     dual = reconstruct_dual(param, c)
-    if verify_k_dual(frame, dual, op) is DualKind.NOT_DUAL:
+    if verify_k_dual(param.frame, dual, param.op) is DualKind.NOT_DUAL:
         raise NumericalError("search result fails the K-duality check")
     return MinimizeResult(
         dual, value, tuple(trace), comparison=_lower_bound(kind, bound)
@@ -476,12 +473,19 @@ def minimize_r2_within_uniform(
     search (Nelder-Mead).  The result carries a comparison against the pair
     bound when K is PSD.
     """
+    return _minimize_r2_within_uniform(dual_parameterization(frame, op), cfg)
+
+
+def _minimize_r2_within_uniform(
+    param: DualParameterization, cfg: SearchConfig
+) -> MinimizeResult:
+    """:func:`minimize_r2_within_uniform` on a chart."""
     import scipy.optimize
 
+    frame, op = param.frame, param.op
     N = frame.n_vectors
     if N < 2:
         raise ValueError("two-erasure search needs at least 2 vectors")
-    param = dual_parameterization(frame, op)
     obj = _Objective(param, Measure.SPECTRAL)
     c0 = param.diagonal_coefficients(frame, np.full(N, op.trace / N))
     if c0 is None:

@@ -198,6 +198,46 @@ def non_orthogonal_components(rng, dims=(2, 2), sizes=(5, 6)):
     return frame, parseval_operator(frame)
 
 
+def near_joined_components(weight=1e-5, seed=0):
+    """Two matroid components joined by a vector of the given weight: one
+    component.  At 1e-5 its diagonal map D has two singular values near
+    1e-6 of ||F||_F, below what the Gram D^T D resolves and above D's rank
+    cut.
+
+    With ``seed=0`` and a weight between 1e-7 and 1e-10 this is the frame
+    on which the pivoted-QR components and D's rank rule once gave three
+    different spectral minima; see :func:`fixed_frame_answers`.
+    """
+    frame, _ = non_orthogonal_components(np.random.default_rng(seed))
+    F = frame.synthesis
+    u, v = F[:, 0] / np.linalg.norm(F[:, 0]), F[:, -1] / np.linalg.norm(F[:, -1])
+    frame = fk.Frame(np.column_stack([F, weight * (u + v)]))
+    return frame, parseval_operator(frame)
+
+
+def fixed_frame_answers(frame, op):
+    """The three fixed-frame spectral answers: ``min_r1_fixed_frame``, the
+    spectral ``minimize_measure`` value and the r1 of
+    ``construct_spectrally_optimal_dual``, each None where it raised
+    NumericalError.  The two duals must pass ``verify_k_dual``."""
+    answers = []
+    for answer in (
+        lambda: fk.min_r1_fixed_frame(frame, op),
+        lambda: fk.minimize_measure(frame, op, Measure.SPECTRAL).frame,
+        lambda: fk.construct_spectrally_optimal_dual(frame, op),
+    ):
+        try:
+            value = answer()
+        except fk.NumericalError:
+            answers.append(None)
+            continue
+        if isinstance(value, fk.Frame):
+            assert fk.verify_k_dual(frame, value, op) is fk.DualKind.K_DUAL_PAIR
+            value = float(np.max(np.abs(fk.build_dual_system(frame, value, op).diag)))
+        answers.append(value)
+    return answers
+
+
 def non_psd_operator(rng, frame):
     """Non-PSD K = S^{1/2} U, U a random rotation, with K K^T = F F^T."""
     U, _ = np.linalg.qr(rng.standard_normal((frame.dim, frame.dim)))

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.optimize
 
 import framekit as fk
 from framekit import fixtures
@@ -21,10 +22,12 @@ from framekit.cli import main
 from framekit.erasures import Measure
 from framekit.frames import DualParameterization
 from framekit.io import save_frame_file
-from conftest import random_parseval_frame, random_psd
+from conftest import random_block_frame, random_parseval_frame, random_psd
 
 COUNTED = {
-    "frames": ("is_parseval_k_frame", "dual_parameterization", "k_frame_bounds"),
+    "frames": (
+        "is_parseval_k_frame", "dual_parameterization", "k_frame_bounds", "_matroid_components"
+    ),
     "erasures": ("uniformity",),
 }
 CFG = fk.SearchConfig(max_iters=200, restarts=2, seed=0)
@@ -98,13 +101,15 @@ def ex1_file(tmp_path_factory):
     return str(path)
 
 
-# CLI commands run on example-1 and the most calls each may make.  The
-# dual_parameterization caps are the counts before the chart carried its
-# frame and operator: no command may build more charts than that.
+# CLI commands run on example-1 and the most calls each may make.  A command
+# that reads the K-dual set builds one chart, which decides the matroid
+# components once; the two Parseval checks are the loader's and the chart's.
+ONE_CHART = {"is_parseval_k_frame": 2, "dual_parameterization": 1, "_matroid_components": 1}
 CLI_CAPS = {
-    "optimal-dual --measure spectral": {"is_parseval_k_frame": 6, "dual_parameterization": 4},
-    "optimal-dual --measure opnorm": {"is_parseval_k_frame": 5, "dual_parameterization": 3},
-    "search --measure r1": {"is_parseval_k_frame": 3, "dual_parameterization": 1},
+    "optimal-dual --measure spectral": ONE_CHART,
+    "optimal-dual --measure opnorm": ONE_CHART,
+    "search --measure r1": ONE_CHART,
+    "search --measure o1": ONE_CHART,
     "analyze": {"uniformity": 1, "k_frame_bounds": 1, "dual_parameterization": 0},
 }
 
@@ -157,3 +162,55 @@ def test_spectral_paths_on_a_generic_chart_build_no_diagonal_map(monkeypatch, tm
         name, *flags = command.split()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([name, "--frame", str(path), *flags]) == 0
+
+
+def one_block_frame():
+    rng = np.random.default_rng(0)
+    op = fk.build_operator(random_psd(rng, 3))
+    return random_parseval_frame(rng, op, 9), op
+
+
+def block_frame():
+    frame, op, _ = random_block_frame(np.random.default_rng(1), [(2, 4), (1, 3), (2, 5)])
+    return frame, op
+
+
+@pytest.mark.parametrize("command", ["optimal-dual --measure spectral", "search --measure r1"])
+@pytest.mark.parametrize("system", [one_block_frame, block_frame])
+def test_spectral_cli_call_builds_one_chart_and_no_gram_eigh(
+    command, system, calls, monkeypatch, tmp_path
+):
+    # One chart, one matroid decision on the full frame, no N x N
+    # eigendecomposition (the chart certifies its Gram by a Cholesky
+    # factor), and LP equality rows that are the component indicators.
+    frame, op = system()
+    N = frame.n_vectors
+    path = tmp_path / "frame.json"
+    save_frame_file(path, frame, op)
+    shapes, rows = [], []
+    eigh, linprog = np.linalg.eigh, scipy.optimize.linprog
+    monkeypatch.setattr(
+        np.linalg, "eigh", lambda a, *args, **kw: shapes.append(a.shape) or eigh(a, *args, **kw)
+    )
+    monkeypatch.setattr(
+        scipy.optimize, "linprog",
+        lambda *args, **kw: rows.append(kw["A_eq"][:, :N]) or linprog(*args, **kw),
+    )
+    frames = sys.modules["framekit.frames"]
+    decide, components = frames._matroid_components, []
+    monkeypatch.setattr(
+        frames, "_matroid_components", lambda syn: components.append(syn.shape) or decide(syn)
+    )
+    calls.clear()
+    name, *flags = command.split()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main([name, "--frame", str(path), *flags]) == 0
+    assert calls["dual_parameterization"] == 1
+    assert components == [(frame.dim, N)]
+    assert (N, N) not in shapes
+    (P,) = rows
+    chart = fk.dual_parameterization(frame, op)
+    patterns = P / P.max(axis=1, keepdims=True)
+    assert np.array_equal(patterns, patterns.astype(bool))  # exactly 0 or 1
+    assert [tuple(np.flatnonzero(row)) for row in patterns] == list(chart.components)
+    assert len(chart.components) == (1 if system is one_block_frame else 3)

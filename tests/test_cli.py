@@ -19,6 +19,7 @@ from framekit.io import (
 from conftest import (
     break_solvers,
     degenerate_frame,
+    near_joined_components,
     non_orthogonal_components,
     random_block_frame,
     random_parseval_frame,
@@ -213,7 +214,8 @@ class TestOversizedNumbers:
     """Literals no float holds exit 2 with a message naming their field:
     integers past the float range (OverflowError in the conversion) and
     past the interpreter's 4300-digit limit for int (ValueError in
-    ``json.load``)."""
+    ``json.load``).  So does nesting past the interpreter's recursion limit
+    (RecursionError in ``json.load``), with empty stdout like the rest."""
 
     def run(self, tmp_path, capsys, data, argv):
         path = tmp_path / "big.json"
@@ -269,6 +271,18 @@ class TestOversizedNumbers:
         data = dict(EX1_DATA, vectors=vectors)
         err = self.run(tmp_path, capsys, data, ["analyze", "--frame", "{path}"])
         assert err == f"parse error: bad vectors: {message}\n"
+
+    @pytest.mark.parametrize("depth", [2_000, 100_000])
+    @pytest.mark.parametrize("field", ["vectors", "K"])
+    @pytest.mark.parametrize(
+        "argv",
+        [["analyze", "--frame", "{path}"], ["pair-bounds", "--k", "{path}", "--n-vectors", "4"]],
+    )
+    def test_nesting_past_the_recursion_limit(self, tmp_path, capsys, depth, field, argv):
+        text = json.dumps(dict(EX1_DATA, **{field: "HERE"}))
+        text = text.replace('"HERE"', "[" * depth + "1" + "]" * depth)
+        err = self.run(tmp_path, capsys, text, argv)
+        assert err == f"parse error: invalid JSON in {tmp_path / 'big.json'}: nested too deeply\n"
 
 
 class TestAnalyze:
@@ -450,6 +464,22 @@ class TestOtherCommands:
         G = np.asarray(doc["optimal_dual"]).T
         r1 = np.max(np.abs(np.einsum("ij,ij->j", G, frame.synthesis)))
         assert r1 == pytest.approx(doc["minimal_value"], rel=1e-9)
+
+    @pytest.mark.parametrize("weight", [1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10, 1e-10])
+    def test_minimal_value_never_exceeds_search_value(self, tmp_path, capsys, weight):
+        # Across the window where the matroid components are hard to
+        # decide: one answer from both, or a numerical failure.
+        path = tmp_path / "joined.json"
+        save_frame_file(path, *near_joined_components(weight))
+        rc = main(["optimal-dual", "--frame", str(path), "--measure", "spectral"])
+        captured = capsys.readouterr()
+        if rc == 4:
+            assert captured.out == "" and "matroid components" in captured.err
+            return
+        assert rc == 0
+        doc = json.loads(captured.out)
+        assert doc["minimal_value"] <= doc["search_value"]
+        assert doc["search_value"] == pytest.approx(doc["minimal_value"], rel=1e-9)
 
     @pytest.mark.parametrize("scale", [1e-8, 1e-6, 1e6])
     def test_search_r2u_refusal_does_not_depend_on_units(self, tmp_path, capsys, scale):

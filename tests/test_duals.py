@@ -17,8 +17,10 @@ from conftest import (
     certificate_systems,
     degenerate_frame,
     dense_family_rows,
+    fixed_frame_answers,
     kkt_instance,
     loop_family_radius,
+    near_joined_components,
     non_orthogonal_components,
     non_psd_operator,
     parseval_operator,
@@ -341,6 +343,59 @@ class TestMinR1FixedFrame:
             return fk.r1(fk.build_dual_system(frame, dual, op))
 
         assert_value_scales(attained, systems, scale)
+
+
+# Weights of the joining vector of near_joined_components across the window
+# where the pivoted-QR components and D's rank rule once disagreed.
+JOINED_WEIGHTS = (1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10, 1e-10)
+
+
+class TestOneMatroidDecision:
+    """min_r1_fixed_frame, the spectral LP and the construction read one
+    decision: they agree, or all raise NumericalError.
+
+    ``coefficient_space_polish`` is 4 to 12 times off on these charts, so
+    the checks need no reference solver: the constructed dual is verified
+    and attains the value (an upper check), and every dual of the chart has
+    the component sums of the canonical dual (a lower check: no dual's r1
+    is below the largest absolute component mean).
+    """
+
+    @pytest.mark.parametrize("weight", JOINED_WEIGHTS)
+    def test_three_answers_agree_or_all_raise(self, weight):
+        frame, op = near_joined_components(weight)
+        answers = fixed_frame_answers(frame, op)
+        if None in answers:
+            assert answers == [None] * 3
+            return
+        minimum = answers[0]
+        assert answers[1:] == [pytest.approx(minimum, rel=1e-9)] * 2
+
+        param = fk.dual_parameterization(frame, op)
+        components = [list(c) for c in param.components]
+        sums = [np.sum(param.canonical_diagonal[c]) for c in components]
+        assert minimum == pytest.approx(
+            max(abs(s) / len(c) for s, c in zip(sums, components)), rel=1e-12
+        )
+        rng = np.random.default_rng(0)
+        scale = np.linalg.norm(param.base.synthesis)
+        for _ in range(10):
+            c = rng.standard_normal(param.dof) * scale / math.sqrt(param.dof)
+            diag = _diag_inner(frame, fk.reconstruct_dual(param, c))
+            moved = [np.sum(diag[c]) for c in components]
+            assert np.max(np.abs(np.subtract(moved, sums))) <= 1e-9 * minimum
+
+    def test_both_sides_of_the_window_answer(self):
+        # One component at the heavy end, three at the light end: both
+        # sides give values, and whatever lies between raises.
+        one, three = (fixed_frame_answers(*near_joined_components(w))[0] for w in (1e-7, 1e-10))
+        assert one == pytest.approx(0.768855204881, rel=1e-9)
+        assert three == pytest.approx(1.08125553363, rel=1e-9)
+
+    def test_error_names_the_components(self):
+        frame, op = near_joined_components(1e-8)
+        with pytest.raises(fk.NumericalError, match=r"components \(\(0, 1, 2, 3, 4\),"):
+            fk.min_r1_fixed_frame(frame, op)
 
 
 class TestImproveDualStep:

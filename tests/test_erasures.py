@@ -343,3 +343,82 @@ class TestInvariantsAndReport:
         value, pair = r2_closed_form_argmax(ds)
         assert d["argmax_r2"] == [pair[0] + 1, pair[1] + 1]
         assert abs(value - d["r2"]) < 1e-12
+
+
+def complex_pair_terms(alpha, d):
+    """The pair kernel as it was first written: every radius from the
+    principal complex square root, both signs evaluated."""
+    iu, ju = np.triu_indices(alpha.shape[0], 1)
+    prods = alpha[iu, ju] * alpha[ju, iu]
+    s = d[iu] + d[ju]
+    root = np.sqrt(((d[iu] - d[ju]) ** 2 + 4.0 * prods).astype(complex))
+    radii = np.maximum(np.abs((s + root) / 2.0), np.abs((s - root) / 2.0))
+    return (iu, ju), prods, radii
+
+
+def harmonic_frame(N, n=3):
+    """Parseval harmonic frame for K = I_n: its self-pair's cross Gram has
+    many exact ties."""
+    k = np.arange(N)
+    rows = [np.ones(N) / math.sqrt(2.0)] if n % 2 else []
+    for m in range(1, n // 2 + 1):
+        rows += [np.cos(2 * math.pi * m * k / N), np.sin(2 * math.pi * m * k / N)]
+    return fk.Frame(np.array(rows) * math.sqrt(2.0 / N))
+
+
+# Entries from a small set: ties, d_i = d_j with zero products (disc = 0),
+# negative products (disc < 0) and both signed zeros.
+SMALL_VALUES = (0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 2.0)
+NON_FINITE = (math.inf, -math.inf, math.nan)
+
+
+class TestBlockedPairKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        seed=st.integers(0, 10**6),
+        N=st.integers(2, 150),
+        kind=st.sampled_from(("normal", "small", "harmonic", "non-finite")),
+        uniform=st.booleans(),
+    )
+    def test_bit_identical_to_the_complex_kernel(self, seed, N, kind, uniform):
+        rng = np.random.default_rng(seed)
+        if kind == "normal":
+            alpha = rng.standard_normal((N, N))
+        elif kind == "harmonic":
+            syn = harmonic_frame(N).synthesis
+            alpha = syn.T @ syn
+        else:
+            alpha = rng.choice(SMALL_VALUES, size=(N, N))
+            if kind == "non-finite":
+                spots = rng.integers(0, N, size=(int(rng.integers(1, 4)), 2))
+                alpha[spots[:, 0], spots[:, 1]] = rng.choice(NON_FINITE, size=len(spots))
+        d = np.full(N, alpha[0, 0]) if uniform else np.diag(alpha)
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, on purpose
+            (iu, ju), prods, radii = complex_pair_terms(alpha, d)
+            (kiu, kju), kprods, kradii = fk.erasures._pair_terms(alpha, d)
+            value, pair = fk.erasures._max_pair_radius(alpha, d)
+        assert np.array_equal(kiu, iu) and np.array_equal(kju, ju)
+        assert np.array_equal(kprods, prods, equal_nan=True)
+        assert np.array_equal(kradii, radii, equal_nan=True)
+        assert np.array_equal(np.signbit(kradii), np.signbit(radii))
+        k = int(np.argmax(radii))
+        assert pair == (int(iu[k]), int(ju[k]))
+        assert np.array_equal(value, radii[k], equal_nan=True)
+
+    def test_ties_go_to_the_first_pair(self):
+        # The tie with the first pair sits two blocks further down.
+        N = 3 * fk.erasures._PAIR_BLOCK + 10
+        late = 2 * fk.erasures._PAIR_BLOCK + 5
+        alpha = np.zeros((N, N))
+        alpha[[3, late], [N - 7, N - 1]] = alpha[[N - 7, N - 1], [3, late]] = 1.0
+        assert fk.erasures._max_pair_radius(alpha, np.zeros(N)) == (1.0, (3, N - 7))
+
+    @pytest.mark.parametrize("N", [12, 65, 240])
+    def test_harmonic_self_pair_matches_the_complex_kernel(self, N):
+        frame = harmonic_frame(N)
+        ds = fk.build_dual_system(frame, frame, fk.build_operator(np.eye(3)))
+        (iu, ju), _, radii = complex_pair_terms(ds.cross_gram, ds.diag)
+        k = int(np.argmax(radii))
+        assert r2_closed_form_argmax(ds) == (float(radii[k]), (int(iu[k]), int(ju[k])))
+        _, _, uniform = complex_pair_terms(ds.cross_gram, np.full(N, 3 / N))
+        assert fk.r2_simplified_uniform(ds) == float(np.max(uniform))

@@ -14,8 +14,7 @@ from framekit.search import _Objective
 from conftest import (
     coefficient_space_polish,
     dense_diagonal_map,
-    non_orthogonal_components,
-    parseval_operator,
+    near_joined_components,
     random_block_frame,
     random_parseval_frame,
     random_psd,
@@ -459,18 +458,6 @@ class TestDualParameterization:
             kind = fk.verify_k_dual(frame, cand, op)
             if kind is not fk.DualKind.NOT_DUAL:
                 assert np.allclose(cand.synthesis, np.eye(3))
-
-
-def near_joined_components(weight=1e-5, seed=0):
-    """Two matroid components joined by a vector of the given weight: one
-    component.  At 1e-5 its diagonal map D has two singular values near
-    1e-6 of ||F||_F, below what the Gram D^T D resolves and above D's rank
-    cut."""
-    frame, _ = non_orthogonal_components(np.random.default_rng(seed))
-    F = frame.synthesis
-    u, v = F[:, 0] / np.linalg.norm(F[:, 0]), F[:, -1] / np.linalg.norm(F[:, -1])
-    frame = fk.Frame(np.column_stack([F, weight * (u + v)]))
-    return frame, parseval_operator(frame)
 
 
 class TestDiagonalRoutes:

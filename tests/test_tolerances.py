@@ -19,6 +19,8 @@ import framekit as fk
 from framekit import fixtures
 from framekit.erasures import Measure
 from conftest import (
+    fixed_frame_answers,
+    near_joined_components,
     random_block_frame,
     random_parseval_frame,
     random_psd,
@@ -28,6 +30,9 @@ from conftest import (
 SRC = Path(__file__).resolve().parents[1] / "src" / "framekit"
 SCALES = [1e-9, 1e-6, 1.0, 1e6]
 KINDS = [Measure.OP_NORM, Measure.SPECTRAL]
+# Weights of near_joined_components across the window where the matroid
+# components are hard to decide (see tests/test_duals.py).
+JOINED_WEIGHTS = (1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10, 1e-10)
 
 
 def scaled(frame, op, frame_scale, op_scale=None):
@@ -96,8 +101,13 @@ def test_search_keeps_its_improvement_at_any_scale(kind, scale):
 
 def draw_system(family, seed):
     """(frame, dual, op): a fixture, a one-block or block frame with its
-    canonical dual, or a norm-balanced self-dual pair."""
+    canonical dual, a norm-balanced self-dual pair, or a frame of
+    :func:`near_joined_components` across JOINED_WEIGHTS with its canonical
+    dual."""
     rng = np.random.default_rng(seed)
+    if family == 6:
+        frame, op = near_joined_components(JOINED_WEIGHTS[seed % len(JOINED_WEIGHTS)])
+        return frame, fk.canonical_k_dual(frame, op), op
     if family < 3:
         frame, op = fixtures.get_example(fixtures.EXAMPLE_NAMES[family])
     elif family == 3:
@@ -113,9 +123,18 @@ def draw_system(family, seed):
     return frame, fk.canonical_k_dual(frame, op), op
 
 
+def numerical_or(call):
+    """The value of call(), or "NumericalError" where it raises that."""
+    try:
+        return call()
+    except fk.NumericalError:
+        return "NumericalError"
+
+
 def verdicts(frame, dual, op, scale):
     """Everything that must not depend on units, values divided by their
-    scale."""
+    scale; a fixed-frame spectral answer may be a NumericalError, at every
+    scale alike."""
     ds = fk.build_dual_system(frame, dual, op)
     c, c_prime = fk.uniformity(ds)
     out = {
@@ -129,13 +148,13 @@ def verdicts(frame, dual, op, scale):
     }
     if fk.is_parseval_k_frame(frame, op):
         out["blocks"] = fk.connected_decomposition(frame, op).blocks
-        out["min_r1"] = fk.min_r1_fixed_frame(frame, op) / scale
+        out["min_r1"] = numerical_or(lambda: fk.min_r1_fixed_frame(frame, op) / scale)
         for kind in KINDS:
             cert = fk.canonical_certificate(frame, op, kind)
             out[f"top {kind.value}"] = fk.weight_partition(frame, op, kind).top
             out[f"verdict {kind.value}"] = cert.verdict
-            out[f"search {kind.value}"] = (
-                fk.minimize_measure(frame, op, kind).value / scale
+            out[f"search {kind.value}"] = numerical_or(
+                lambda: fk.minimize_measure(frame, op, kind).value / scale
             )
     return out
 
@@ -147,7 +166,7 @@ def verdicts(frame, dual, op, scale):
     suppress_health_check=[HealthCheck.too_slow],
 )
 @given(
-    family=st.integers(0, 5),
+    family=st.integers(0, 6),
     seed=st.integers(0, 2**16),
     exponent=st.floats(-6.0, 6.0),
 )
@@ -192,6 +211,31 @@ def test_permuting_the_vectors_permutes_the_indices(seed):
     blocks = fk.connected_decomposition(frame, op).blocks
     moved_blocks = fk.connected_decomposition(moved.frame, op).blocks
     assert {tuple(sorted(perm[list(b)])) for b in moved_blocks} == set(blocks)
+
+
+@pytest.mark.parametrize("weight", JOINED_WEIGHTS)
+def test_one_decision_follows_scale_and_order(weight):
+    # The three fixed-frame spectral answers, or their NumericalError, at
+    # every scale and in every order, and the chart's components are the
+    # permuted ones.
+    frame, op = near_joined_components(weight)
+    expected = fixed_frame_answers(frame, op)
+    rng = np.random.default_rng(int(-math.log10(weight) * 10))
+    perm = rng.permutation(frame.n_vectors)
+    moved = fk.Frame(frame.synthesis[:, perm])
+    for scale in SCALES:
+        got = fixed_frame_answers(*scaled(frame, op, scale))
+        assert [g is None for g in got] == [e is None for e in expected]
+        for g, e in zip(got, expected):
+            if e is not None:
+                assert g / scale == pytest.approx(e, rel=1e-9)
+    assert fixed_frame_answers(moved, op) == [
+        None if e is None else pytest.approx(e, rel=1e-9) for e in expected
+    ]
+    components = fk.dual_parameterization(moved, op).components
+    assert {tuple(sorted(perm[list(c)])) for c in components} == set(
+        fk.dual_parameterization(frame, op).components
+    )
 
 
 # ---------------------------------------------------------------------------
