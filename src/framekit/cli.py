@@ -317,8 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-iters", type=_pos_int, default=200,
-        help="not read: the spectral LP and the opnorm Lawson solve take no "
-        "iteration cap; kept so existing command lines still parse",
+        help="not read: the spectral minimum is closed-form and the opnorm "
+        "Lawson solve takes no iteration cap; kept so existing command "
+        "lines still parse",
     )
     p.add_argument(
         "--restarts", type=_pos_int, default=4,
@@ -343,8 +344,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument(
         "--max-iters", type=_pos_int, default=200,
-        help="not read: the o1 Lawson solve, the r1 LP and r2u take no "
-        "iteration cap; kept so existing command lines still parse",
+        help="not read: r1 is closed-form, and the o1 Lawson solve and r2u "
+        "take no iteration cap; kept so existing command lines still parse",
     )
     p.add_argument(
         "--restarts", type=_pos_int, default=4,

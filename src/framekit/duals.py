@@ -43,9 +43,10 @@ Every fixed-frame answer here reads one K-dual chart
 (:class:`~framekit.frames.DualParameterization`): its matroid components,
 decided once, and for the spectral answers its diagonal factor, which
 certifies those components against the chart's diagonal map or raises
-NumericalError.  The public ``(frame, op)`` functions build the chart and
-call a private function that takes it, so a caller holding a chart (the
-CLI) builds it once.
+NumericalError, and the component-mean diagonal and its lift, computed once
+and shared with the spectral search.  The public ``(frame, op)`` functions
+build the chart and call a private function that takes it, so a caller
+holding a chart (the CLI) builds it once.
 
 scipy is imported inside the one function here that uses it, so importing
 this module does not load it: the NNLS solve of :func:`_kkt_certificate`.
@@ -300,22 +301,6 @@ def _connected_decomposition(
     )
 
 
-def _component_means(param: DualParameterization) -> np.ndarray:
-    """Per index i, the mean of ``<K^+ f_i, f_i>`` over its matroid
-    component: the K-dual diagonal of smallest largest absolute entry.
-
-    The components are the chart's, read through its diagonal factor, so
-    they are certified as null(D) or NumericalError is raised: this closed
-    form, the spectral LP and the construction answer from one decision.
-    """
-    param._diagonal_factor  # certifies param.components, or raises
-    diag = param.canonical_diagonal
-    means = np.empty_like(diag)
-    for component in param.components:
-        means[list(component)] = np.mean(diag[list(component)])
-    return means
-
-
 def min_r1_fixed_frame(frame: Frame, op: OperatorSpec) -> float:
     """Minimum one-erasure spectral radius over all K-duals of F.
 
@@ -331,7 +316,7 @@ def min_r1_fixed_frame(frame: Frame, op: OperatorSpec) -> float:
 
 def _min_r1(param: DualParameterization) -> float:
     """:func:`min_r1_fixed_frame` on a chart."""
-    return float(np.max(np.abs(_component_means(param))))
+    return float(np.max(np.abs(param._component_means)))
 
 
 # ---------------------------------------------------------------------------
@@ -388,22 +373,20 @@ def construct_spectrally_optimal_dual(frame: Frame, op: OperatorSpec) -> Frame:
     diagonal over the matroid component of i; it attains
     :func:`min_r1_fixed_frame`.
 
-    One chart solve gives the K-dual closest to the canonical dual among
+    One chart lift gives the K-dual closest to the canonical dual among
     those with this diagonal; it is unique, so it follows any reordering of
-    the frame.  NotParsevalError when F is not a Parseval K-frame.  The
-    diagonal always lies in the range of the chart's diagonal map, so a
-    missed solve raises NumericalError, as do components the chart cannot
-    certify.
+    the frame.  The chart caches it, and the spectral search returns the
+    same dual unless the canonical one is already optimal.
+    NotParsevalError when F is not a Parseval K-frame.  The diagonal always
+    lies in the range of the chart's diagonal map, so a missed lift raises
+    NumericalError, as do components the chart cannot certify.
     """
     return _construct_spectral(dual_parameterization(frame, op))
 
 
 def _construct_spectral(param: DualParameterization) -> Frame:
     """:func:`construct_spectrally_optimal_dual` on a chart."""
-    c = param.diagonal_coefficients(param.frame, _component_means(param))
-    if c is None:
-        raise NumericalError("the chart solve missed the component-mean diagonal")
-    return reconstruct_dual(param, c)
+    return reconstruct_dual(param, param._component_mean_coefficients)
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,10 @@ Duality is the synthesis-level identity ``F G^T = K`` (equivalently
 K-dual and the full K-dual set is the affine space ``K^+ F + C W^T``, where
 the columns of W are an orthonormal basis of null(F) and C ranges over
 ``R^{n x (N - rank F)}``; that chart is exposed through
-:func:`dual_parameterization`.
+:func:`dual_parameterization`.  The chart also holds the spectral optimum
+in closed form: the diagonal with every matroid component of F at its
+mean, which no K-dual beats in one-erasure spectral radius, and its lift
+to the closest K-dual, each computed once per chart.
 
 All objects are immutable after construction (each copies its arrays and
 marks them read-only), so values can be shared freely across threads; every
@@ -422,11 +425,15 @@ class DualParameterization(_CanonicalDual):
     is constant on each component, so null(D) is the span of the component
     indicators.  :attr:`_diagonal_factor` certifies that against D's rank
     rule by one Cholesky of the N x N Gram ``D^T D`` and gives the
-    minimum-norm lift of a diagonal shift; the diagonal solves
-    (:meth:`diagonal_coefficients`, the spectral LP) and the spectral closed
-    form read the components through it, and where the certificate fails
-    and D itself (:attr:`diagonal_map`) disagrees with the components, they
-    raise NumericalError.  Each is built when first read.
+    minimum-norm lift of a diagonal shift; :meth:`diagonal_coefficients`
+    and the spectral closed form read the components through it, and where
+    the certificate fails and D itself (:attr:`diagonal_map`) disagrees
+    with the components, they raise NumericalError.  So every dual has the
+    component sums of the canonical diagonal, and the smallest one-erasure
+    spectral radius is that of :attr:`_component_means`, attained by the
+    dual at :attr:`_component_mean_coefficients`: the spectral minimum,
+    search and construction all read these two, lifted once per chart.
+    Each is built when first read.
     """
 
     basis: np.ndarray  # N x (N - rank F)
@@ -526,6 +533,36 @@ class DualParameterization(_CanonicalDual):
                 "the frame is too close to one with other components to decide"
             )
         return null, lambda r: U[:, :rank] @ ((Vt[:rank] @ r) / s[:rank])
+
+    @cached_property
+    def _component_means(self) -> np.ndarray:
+        """Per index i, the mean of ``<K^+ f_i, f_i>`` over its matroid
+        component: the K-dual diagonal of smallest largest absolute entry.
+
+        Every dual has the component sums of the canonical diagonal, so no
+        dual has a smaller largest entry, and this diagonal is reached.  The
+        components are certified by :attr:`_diagonal_factor` first, or it
+        raises NumericalError.
+        """
+        self._diagonal_factor  # certifies self.components, or raises
+        diag = self.canonical_diagonal
+        means = np.empty_like(diag)
+        for component in map(list, self.components):
+            means[component] = np.mean(diag[component])
+        means.setflags(write=False)
+        return means
+
+    @cached_property
+    def _component_mean_coefficients(self) -> np.ndarray:
+        """The :meth:`diagonal_coefficients` of :attr:`_component_means`:
+        the unique K-dual closest to the canonical dual among those of
+        smallest one-erasure spectral radius.  The diagonal is always
+        reachable, so a lift that misses it raises NumericalError."""
+        c = self.diagonal_coefficients(self.frame, self._component_means)
+        if c is None:
+            raise NumericalError("the chart lift missed the component-mean diagonal")
+        c.setflags(write=False)
+        return c
 
     def perturbation(self, coefficients) -> np.ndarray:
         """``C W^T`` for a coefficient vector, or a stack of them.

@@ -1,26 +1,24 @@
-"""Numerical minimization over the K-dual affine space.
+"""Minimization over the K-dual affine space.
 
-This is the independent oracle validating every closed form: it never looks
-at block decompositions, uniformity, or bound formulas.  Both one-erasure
-objectives are pointwise maxima of convex functions of the perturbation
-coefficients (a norm of an affine map for the operator norm, the absolute
-value of an affine functional for the spectral radius), so each is a convex
-min-max problem.  :func:`minimize_measure` solves it once, from the
-canonical dual, and keeps its point when the exact re-evaluated objective
-improves on the canonical value by more than DEFAULT_TOL of it, so reported
-values are always true measure values of verified duals.  A solver that
-returns no usable point raises :class:`~framekit.errors.NumericalError`.
+Both one-erasure objectives are pointwise maxima of convex functions of the
+perturbation coefficients (a norm of an affine map for the operator norm,
+the absolute value of an affine functional for the spectral radius), so
+each is a convex min-max problem.  :func:`minimize_measure` solves it once,
+exactly, and keeps its point when the exact re-evaluated objective improves
+on the canonical value by more than DEFAULT_TOL of it, so reported values
+are always true measure values of verified duals.  A solve that returns no
+usable point raises :class:`~framekit.errors.NumericalError`.
 
 The spectral objective sees a dual only through its diagonal
-``d = a0 + D^T c``, D being the dof x N diagonal map of the chart.  The
-spectral solve is an epigraph LP on that diagonal: N + 1 variables, with
-the reachable diagonals written as equality rows that span null(D).  Those
-rows are the exact indicators of the chart's matroid components, which
-span null(D); the chart certifies them by a Cholesky factor of the N x N
-Gram ``D^T D`` and lifts the optimal diagonal to minimum-norm coefficients
-with it, so no dof-sized matrix is built and no QR of the rows is taken.
-The spectral terms and their KKT gradients come from the dual's diagonal
-and the top columns of D alone.
+``d = a0 + D^T c``, D being the dof x N diagonal map of the chart, and the
+reachable diagonals are those with the component sums of a0 over the
+matroid components of F.  So the minimum is closed-form: the largest
+absolute component mean of a0, attained by the diagonal that puts every
+component at its mean.  The chart certifies the components and lifts that
+diagonal once (``_component_mean_coefficients``), to the K-dual closest to
+the canonical one; the tests check the result against an epigraph LP over
+all chart coefficients that knows nothing of components.  The spectral KKT
+gradients come from the dual's diagonal and the top columns of D alone.
 
 The operator norm ``min max_i ||f_i|| ||g_i||`` splits over the matroid
 components of F and is solved by Lawson's reweighting (C. L. Lawson, PhD
@@ -41,9 +39,9 @@ spectral radius by direct search; that objective is not convex, hence the
 restarts actually matter there.
 
 scipy is imported inside the functions that call it, so importing this
-module does not load it.  The two scipy solvers (HiGHS ``linprog`` and
-Nelder-Mead) are looked up on the ``scipy.optimize`` module at each call,
-and the Lawson QR on ``scipy.linalg.lapack``.
+module does not load it: the Nelder-Mead solver is looked up on the
+``scipy.optimize`` module at each call, and the Lawson QR on
+``scipy.linalg.lapack``.
 """
 
 from __future__ import annotations
@@ -94,8 +92,9 @@ class SearchConfig:
     """Budget of the numerical searches.
 
     No solver reads ``max_iters``: the exact solves of
-    :func:`minimize_measure` (the spectral LP, and the op-norm Lawson steps
-    with their module constant LAWSON_MAX_STEPS) have no budget here.  It
+    :func:`minimize_measure` (the spectral closed form, and the op-norm
+    Lawson steps with their module constant LAWSON_MAX_STEPS) have no budget
+    here.  It
     stays a validated field of the public configuration.  ``restarts`` and
     ``seed`` drive only the Nelder-Mead starts of
     :func:`minimize_r2_within_uniform`.
@@ -176,44 +175,17 @@ class _Objective:
 
 
 def _polish_spectral(obj: _Objective) -> np.ndarray:
-    """Exact epigraph LP on the diagonal d = a0 + D^T c.
+    """Chart coefficients of the spectral minimum, in closed form.
 
-    The objective depends on c only through d, and the reachable diagonals
-    are ``a0 + range(D^T)``.  So the LP is min t with ``|d_i| <= t`` and
-    ``P d = P a0``, where the rows of P span null(D): N + 1 variables and
-    one equality row per matroid component.  P is the transpose of the
-    chart's ``_diagonal_factor`` null basis: the exact component
-    indicators, ``1/sqrt|B|`` on component B and exact zeros elsewhere, so
-    HiGHS meets them exactly and no QR of the rows is taken.  The
-    coefficients of the optimal diagonal come from ``diagonal_coefficients``,
-    which checks that their dual reproduces the LP diagonal exactly.  The
-    canonical value ``max |a0|`` must be positive; a failed LP, coefficients
-    that miss the LP diagonal, or components the chart cannot certify raise
-    NumericalError.
+    The objective depends on c only through the diagonal ``a0 + D^T c``,
+    whose component sums are fixed, so no dual beats the diagonal with
+    every component at its mean, and that diagonal is reached.  Its lift is
+    the chart's ``_component_mean_coefficients``, computed once per chart
+    and shared with :func:`framekit.duals.construct_spectrally_optimal_dual`;
+    a lift that misses the diagonal, or components the chart cannot
+    certify, raise NumericalError.
     """
-    import scipy.optimize
-
-    N = obj.a0.shape[0]
-    top = float(np.max(np.abs(obj.a0)))
-    null, _ = obj.param._diagonal_factor
-    P = null.T
-    # Scaled to unit size, so HiGHS's absolute tolerances act relatively.
-    a0 = obj.a0 / top
-    cost = np.zeros(N + 1)
-    cost[-1] = 1.0
-    ones = np.ones((N, 1))
-    A_ub = np.block([[np.eye(N), -ones], [-np.eye(N), -ones]])
-    A_eq = np.hstack([P, np.zeros((P.shape[0], 1))])
-    res = scipy.optimize.linprog(
-        cost, A_ub=A_ub, b_ub=np.zeros(2 * N), A_eq=A_eq, b_eq=P @ a0,
-        bounds=[(None, None)] * N + [(0, None)], method="highs",
-    )
-    if not res.success:
-        raise NumericalError(f"spectral LP failed: {res.message}")
-    c = obj.param.diagonal_coefficients(obj.param.frame, top * res.x[:N])
-    if c is None:
-        raise NumericalError("the chart lift missed the spectral LP diagonal")
-    return c
+    return obj.param._component_mean_coefficients
 
 
 @dataclass(frozen=True, eq=False)
@@ -409,8 +381,8 @@ def minimize_measure(
 ) -> MinimizeResult:
     """Minimize a one-erasure measure over all K-duals of F.
 
-    The exact solve of the measure (the spectral LP, or the op-norm Lawson
-    solve) runs once from the canonical dual (c = 0), and its point is kept
+    The exact solve of the measure (the spectral closed form, lifted once
+    per chart, or the op-norm Lawson solve) runs once, and its point is kept
     when its exact value beats the canonical one by more than DEFAULT_TOL
     of it; ``trace`` is the canonical value, followed by the solved one if
     kept.  With no chart (dof 0) or a canonical value of 0 the canonical

@@ -1,7 +1,6 @@
 import itertools
 import json
 import math
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -288,6 +287,18 @@ def certificate_systems(rng, kind, count):
             yield kkt_instance(rng, kind)
 
 
+def spectral_systems():
+    """The fixtures, a one-block frame, a block frame and a frame whose
+    matroid components are not orthogonal: name -> (frame, op)."""
+    rng = np.random.default_rng(11)
+    op = fk.build_operator(random_psd(rng, 3))
+    systems = {name: fixtures.get_example(name) for name in fixtures.EXAMPLE_NAMES}
+    systems["one-block"] = (random_parseval_frame(rng, op, 9), op)
+    systems["blocks"] = random_block_frame(rng)[:2]
+    systems["non-orthogonal"] = non_orthogonal_components(rng, (1, 2, 1), (3, 4, 2))
+    return systems
+
+
 def dense_diagonal_map(param):
     """The dof x N diagonal map D: ``D[m n + a, i] = W[i, m] F[a, i]``, the
     chart derivatives of ``<g_i, f_i>``."""
@@ -295,7 +306,8 @@ def dense_diagonal_map(param):
 
 
 def coefficient_space_polish(obj):
-    """Reference spectral polish: the epigraph LP over all chart coefficients.
+    """Reference spectral minimum: the epigraph LP over all chart
+    coefficients, which knows nothing of matroid components.
 
     min t subject to -t <= a0 + D^T c <= t, with the dof coefficients c and t
     as variables: a dense 2N x (dof + 1) constraint matrix, with the
@@ -504,8 +516,9 @@ def loop_then_polish(frame, op, kind, cfg):
 
 
 def break_solvers(monkeypatch):
-    """Make HiGHS report failure and the QR of every op-norm Lawson step
-    return NaN factors, so its iterate is not finite."""
+    """Make every chart lift of a diagonal miss (``diagonal_coefficients``
+    returns None) and the QR of every op-norm Lawson step return NaN
+    factors, so its iterate is not finite."""
     monkeypatch.setattr(
         scipy.linalg.lapack, "dgeqrf",
         lambda a, *args, **kwargs: (
@@ -513,8 +526,6 @@ def break_solvers(monkeypatch):
         ),
     )
     monkeypatch.setattr(
-        scipy.optimize, "linprog",
-        lambda *args, **kwargs: SimpleNamespace(
-            success=False, message="planted failure", x=None
-        ),
+        fk.DualParameterization, "diagonal_coefficients",
+        lambda self, frame, target: None,
     )

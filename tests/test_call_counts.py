@@ -182,19 +182,26 @@ def test_spectral_cli_call_builds_one_chart_and_no_gram_eigh(
 ):
     # One chart, one matroid decision on the full frame, no N x N
     # eigendecomposition (the chart certifies its Gram by a Cholesky
-    # factor), and LP equality rows that are the component indicators.
+    # factor), no LP, and one chart lift, of the component-mean diagonal:
+    # the spectral search, minimum and construction share it.
     frame, op = system()
     N = frame.n_vectors
     path = tmp_path / "frame.json"
     save_frame_file(path, frame, op)
-    shapes, rows = [], []
-    eigh, linprog = np.linalg.eigh, scipy.optimize.linprog
+    shapes, targets = [], []
+    eigh = np.linalg.eigh
     monkeypatch.setattr(
         np.linalg, "eigh", lambda a, *args, **kw: shapes.append(a.shape) or eigh(a, *args, **kw)
     )
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a spectral CLI call ran linprog")
+
+    monkeypatch.setattr(scipy.optimize, "linprog", refuse)
+    lift = DualParameterization.diagonal_coefficients
     monkeypatch.setattr(
-        scipy.optimize, "linprog",
-        lambda *args, **kw: rows.append(kw["A_eq"][:, :N]) or linprog(*args, **kw),
+        DualParameterization, "diagonal_coefficients",
+        lambda self, frame, target: targets.append(np.array(target)) or lift(self, frame, target),
     )
     frames = sys.modules["framekit.frames"]
     decide, components = frames._matroid_components, []
@@ -208,9 +215,9 @@ def test_spectral_cli_call_builds_one_chart_and_no_gram_eigh(
     assert calls["dual_parameterization"] == 1
     assert components == [(frame.dim, N)]
     assert (N, N) not in shapes
-    (P,) = rows
+    (target,) = targets
     chart = fk.dual_parameterization(frame, op)
-    patterns = P / P.max(axis=1, keepdims=True)
-    assert np.array_equal(patterns, patterns.astype(bool))  # exactly 0 or 1
-    assert [tuple(np.flatnonzero(row)) for row in patterns] == list(chart.components)
     assert len(chart.components) == (1 if system is one_block_frame else 3)
+    diag = chart.canonical_diagonal
+    for component in map(list, chart.components):
+        assert np.all(target[component] == np.mean(diag[component]))

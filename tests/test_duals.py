@@ -351,8 +351,8 @@ JOINED_WEIGHTS = (1e-7, 3e-8, 1e-8, 3e-9, 1e-9, 3e-10, 1e-10)
 
 
 class TestOneMatroidDecision:
-    """min_r1_fixed_frame, the spectral LP and the construction read one
-    decision: they agree, or all raise NumericalError.
+    """min_r1_fixed_frame, the spectral search and the construction read
+    one decision: they agree, or all raise NumericalError.
 
     ``coefficient_space_polish`` is 4 to 12 times off on these charts, so
     the checks need no reference solver: the constructed dual is verified

@@ -159,10 +159,13 @@ def test_closed_form_commands_load_no_scipy(name, inputs):
 
 
 def test_solver_command_loads_scipy_with_unchanged_output(inputs):
+    # The spectral minimum is closed-form: the chart's pivoted QR and
+    # Cholesky solves need scipy.linalg, and no optimizer is loaded.
     argv = argv_for("search-r1", inputs)
     result = probe(argv)
     assert result["import"] == []
-    assert "scipy.optimize" in result["run"]
+    assert "scipy.linalg" in result["run"]
+    assert "scipy.optimize" not in result["run"]
     assert (result["rc"], result["out"]) == in_process(argv)
     doc = json.loads(result["out"])
     assert result["rc"] == 0 and abs(doc["value"] - 1.0) <= 1e-9

@@ -1,5 +1,4 @@
 import itertools
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -26,6 +25,7 @@ from conftest import (
     random_parseval_frame,
     reference_gradient,
     reference_subgradient,
+    spectral_systems,
 )
 
 CFG = fk.SearchConfig(max_iters=500, restarts=3, seed=99)
@@ -221,20 +221,24 @@ class TestExactSolveFirst:
         # Lawson solve takes no step there: Mercedes does.
         frame, op = mb if kind is Measure.OP_NORM else ex1
         break_solvers(monkeypatch)
-        message = "non-finite iterate" if kind is Measure.OP_NORM else "LP failed"
+        message = (
+            "non-finite iterate" if kind is Measure.OP_NORM
+            else "missed the component-mean diagonal"
+        )
         with pytest.raises(fk.NumericalError, match=message):
             fk.minimize_measure(frame, op, kind, CFG)
 
-    def test_unreachable_lp_diagonal_is_numerical_error(self, ex1, monkeypatch):
-        # A zero diagonal changes the component sums, which no dual does.
+    def test_unreached_mean_diagonal_is_numerical_error(self, ex1, monkeypatch):
+        # A chart lift that returns no shift leaves the whole miss of the
+        # component-mean diagonal; the refinement stops at once and the
+        # miss is far above the cut.
         frame, op = ex1
+        factor = fk.DualParameterization._diagonal_factor.func
         monkeypatch.setattr(
-            scipy.optimize, "linprog",
-            lambda *args, **kwargs: SimpleNamespace(
-                success=True, x=np.zeros(frame.n_vectors + 1)
-            ),
+            fk.DualParameterization, "_diagonal_factor",
+            property(lambda self: (factor(self)[0], lambda r: np.zeros(self.dof))),
         )
-        with pytest.raises(fk.NumericalError, match="missed the spectral LP diagonal"):
+        with pytest.raises(fk.NumericalError, match="missed the component-mean diagonal"):
             fk.minimize_measure(frame, op, Measure.SPECTRAL, CFG)
 
 
@@ -448,6 +452,21 @@ class TestPolishSpectral:
             assert scaled.value(c) / scale == pytest.approx(expected, rel=1e-9)
             checked += 1
         assert checked >= 30
+
+
+class TestSpectralOptimum:
+    @pytest.mark.parametrize("name", list(spectral_systems()))
+    def test_best_dual_follows_a_permutation_of_the_frame(self, name):
+        # The spectral optimum is one K-dual, not a rounding-dependent
+        # vertex of an LP optimum: reordering the frame reorders it.
+        frame, op = spectral_systems()[name]
+        rng = np.random.default_rng(17)
+        perm = rng.permutation(frame.n_vectors)
+        G = fk.minimize_measure(frame, op, Measure.SPECTRAL, CFG).frame.synthesis
+        moved = fk.minimize_measure(
+            fk.Frame(frame.synthesis[:, perm]), op, Measure.SPECTRAL, CFG
+        ).frame.synthesis
+        assert np.allclose(moved, G[:, perm], rtol=0.0, atol=1e-12 * np.linalg.norm(G))
 
 
 class TestMinimizeR2WithinUniform:
