@@ -235,7 +235,7 @@ def cmd_search(args) -> int:
             comparisons["pair_bound"] = op.trace / frame.n_vectors
         if args.measure == "r1":
             comparisons["fixed_frame_minimum"] = _min_r1(param)
-        else:  # rounding can put it above the value: see minimize_measure
+        else:
             bound = result.comparison["fixed_frame_lower_bound"]
             comparisons["fixed_frame_lower_bound"] = bound
     else:

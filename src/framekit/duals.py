@@ -48,8 +48,11 @@ and shared with the spectral search.  The public ``(frame, op)`` functions
 build the chart and call a private function that takes it, so a caller
 holding a chart (the CLI) builds it once.
 
-scipy is imported inside the one function here that uses it, so importing
-this module does not load it: the NNLS solve of :func:`_kkt_certificate`.
+The least-distance problem of the KKT test is solved by a Lawson-Hanson
+NNLS written here (:func:`_nnls`); its least-squares steps on two or more
+columns call LAPACK's QR solver from ``scipy.linalg.lapack``, imported
+inside the function, so importing this module loads no scipy and no
+certificate loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -91,6 +94,8 @@ from .frames import (
 )
 from .erasures import Measure, _pair_products, uniformity
 from .search import _Objective
+
+_EPS = float(np.finfo(float).eps)
 
 
 # ---------------------------------------------------------------------------
@@ -565,6 +570,80 @@ class OptimalityCertificate:
     evidence: dict
 
 
+def _nnls(E: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``min ||E u - e||`` over ``u >= 0``: the point u and its residual
+    ``E u - e``, by Lawson and Hanson's active-set NNLS (ch. 23).
+
+    Each outer step moves the column with the most negative gradient
+    ``(E^T r)_j`` into the passive set, provided its angle to the residual
+    clears rounding (cosine above ``tol = 10 eps max(m, k)``, which keeps
+    the passive columns independent) and its coefficient in the new
+    least-squares point is positive; otherwise the
+    next column is tried.  A point with a coefficient <= 0 is stepped back
+    to the boundary and the zeros leave the set.  The run stops when no
+    column qualifies or the residual is at rounding level, ``tol (||e|| +
+    sum_j u_j ||E_j||)``.  The residual and the gradient are formed from
+    E's columns.  A least-squares step on one column is a ratio of dot
+    products, and on more a QR solve of those columns (LAPACK ``dgels``),
+    never their Gram.  Past 3 k least-squares steps, or on a failed QR,
+    NumericalError.
+    """
+    m, k = E.shape
+    tol = 10.0 * _EPS * max(m, k)
+    squares = np.einsum("ij,ij->j", E, E)
+    norms = np.sqrt(squares)
+    floor = tol * math.sqrt(e @ e)
+    u = np.zeros(k)
+    passive: list[int] = []  # u > 0 exactly there
+    r = -e
+    steps = 0
+
+    def solve(idx: list[int]) -> np.ndarray:
+        nonlocal steps
+        steps += 1
+        if steps > 3 * k:
+            raise NumericalError(f"KKT NNLS: no solution within {3 * k} steps")
+        if len(idx) < 2:
+            return np.array([E[:, j] @ e / squares[j] for j in idx])
+        from scipy.linalg import lapack
+
+        _, x, info = lapack.dgels(E[:, idx], e)
+        if info:
+            raise NumericalError(f"KKT NNLS least-squares step: LAPACK info {info}")
+        return x[: len(idx)]
+
+    while True:
+        rnorm = math.sqrt(r @ r)
+        if rnorm <= floor + tol * (u @ norms):
+            return u, r
+        w = E.T @ r  # minus the dual vector E^T (e - E u)
+        w[passive] = np.inf
+        while True:
+            j = int(w.argmin())
+            if not -w[j] > tol * norms[j] * rnorm:
+                return u, r
+            idx = [*passive, j]
+            z = solve(idx)
+            if z[-1] > 0.0:
+                break
+            w[j] = np.inf
+        while idx and z.min() <= 0.0:  # back to the boundary of u >= 0
+            uP = u[idx]
+            neg = z <= 0.0
+            ratio = uP[neg] / (uP[neg] - z[neg])  # u > 0 >= z there
+            alpha = ratio.min()
+            uP += alpha * (z - uP)
+            uP[np.flatnonzero(neg)[ratio == alpha]] = 0.0
+            np.maximum(uP, 0.0, out=uP)
+            u[idx] = uP
+            idx = [i for i, x in zip(idx, uP.tolist()) if x > 0.0]
+            z = solve(idx)
+        passive = idx
+        u = np.zeros(k)
+        u[idx] = z
+        r = E @ u - e
+
+
 def _kkt_certificate(
     param: DualParameterization, part: WeightPartition, kind: Measure
 ) -> OptimalityCertificate:
@@ -580,8 +659,6 @@ def _kkt_certificate(
     halving from the step where the linear model reaches 0 finds a step
     meeting the Armijo condition.
     """
-    import scipy.optimize
-
     obj = _Objective(param, kind)
     top = list(part.top)
     _, state = obj.terms(np.zeros(param.dof))
@@ -590,14 +667,13 @@ def _kkt_certificate(
     E = np.vstack([-S / scale if scale > 0 else S, np.ones(len(top))])
     e = np.zeros(param.dof + 1)
     e[-1] = 1.0
-    u, residual = scipy.optimize.nnls(E, e)
-    if residual <= RANK_TOL:
+    u, r = _nnls(E, e)
+    if math.sqrt(r @ r) <= RANK_TOL:
         multipliers = np.zeros(param.frame.n_vectors)
         multipliers[top] = u / u.sum()
         return OptimalityCertificate(
             Verdict.OPTIMAL_KKT, {"hypothesis": "kkt", "multipliers": multipliers}
         )
-    r = E @ u - e
     d = -r[:-1] / r[-1]
     slope = float(np.max(d @ S))
     canonical_value = part.top_value

@@ -130,8 +130,6 @@ class _Objective:
         self.fnorms = np.linalg.norm(self.fsyn, axis=0)
         self.base = param.base.synthesis
         self.dof = param.dof
-        if kind is Measure.SPECTRAL:
-            self.a0 = param.canonical_diagonal
 
     def dual_syn(self, c: np.ndarray) -> np.ndarray:
         return self.base + self.param.perturbation(c)
@@ -174,30 +172,19 @@ class _Objective:
         return self.fnorms[indices] * self.param.column_jacobian(U, indices)
 
 
-def _polish_spectral(obj: _Objective) -> np.ndarray:
-    """Chart coefficients of the spectral minimum, in closed form.
-
-    The objective depends on c only through the diagonal ``a0 + D^T c``,
-    whose component sums are fixed, so no dual beats the diagonal with
-    every component at its mean, and that diagonal is reached.  Its lift is
-    the chart's ``_component_mean_coefficients``, computed once per chart
-    and shared with :func:`framekit.duals.construct_spectrally_optimal_dual`;
-    a lift that misses the diagonal, or components the chart cannot
-    certify, raise NumericalError.
-    """
-    return obj.param._component_mean_coefficients
-
-
 @dataclass(frozen=True, eq=False)
 class _LawsonResult:
     """The op-norm Lawson solve: the best projected dual found (synthesis),
-    its exact value, the certified lower bound, the final weights (each
-    matroid component's sum to 1) and the steps per component in the order
-    they ran; LAWSON_MAX_STEPS among them marks a capped run."""
+    its exact value, the lower bound the stop rule reads, the rounding
+    margin of that bound (``bound - margin`` is the reported bound, safe
+    against rounding), the final weights (each matroid component's sum to
+    1) and the steps per component in the order they ran; LAWSON_MAX_STEPS
+    among them marks a capped run."""
 
     dual: np.ndarray
     value: float
     bound: float
+    margin: float
     weights: np.ndarray
     steps: tuple[int, ...]
 
@@ -207,7 +194,7 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
     and canonical dual G0, given a lower bound ``known`` of the whole
     minimum.
 
-    Returns (dual, value, bound, weights, steps).  With
+    Returns (dual, value, bound, margin, weights, steps).  With
     u_i = f_i / ||f_i|| and weights lam in the simplex, the dual minimizing
     ``sum_i lam_i ||f_i||^2 ||g_i||^2`` has
     ``||f_i|| g_i = Y^T Q^T e_i / sqrt(lam_i)``, where ``Q R`` is a QR of
@@ -226,7 +213,12 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
     steps instead, for as long as each Newton step halves the gap; a step
     that does not is undone, and after two such misses only Lawson's update
     runs.  Every step's candidate and bound are exact whatever the weights,
-    so neither update can spoil the interval.  A LAPACK call that reports
+    so neither update can spoil the interval.  Computed, the bound carries a
+    relative rounding error of about cond(R) * eps, R the triangular factor
+    of the step that gave it; ``margin`` is ``rank * eps / rcond`` of the
+    bound, rcond being LAPACK's ``dtrcon`` estimate of 1 / cond_1(R), so
+    ``bound - margin`` is a lower bound in floating point too.  The stop
+    rule reads the bound without the margin.  A LAPACK call that reports
     failure, or a non-finite candidate, raises NumericalError.
     """
     fnorms = np.linalg.norm(F, axis=0)
@@ -234,11 +226,11 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
     value = float(np.max(fnorms * np.linalg.norm(G0, axis=0)))
     lam = np.full(size, 1.0 / size)
     if value <= known * (1.0 + LAWSON_GAP):
-        return G0, value, 0.0, lam, 0
+        return G0, value, 0.0, 0.0, lam, 0
     _, s, Vt = np.linalg.svd(F, full_matrices=False)
     rank = _rank(s, s[0])
     if rank in (0, size):  # a loop or a coloop: its dual does not matter
-        return G0, value, value, lam, 0
+        return G0, value, value, 0.0, lam, 0
     # LAPACK's QR and triangular solve directly: on components of a few
     # vectors numpy's wrappers cost three times the factorization.
     from scipy.linalg import lapack
@@ -250,7 +242,7 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
     G0V = G0 @ V
     lam = fnorms**-2.0
     lam /= lam.sum()
-    best, bound = (G0, value), 0.0
+    best, bound, factor = (G0, value), 0.0, None  # factor: the bound's R
     gaps = [math.inf, math.inf]  # relative gaps of the last two steps
     before_newton, misses = None, 0
     for step in range(1, LAWSON_MAX_STEPS + 1):
@@ -269,11 +261,13 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
         top = float(w.max())
         if not math.isfinite(top):
             raise NumericalError(f"opnorm Lawson step {step} gave a non-finite iterate")
-        bound = max(bound, math.sqrt(np.vdot(Y, Y)))
+        weighted = math.sqrt(np.vdot(Y, Y))
+        if weighted > bound:
+            bound, factor = weighted, qr
         if top < best[1]:
             best = (G, top)
         if best[1] <= max(bound, known) * (1.0 + LAWSON_GAP):
-            return best[0], best[1], bound, lam, step
+            return best[0], best[1], bound, _margin(bound, factor, rank), lam, step
         gap = best[1] / bound - 1.0
         if before_newton is None:  # Lawson's update made this step
             newton = gap <= NEWTON_GAP and gap > 0.5 * gaps[0]
@@ -291,7 +285,21 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
         lam = lam * w**LAWSON_POWER
         np.maximum(lam, LAWSON_FLOOR * lam.max(), out=lam)
         lam /= lam.sum()
-    return best[0], best[1], bound, lam, LAWSON_MAX_STEPS
+    return best[0], best[1], bound, _margin(bound, factor, rank), lam, LAWSON_MAX_STEPS
+
+
+def _margin(bound: float, factor: np.ndarray | None, rank: int) -> float:
+    """Rounding margin ``rank * eps * bound / rcond`` of a Lawson bound
+    computed with the QR ``factor`` (R in its first rank rows; None when no
+    step raised the bound above 0)."""
+    if factor is None:
+        return 0.0
+    from scipy.linalg import lapack
+
+    rcond, info = lapack.dtrcon(factor[:rank])
+    if info or not rcond > 0.0:
+        raise NumericalError(f"opnorm Lawson bound: LAPACK dtrcon info {info}, rcond {rcond}")
+    return rank * np.finfo(float).eps * bound / rcond
 
 
 def _newton_weights(lam: np.ndarray, H: np.ndarray, Q: np.ndarray):
@@ -352,25 +360,26 @@ def _lawson_op_norm(param: DualParameterization) -> _LawsonResult:
     )
     dual = G0.copy()
     weights = np.empty(F.shape[1])
-    value = bound = 0.0
+    value = bound = safe = 0.0
     steps = []
     for component in components:
         idx = list(component)
-        G, v, b, lam, k = _lawson_component(F[:, idx], G0[:, idx], bound)
+        G, v, b, m, lam, k = _lawson_component(F[:, idx], G0[:, idx], bound)
         dual[:, idx], weights[idx] = G, lam
-        value, bound = max(value, v), max(bound, b)
+        value, bound, safe = max(value, v), max(bound, b), max(safe, b - m)
         steps.append(k)
-    return _LawsonResult(dual, value, bound, weights, tuple(steps))
+    return _LawsonResult(dual, value, bound, bound - safe, weights, tuple(steps))
 
 
 def _solve_op_norm(obj: _Objective) -> tuple[np.ndarray, float]:
     """Chart coefficients of the op-norm Lawson dual and its certified
-    lower bound.  A component that hit LAWSON_MAX_STEPS gives its best
-    projected dual, and the interval to the bound stays open."""
+    lower bound, less its rounding margin.  A component that hit
+    LAWSON_MAX_STEPS gives its best projected dual, and the interval to the
+    bound stays open."""
     lawson = _lawson_op_norm(obj.param)
     E = lawson.dual - obj.base
     c = (E @ obj.param.basis).T.ravel()  # C = E W, with c[m n + a] = C[a, m]
-    return c, lawson.bound
+    return c, lawson.bound - lawson.margin
 
 
 def minimize_measure(
@@ -388,10 +397,12 @@ def minimize_measure(
     kept.  With no chart (dof 0) or a canonical value of 0 the canonical
     dual is optimal and no solver runs.  For the operator norm
     ``comparison`` holds the lower bound ``fixed_frame_lower_bound`` (the
-    value itself when no solver runs).  The bound is exact up to a relative
+    value itself when no solver runs).  The Lawson bound carries a relative
     rounding error of about cond(R) * 1e-16, R being the triangular factor
-    of the last Lawson step, so on ill-conditioned components it can exceed
-    the value by that much.  A solver failure raises NumericalError.  The
+    of the step that gave it, so the reported bound is lowered by a margin
+    built from LAPACK's condition estimate of R (see
+    :func:`_lawson_component`) that covers that error.  A solver failure
+    raises NumericalError.  The
     result is deterministic, reads nothing from ``cfg``, and its value is
     always an exact objective value at a verified dual.
     """
@@ -408,8 +419,8 @@ def _minimize_measure(param: DualParameterization, kind: Measure) -> MinimizeRes
             param.base, value, (value,), comparison=_lower_bound(kind, bound)
         )
 
-    if kind is Measure.SPECTRAL:
-        c = _polish_spectral(obj)
+    if kind is Measure.SPECTRAL:  # the module docstring's closed form
+        c = param._component_mean_coefficients
     else:
         c, bound = _solve_op_norm(obj)
     trace = [value]

@@ -12,7 +12,7 @@ from framekit import fixtures
 from framekit.erasures import Measure
 from framekit.frames import DEFAULT_TOL
 from framekit.io import round_floats
-from framekit.search import _Objective, _polish_spectral
+from framekit.search import _Objective
 
 # First step of the reference loop's diminishing steps STEP_INIT / sqrt(it);
 # a run stops after STALL_ITERS iterations without progress.
@@ -314,7 +314,8 @@ def coefficient_space_polish(obj):
     diagonal map D built from its definition.  Returns the coefficients, or
     None when HiGHS reports failure.
     """
-    dof, N = obj.dof, obj.a0.shape[0]
+    a0 = obj.param.canonical_diagonal
+    dof, N = obj.dof, a0.shape[0]
     D = dense_diagonal_map(obj.param)
     cost = np.zeros(dof + 1)
     cost[-1] = 1.0
@@ -323,7 +324,7 @@ def coefficient_space_polish(obj):
     A[:N, -1] = -1.0
     A[N:, :dof] = -D.T
     A[N:, -1] = -1.0
-    b = np.concatenate([-obj.a0, obj.a0])
+    b = np.concatenate([-a0, a0])
     res = scipy.optimize.linprog(
         cost, A_ub=A, b_ub=b, bounds=[(None, None)] * dof + [(0, None)],
         method="highs",
@@ -507,7 +508,7 @@ def loop_then_polish(frame, op, kind, cfg):
         if val < best_val:
             best_c, best_val = c, val
     if kind is fk.Measure.SPECTRAL:
-        c_new = _polish_spectral(obj)
+        c_new = param._component_mean_coefficients
     else:
         c_new = absolute_op_norm_polish(obj, best_c)
     if c_new is not None and best_val - obj.value(c_new) > DEFAULT_TOL * obj.canonical_value:

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import framekit as fk
+import framekit.duals as duals_mod
 from framekit.erasures import Measure
 from framekit.duals import Verdict, _diag_inner, _family_radius
 from framekit.search import SearchConfig, minimize_measure
@@ -678,8 +679,6 @@ class TestCanonicalCertificate:
         }
 
     def test_never_runs_the_search(self, ex1, monkeypatch):
-        import framekit.duals as duals_mod
-
         def refuse(*args, **kwargs):
             raise AssertionError("the certificate must not search")
 
@@ -806,6 +805,122 @@ class TestCanonicalCertificate:
         op_bad = fk.build_operator(np.diag([1.0, -1.0]))
         with pytest.raises(fk.NotPSDError):
             fk.canonical_certificate(frame, op_bad, Measure.OP_NORM)
+
+
+def scipy_nnls(E, e):
+    """The reference NNLS: scipy's, with the residual vector ``E u - e``."""
+    import scipy.optimize
+
+    u, _ = scipy.optimize.nnls(E, e)
+    return u, E @ u - e
+
+
+def assert_same_nnls(E, e, unique=True):
+    u, r = duals_mod._nnls(E, e)
+    ref_u, ref_r = scipy_nnls(E, e)
+    assert np.all(u >= 0.0)
+    assert np.array_equal(r, E @ u - e)
+    assert abs(np.linalg.norm(r) - np.linalg.norm(ref_r)) <= 1e-12
+    if unique:
+        assert np.max(np.abs(u - ref_u)) <= 1e-12 * max(1.0, np.max(ref_u))
+    return u, r
+
+
+class TestNNLS:
+    """The certificate's Lawson-Hanson NNLS against scipy's."""
+
+    def test_random_problems_match_scipy(self):
+        # Mixed columns often make a new column push others out of the
+        # passive set, so the steps back to the boundary run too.
+        rng = np.random.default_rng(53)
+        for k in range(1, 9):
+            for m in (k, k + 1, 2 * k + 3, 50, 2000):
+                for mixing in (np.eye(k),) * 3 + (rng.standard_normal((k, k)),) * 3:
+                    E = rng.standard_normal((m, k)) @ mixing
+                    e = rng.standard_normal(m)
+                    assert_same_nnls(E, e / np.linalg.norm(e))
+
+    def test_certificate_shaped_problems_match_scipy(self):
+        # The least-distance form: scaled gradients over a row of ones,
+        # right-hand side the last unit vector.
+        rng = np.random.default_rng(59)
+        for k in range(1, 9):
+            for m in (k + 1, 40, 2000):
+                S = rng.standard_normal((m - 1, k)) + rng.standard_normal((m - 1, 1))
+                S /= np.max(np.linalg.norm(S, axis=0))
+                e = np.zeros(m)
+                e[-1] = 1.0
+                assert_same_nnls(np.vstack([-S, np.ones(k)]), e)
+
+    @pytest.mark.parametrize(
+        "case", ["duplicate", "zero", "in_cone", "in_cone_duplicate", "in_cone_near_parallel"]
+    )
+    def test_degenerate_columns(self, case):
+        # Near-parallel columns (1e-7 apart) need the QR: solved through
+        # their Gram, the in-cone residual is about eps / 1e-7 = 1e-9.
+        rng = np.random.default_rng(61)
+        for k in range(2, 9):
+            for m in (k + 1, 30, 2000):
+                E = rng.standard_normal((m, k))
+                e = rng.standard_normal(m)
+                if case in ("duplicate", "in_cone_duplicate"):
+                    E[:, k - 1] = E[:, 0]
+                if case == "in_cone_near_parallel":
+                    E[:, k - 1] = E[:, 0] + 1e-7 * rng.standard_normal(m)
+                if case == "zero":
+                    E[:, int(rng.integers(k))] = 0.0
+                if case.startswith("in_cone"):
+                    e = E @ rng.uniform(0.1, 1.0, k)
+                e /= np.linalg.norm(e)
+                # Duplicates split their coefficient any way, and near
+                # duplicates leave it ill-determined: only the residual and
+                # the point's fit are unique.
+                unique = case in ("zero", "in_cone")
+                u, r = assert_same_nnls(E, e, unique=unique)
+                if case.startswith("in_cone"):
+                    assert np.linalg.norm(r) <= 1e-12
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    @pytest.mark.parametrize("seed, count", [(37, 104), (101, 200), (104, 104)])
+    def test_certificates_match_scipy_nnls(self, seed, count, kind, monkeypatch):
+        systems = list(certificate_systems(np.random.default_rng(seed), kind, count))
+        ours = [fk.canonical_certificate(frame, op, kind) for frame, op in systems]
+        monkeypatch.setattr(duals_mod, "_nnls", scipy_nnls)
+        kkt = 0
+        for (frame, op), cert in zip(systems, ours):
+            ref = fk.canonical_certificate(frame, op, kind)
+            assert cert.verdict is ref.verdict
+            assert cert.evidence.keys() == ref.evidence.keys()
+            for key in ("multipliers", "direction"):
+                if key in ref.evidence:
+                    a, b = cert.evidence[key], ref.evidence[key]
+                    assert np.max(np.abs(a - b)) <= 1e-12 * np.max(np.abs(b))
+            kkt += ref.evidence.get("hypothesis") == "kkt" or "slope" in ref.evidence
+        assert kkt >= count // 8
+
+    def test_step_cap_raises(self, monkeypatch):
+        # A least-squares step that keeps the new column (the last one
+        # passed) and pushes the other one out makes the two columns take
+        # turns: the cap of 3 k steps stops it with an error, not a point.
+        import scipy.linalg
+
+        def newest_wins(a, b, *args, **kwargs):
+            x = np.zeros_like(b)
+            x[:2] = (-1.0, 1.0)
+            return a, x, 0
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgels", newest_wins)
+        with pytest.raises(fk.NumericalError, match="within 6 steps"):
+            duals_mod._nnls(np.eye(2), np.ones(2))
+
+    def test_lapack_failure_raises(self, monkeypatch):
+        import scipy.linalg
+
+        monkeypatch.setattr(
+            scipy.linalg.lapack, "dgels", lambda a, b, *args, **kwargs: (a, b, 2)
+        )
+        with pytest.raises(fk.NumericalError, match="LAPACK info 2"):
+            duals_mod._nnls(np.eye(3), np.ones(3))
 
 
 def constant_product_system(rng, case):

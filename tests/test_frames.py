@@ -67,6 +67,20 @@ class TestBuildFrame:
         assert frame.synthesis[0, 0] == 0.0 and view.synthesis[0, 0] == 0.0
 
 
+def penrose_residuals(K, P):
+    """(residual, cut) of the four Penrose identities of P = K^+, each cut
+    1e-10 times that identity's rounding size: ||K|| ||P|| for the
+    symmetry of K P and P K, ||K||^2 ||P|| for K P K = K and ||P||^2 ||K||
+    for P K P = P (Frobenius norms)."""
+    k, p = np.linalg.norm(K), np.linalg.norm(P)
+    return [
+        (np.linalg.norm(K @ P @ K - K), 1e-10 * k * k * p),
+        (np.linalg.norm(P @ K @ P - P), 1e-10 * p * p * k),
+        (np.linalg.norm((K @ P).T - K @ P), 1e-10 * k * p),
+        (np.linalg.norm((P @ K).T - P @ K), 1e-10 * k * p),
+    ]
+
+
 class TestBuildOperator:
     def test_owns_its_matrix(self):
         # A later write to the caller's matrix reaches none of K, K^+, trace.
@@ -127,11 +141,20 @@ class TestBuildOperator:
         if rng.random() < 0.4:
             K[:, rng.integers(0, n)] = 0.0
         op = fk.build_operator(K)
-        scale = max(1.0, np.linalg.norm(K))
-        assert np.linalg.norm(K @ op.pinv @ K - K) <= 1e-10 * scale
-        assert np.linalg.norm(op.pinv @ K @ op.pinv - op.pinv) <= 1e-10 * scale
-        assert np.allclose((K @ op.pinv).T, K @ op.pinv, atol=1e-10 * scale)
-        assert np.allclose((op.pinv @ K).T, op.pinv @ K, atol=1e-10 * scale)
+        for residual, cut in penrose_residuals(K, op.pinv):
+            assert residual <= cut
+
+    def test_penrose_check_catches_a_perturbed_pinv(self):
+        # A pseudoinverse off by 1e-6 relative on a well-conditioned K
+        # fails each of the four identities.
+        rng = np.random.default_rng(5)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)))
+        K = (q * rng.uniform(1.0, 2.0, size=4)) @ q.T @ np.linalg.qr(rng.normal(size=(4, 4)))[0]
+        pinv = fk.build_operator(K).pinv
+        delta = rng.normal(size=(4, 4))
+        wrong = pinv + 1e-6 * np.linalg.norm(pinv) * delta / np.linalg.norm(delta)
+        for residual, cut in penrose_residuals(K, wrong):
+            assert residual > cut
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 10**6))

@@ -1,4 +1,5 @@
-"""scipy is imported by the exact solvers alone, never by ``import framekit``.
+"""scipy is imported by the exact solvers alone, never by ``import framekit``,
+and ``scipy.optimize`` by the two-erasure slice search alone.
 
 Importing the CLI builds no argument parser; ``main`` builds one on its first
 call and reuses it.  conftest.py imports scipy into this process, so the
@@ -14,12 +15,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+import framekit as fk
 import framekit.cli as cli
 from framekit import fixtures
 from framekit.cli import main
 from framekit.io import save_frame_file
+from conftest import random_orthonormal_rows, random_psd
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -65,25 +69,44 @@ FRAMEKIT_MODULES = sorted(
 )
 
 
-def module_level_scipy_imports(path):
-    """Line numbers of scipy imports that run when the module is imported:
-    everything outside function bodies."""
-    lines = []
-    stack = list(ast.parse(path.read_text(), filename=str(path)).body)
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
-            continue
+def scipy_imports(path):
+    """(enclosing function, line, imported names) of every scipy import in
+    the module; the function is None for one that runs when the module is
+    imported (outside function bodies).  ``from scipy import optimize``
+    names both ``scipy`` and ``scipy.optimize``."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
+            module = node.module or ""
+            names = [module] + [f"{module}.{alias.name}" for alias in node.names]
         else:
             names = []
         if any(name == "scipy" or name.startswith("scipy.") for name in names):
-            lines.append(node.lineno)
-        stack.extend(ast.iter_child_nodes(node))
-    return sorted(lines)
+            found.append((function, node.lineno, names))
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(path.read_text(), filename=str(path)), None)
+    return found
+
+
+def module_level_scipy_imports(path):
+    """Line numbers of scipy imports that run when the module is imported."""
+    return sorted(line for function, line, _ in scipy_imports(path) if function is None)
+
+
+def scipy_optimize_imports(path):
+    """(enclosing function, line) of every ``scipy.optimize`` import."""
+    return [
+        (function, line)
+        for function, line, names in scipy_imports(path)
+        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in names)
+    ]
 
 
 def probe(argv=(), script=PROBE):
@@ -110,6 +133,11 @@ COMMANDS = {
     "pair-bounds": ["pair-bounds", "--k", "{k}", "--n-vectors", "3"],
     "verify-example": ["verify-example", "example-1"],
     "search-r1": ["search", "--frame", "{frame}", "--measure", "r1"],
+    "search-o1": ["search", "--frame", "{frame}", "--measure", "o1"],
+    "search-r2u": ["search", "--frame", "{frame}", "--measure", "r2u"],
+    "optimal-dual-spectral": ["optimal-dual", "--frame", "{frame}", "--measure", "spectral"],
+    "optimal-dual-opnorm": ["optimal-dual", "--frame", "{frame}", "--measure", "opnorm"],
+    "verify-example-2": ["verify-example", "example-2"],
 }
 
 
@@ -117,12 +145,23 @@ COMMANDS = {
 def inputs(tmp_path_factory):
     root = tmp_path_factory.mktemp("inputs")
     save_frame_file(root / "ex1.json", *fixtures.example_1())
+    save_frame_file(root / "ex2.json", *fixtures.example_2())
+    # A (10, 200) one-block Parseval K-frame K V, the benchmark's shape.
+    rng = np.random.default_rng(7)
+    K = random_psd(rng, 10)
+    F = K @ random_orthonormal_rows(rng, 10, 200)
+    save_frame_file(root / "ob10x200.json", fk.Frame(F), fk.build_operator(K))
     (root / "k.json").write_text(json.dumps({"K": [[2, 0], [0, 1]]}))
-    return {"frame": str(root / "ex1.json"), "k": str(root / "k.json")}
+    return {
+        "frame": str(root / "ex1.json"),
+        "ex2": str(root / "ex2.json"),
+        "ob10x200": str(root / "ob10x200.json"),
+        "k": str(root / "k.json"),
+    }
 
 
-def argv_for(name, inputs):
-    return [arg.format(**inputs) for arg in COMMANDS[name]]
+def argv_for(name, inputs, frame="frame"):
+    return [arg.format(**{**inputs, "frame": inputs[frame]}) for arg in COMMANDS[name]]
 
 
 def test_no_module_level_scipy_import():
@@ -143,6 +182,27 @@ def test_scan_sees_module_level_imports(tmp_path):
         "def f():\n    import scipy.optimize\n"
     )
     assert module_level_scipy_imports(path) == [2, 4, 6]
+
+
+def test_only_the_slice_search_imports_scipy_optimize():
+    found = {
+        p.name: imports
+        for p in sorted(SRC.joinpath("framekit").glob("*.py"))
+        if (imports := scipy_optimize_imports(p))
+    }
+    assert set(found) == {"search.py"}, found
+    assert [function for function, _ in found["search.py"]] == ["_minimize_r2_within_uniform"]
+
+
+def test_scan_sees_scipy_optimize_imports(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "import scipy.linalg\nfrom scipy import optimize\n"
+        "def f():\n    import scipy.optimize\n"
+        "class C:\n    def g(self):\n        from scipy.optimize import nnls\n"
+        "def h():\n    from scipy import linalg\n"
+    )
+    assert scipy_optimize_imports(path) == [(None, 2), ("f", 4), ("g", 7)]
 
 
 def test_import_loads_no_scipy():
@@ -169,6 +229,37 @@ def test_solver_command_loads_scipy_with_unchanged_output(inputs):
     assert (result["rc"], result["out"]) == in_process(argv)
     doc = json.loads(result["out"])
     assert result["rc"] == 0 and abs(doc["value"] - 1.0) <= 1e-9
+
+
+@pytest.mark.parametrize("frame", ["frame", "ob10x200"])
+@pytest.mark.parametrize(
+    "name", ["optimal-dual-spectral", "optimal-dual-opnorm", "search-o1"]
+)
+def test_fixed_frame_solvers_load_no_optimizer(name, frame, inputs):
+    # The KKT certificate's NNLS and the op-norm Lawson solve run on numpy
+    # and scipy.linalg's LAPACK wrappers alone.
+    argv = argv_for(name, inputs, frame)
+    result = probe(argv)
+    assert result["import"] == []
+    assert "scipy.linalg" in result["run"]
+    assert "scipy.optimize" not in result["run"], f"{name} loaded scipy.optimize"
+    assert (result["rc"], result["out"]) == in_process(argv)
+    assert result["rc"] == 0
+
+
+def test_example_2_loads_no_optimizer():
+    result = probe(COMMANDS["verify-example-2"])
+    assert "scipy.optimize" not in result["run"]
+    assert (result["rc"], result["out"]) == in_process(COMMANDS["verify-example-2"])
+    assert result["rc"] == 0
+
+
+def test_slice_search_loads_scipy_optimize(inputs):
+    argv = argv_for("search-r2u", inputs, "ex2")  # example-1 has no 1-uniform dual
+    result = probe(argv)
+    assert "scipy.optimize" in result["run"]
+    assert (result["rc"], result["out"]) == in_process(argv)
+    assert result["rc"] == 0
 
 
 def test_import_builds_no_parser_and_main_builds_one():
