@@ -25,7 +25,6 @@ from .duals import (
     Verdict,
     _canonical_certificate,
     _connected_decomposition,
-    _construct_spectral,
     _family,
     _min_r1,
     _weight_partition,
@@ -186,13 +185,10 @@ def cmd_optimal_dual(args) -> int:
     decomp = _connected_decomposition(frame, op, param.components)
     search = _minimize_measure(param, kind)
 
-    if kind is Measure.SPECTRAL:
-        minimal = _min_r1(param)
-        constructed = _construct_spectral(param)
-    else:
-        minimal = search.value
-        canonical_optimal = cert.verdict is not Verdict.NOT_OPTIMAL
-        constructed = param.base if canonical_optimal else search.frame
+    # The spectral search returns the component-mean dual, the construction.
+    minimal = _min_r1(param) if kind is Measure.SPECTRAL else search.value
+    canonical_optimal = kind is Measure.OP_NORM and cert.verdict is not Verdict.NOT_OPTIMAL
+    constructed = param.base if canonical_optimal else search.frame
     family = _family(param, _weight_partition(param, kind), kind)
     doc = {
         "measure": args.measure,

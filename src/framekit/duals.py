@@ -44,9 +44,11 @@ Every fixed-frame answer here reads one K-dual chart
 decided once, and for the spectral answers its diagonal factor, which
 certifies those components against the chart's diagonal map or raises
 NumericalError, and the component-mean diagonal and its lift, computed once
-and shared with the spectral search.  The public ``(frame, op)`` functions
-build the chart and call a private function that takes it, so a caller
-holding a chart (the CLI) builds it once.
+and shared with the spectral search.  The KKT test and the optimal family
+work on n x N perturbations E with ``E V = 0`` (V the chart's row basis).
+The public ``(frame, op)`` functions build the chart and call a private
+function that takes it, so a caller holding a chart (the CLI) builds it
+once.
 
 The least-distance problem of the KKT test is solved by a Lawson-Hanson
 NNLS written here (:func:`_nnls`); its least-squares steps on two or more
@@ -84,13 +86,13 @@ from .frames import (
     _components,
     _diagonal_scale,
     _matroid_components,
+    _project,
     _rank,
     _system_scale,
     _within,
     build_dual_system,
     canonical_k_dual,
     dual_parameterization,
-    reconstruct_dual,
 )
 from .erasures import Measure, _pair_products, uniformity
 from .search import _Objective
@@ -381,7 +383,7 @@ def construct_spectrally_optimal_dual(frame: Frame, op: OperatorSpec) -> Frame:
     One chart lift gives the K-dual closest to the canonical dual among
     those with this diagonal; it is unique, so it follows any reordering of
     the frame.  The chart caches it, and the spectral search returns the
-    same dual unless the canonical one is already optimal.
+    same dual.
     NotParsevalError when F is not a Parseval K-frame.  The diagonal always
     lies in the range of the chart's diagonal map, so a missed lift raises
     NumericalError, as do components the chart cannot certify.
@@ -391,7 +393,7 @@ def construct_spectrally_optimal_dual(frame: Frame, op: OperatorSpec) -> Frame:
 
 def _construct_spectral(param: DualParameterization) -> Frame:
     """:func:`construct_spectrally_optimal_dual` on a chart."""
-    return reconstruct_dual(param, param._component_mean_coefficients)
+    return Frame(param.base.synthesis + param._component_mean_perturbation)
 
 
 # ---------------------------------------------------------------------------
@@ -402,17 +404,15 @@ def _construct_spectral(param: DualParameterization) -> Frame:
 class PerturbationFamily:
     """Directions along which the canonical dual stays optimal.
 
-    ``dimension`` is the dimension of the direction space (0 when there is
-    none).  ``direction`` is its member closest to a chart axis: the chart
-    coordinate vector e_k projected onto the space and scaled to unit norm,
-    for the first k with the largest diagonal entry of the orthogonal
-    projector onto the space.  ``radius`` is the largest symmetric interval
-    of step sizes along it keeping every rest weight strictly below the top
-    value (infinite when nothing constrains it).  ``basis`` stacks an
-    orthonormal basis of the space, each element an n x N admissible
-    perturbation, with ``basis[0] == direction``.  It needs a dense
-    factorization in the dof chart coordinates, so it is built on first
-    access.
+    ``dimension`` is the dimension of the direction space, n x N admissible
+    perturbations (0 when there is none).  ``direction`` is the unit
+    projection onto it of the frame's own axis ``g_j e_j^T / ||g_j||`` that
+    projects longest, so it follows a reordering or a transport of the
+    frame (see :func:`_family`).  ``radius`` is the largest symmetric
+    interval of step sizes along it keeping every rest weight strictly below
+    the top value (infinite when nothing constrains it).  ``basis`` stacks
+    an orthonormal basis of the space, with ``basis[0] == direction``; it
+    needs a dense factorization of size nN, so it is built on first access.
     """
 
     direction: np.ndarray | None
@@ -429,57 +429,43 @@ class PerturbationFamily:
         return self._build_basis()
 
 
-def _projected_axis(Q: np.ndarray) -> np.ndarray:
-    """Unit projection of the axis e_k onto the orthogonal complement of
-    range(Q), Q with orthonormal columns, for the first k maximizing the
-    projector's diagonal entry ``1 - ||Q[k]||^2``."""
-    k = int(np.argmax(1.0 - np.einsum("ij,ij->i", Q, Q)))
-    u = -(Q @ Q[k])
-    u[k] += 1.0
-    return u / np.linalg.norm(u)
-
-
-def _complement_rows(u: np.ndarray, Q: np.ndarray) -> np.ndarray:
-    """Orthonormal rows completing u to a basis of the complement of
-    range(Q).
-
-    u is a unit vector orthogonal to the orthonormal columns of Q, so
-    ``[u, Q]`` has full column rank and its remaining left singular vectors
-    span the rest.
-    """
-    U = np.linalg.svd(np.column_stack([u, Q]))[0]
-    return U[:, 1 + Q.shape[1] :].T
-
-
 def _family_radius(
     canon: _CanonicalDual, direction: np.ndarray, part: WeightPartition, kind: Measure
 ) -> float:
-    """Largest delta with all rest weights < top value for |t| < delta."""
+    """Largest delta with all rest weights < top value for |t| < delta.
+
+    Rounding noise of an exact zero bounds nothing (read as a bound it gives
+    a radius near 1e16): a rest column u_i of the unit direction with
+    ``||u_i|| <= RANK_TOL``, and a spectral slope below ``RANK_TOL ||u_i||
+    ||f_i||``.
+    """
     L = part.top_value
     rest = list(part.rest)
     f = canon.frame.synthesis[:, rest]
     v = canon.base.synthesis[:, rest]
     u = direction[:, rest]
+    un, fn = np.linalg.norm(u, axis=0), np.linalg.norm(f, axis=0)
     if kind is Measure.OP_NORM:
         # ||g_i(t)||^2 = a t^2 + 2 b t + ||v||^2 meets (L / ||f_i||)^2 at the
-        # roots t of a t^2 + 2 b t + d; it stays put where u = 0 or f_i = 0.
-        fn = np.linalg.norm(f, axis=0)
+        # roots t of a t^2 + 2 b t + d; it stays put where f_i = 0.
+        moving = (un > RANK_TOL) & (fn > 0.0)
+        fn, u, v = fn[moving], u[:, moving], v[:, moving]
         a = np.einsum("ij,ij->j", u, u)
-        moving = (fn > 0.0) & (a > 0.0)
-        a, fn, u, v = a[moving], fn[moving], u[:, moving], v[:, moving]
         b = np.einsum("ij,ij->j", v, u)
         d = np.einsum("ij,ij->j", v, v) - (L / fn) ** 2
         disc = np.sqrt(np.maximum(b * b - a * d, 0.0))
         bounds = np.minimum(np.abs(-b + disc), np.abs(-b - disc)) / a
     else:
-        # A slope below RANK_TOL ||u_i|| ||f_i|| is rounding noise of an
-        # exact zero; read as a bound it gives a finite radius near 1e16.
         slopes = np.einsum("ij,ij->j", u, f)
-        noise = RANK_TOL * np.linalg.norm(u, axis=0) * np.linalg.norm(f, axis=0)
-        moving = np.abs(slopes) > noise
+        moving = (un > RANK_TOL) & (np.abs(slopes) > RANK_TOL * un * fn)
         a0 = canon.canonical_diagonal[rest][moving]
         bounds = (L - np.abs(a0)) / np.abs(slopes[moving])
     return float(np.min(bounds, initial=math.inf))
+
+
+def _first_longest(lengths: np.ndarray) -> int:
+    """First index within DEFAULT_TOL of the largest (ties go by index)."""
+    return int(np.argmax(_within(np.max(lengths) - lengths, 1.0)))
 
 
 def _family(
@@ -487,54 +473,90 @@ def _family(
 ) -> PerturbationFamily:
     """The family from a factorization of the top constraints alone.
 
-    Operator norm: ``C W_T^T = 0`` says each row of C is orthogonal to
-    range(W_T^T); with R an orthonormal basis of that range, the chart
-    constraint space is spanned by the orthonormal columns ``kron(R, I_n)``
-    and the family has dimension ``n (N - rank F - rank W_T)``.  Spectral:
-    ``<u_i, f_i> = 0`` on the top set are the columns D_T of the diagonal
-    map, so the family is the complement of range(D_T), of dimension
-    ``dof - rank D_T``.
+    With V the chart's row basis and ``P = I - V V^T`` (never formed), the
+    admissible perturbations are the ``X P``.  Operator norm: ``E e_i = 0``
+    on the top set; R, the right singular vectors of ``P[top, :]`` above
+    RANK_TOL (its singular values are those of the top rows of a basis of
+    null(F)), spans the constrained rows, so the family is ``X (P - R
+    R^T)``, of dimension ``n (N - rank F - rank R)``.  Spectral: ``<E e_i,
+    f_i> = 0`` on the top set; Q, an orthonormal basis of the span of the
+    ``f_i (P e_i)^T`` cut at RANK_TOL ``||F||_F``, leaves the admissible E
+    orthogonal to range(Q), of dimension ``dof - rank Q``.
+
+    With Pi the projector onto the family, the direction is ``Pi A_j /
+    ||Pi A_j||`` for the first j maximizing ``||Pi A_j||^2`` over the axes
+    ``A_j = g_j e_j^T / ||g_j||``, ``g_j = K^+ f_j != 0``.  Axes and Pi
+    move with a reordering or a transport ``F -> U F``, ``K -> U K U^T``,
+    and no basis of null(F) enters.  When that maximum is within
+    DEFAULT_TOL of 0, the longest standard axis ``e_a e_j^T``, first in (j,
+    a) order, stands in.
     """
-    n, N = param.frame.synthesis.shape
+    F, G0 = param.frame.synthesis, param.base.synthesis
+    n, N = F.shape
+    V = param.row_basis
     top = list(part.top)
+    free = 1.0 - np.einsum("ij,ij->i", V, V)  # P_jj
+    gnorms = np.linalg.norm(G0, axis=0)
+    axes = np.flatnonzero(gnorms > 0.0)
+    G = G0[:, axes] / gnorms[axes]  # the unit g_j of the axes A_j
+    cols = -(V @ V[top].T)  # P[:, top]
+    cols[top, np.arange(len(top))] += 1.0
     if kind is Measure.OP_NORM:
-        _, s, vt = np.linalg.svd(param.basis[top], full_matrices=False)
-        # W has orthonormal columns, so ||W_T|| <= 1 and the cut is absolute.
+        _, s, vt = np.linalg.svd(cols.T, full_matrices=False)
+        # ||P[top, :]|| <= 1, so the cut is absolute.
         R = vt[: _rank(s, 1.0)].T
-        dimension = n * (R.shape[0] - R.shape[1])
+        dimension = n * (N - V.shape[1] - R.shape[1])
+        free -= np.einsum("ij,ij->i", R, R)  # ||Pi A_j||^2 for every unit column
+        lengths, standard = free[axes], np.tile(free, (n, 1))
 
-        def axis():
-            # The projector's diagonal is the same for every row a of C, so
-            # the first largest entry has a = 0: c[m n] = p[m].
-            return np.kron(_projected_axis(R), np.eye(n)[0])
+        def project(A):
+            return _project(A, V) - (A @ R) @ R.T
 
-        def constraints():
-            return np.kron(R, np.eye(n))
-
+        def constraints():  # n N x n rank R: built only for the basis
+            return np.kron(np.eye(n), R)
     else:
-        D_T = param.column_jacobian(param.frame.synthesis[:, top], top)
+        D_T = (F[:, top][:, None, :] * cols[None, :, :]).reshape(n * N, len(top))
         U, s, _ = np.linalg.svd(D_T, full_matrices=False)
         # Relative to ||F||_F >= ||D_T||: D_T can be all rounding noise.
-        Q = U[:, : _rank(s, np.linalg.norm(param.frame.synthesis))]
+        Q = U[:, : _rank(s, np.linalg.norm(F))]
         dimension = param.dof - Q.shape[1]
+        Qs = Q.T.reshape(-1, n, N)  # Q_l as n x N matrices, each admissible
+        inner = np.einsum("laj,aj->lj", Qs[:, :, axes], G)  # <Q_l, A_j>
+        lengths = free[axes] - np.einsum("lj,lj->j", inner, inner)
+        standard = free - np.einsum("laj,laj->aj", Qs, Qs)  # [a, j]: e_a e_j^T
 
-        def axis():
-            return _projected_axis(Q)
+        def project(A):
+            X = _project(A, V)
+            return X - (Q @ (Q.T @ X.ravel())).reshape(n, N)
 
         def constraints():
             return Q
 
     if not dimension:
         return PerturbationFamily(None, 0.0, 0, lambda: np.zeros((0, n, N)))
-    u = axis()
-    direction = param.perturbation(u)
+    A = np.zeros((n, N))
+    if axes.size and not _within(np.max(lengths), 1.0):
+        k = _first_longest(lengths)
+        A[:, axes[k]] = G[:, k]
+    else:  # every A_j projects to about 0: the first longest e_a e_j^T
+        j, a = divmod(_first_longest(standard.T.ravel()), n)
+        A[a, j] = 1.0
+    direction = project(A)
+    direction /= np.linalg.norm(direction)
+
+    def build_basis():
+        # The columns of [direction, I_n (x) V, constraints] are orthonormal
+        # and all but the first span the family's complement, so the other
+        # left singular vectors complete the direction to a family basis.
+        known = np.column_stack([direction.ravel(), np.kron(np.eye(n), V), constraints()])
+        rest = np.linalg.svd(known)[0][:, known.shape[1] :]
+        return np.concatenate([direction[None], rest.T.reshape(-1, n, N)])
+
     return PerturbationFamily(
         direction=direction,
         radius=_family_radius(param, direction, part, kind),
         dimension=dimension,
-        _build_basis=lambda: np.concatenate(
-            [direction[None], param.perturbation(_complement_rows(u, constraints()))]
-        ),
+        _build_basis=build_basis,
     )
 
 
@@ -549,9 +571,9 @@ def perturbation_family(
     products vanish (the top diagonals stay pinned).  Either way rest
     weights stay strictly below the top value for steps inside ``radius``,
     so the measure is constant on the whole interval.  ``dimension``,
-    ``direction`` (the projected chart axis with the largest projector
-    diagonal entry) and ``radius`` come from a thin factorization of the
-    top constraints; ``basis`` is built only when read.
+    ``direction`` (the projected axis ``g_j e_j^T / ||g_j||`` that projects
+    longest) and ``radius`` come from a thin factorization of the top
+    constraints; ``basis`` is built only when read.
     """
     param = dual_parameterization(frame, op)
     return _family(param, _weight_partition(param, kind), kind)
@@ -647,25 +669,25 @@ def _nnls(E: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def _kkt_certificate(
     param: DualParameterization, part: WeightPartition, kind: Measure
 ) -> OptimalityCertificate:
-    """Exact first-order optimality test at the canonical dual (c = 0).
+    """Exact first-order optimality test at the canonical dual (E = 0).
 
-    The measure is the maximum of convex terms, so its subdifferential at
-    c = 0 is the convex hull of the top terms' gradients S.  The
-    least-distance problem ``min ||d||`` subject to ``S^T d <= -1`` (S
-    scaled by its longest column) is one NNLS solve of ``[-S; 1^T] u = e``
-    (Lawson and Hanson, ch. 23).  A zero residual means ``S u = 0`` with
-    ``u >= 0`` summing to 1: the multipliers of ``0 in conv(S)``.  Otherwise
-    ``d = -r[:-1] / r[-1]`` from the residual r is a descent direction, and
-    halving from the step where the linear model reaches 0 finds a step
-    meeting the Armijo condition.
+    The measure is the maximum of convex terms of the admissible
+    perturbation E, so its subdifferential at E = 0 is the convex hull of
+    the top terms' gradients S (nN-long columns).  The least-distance
+    problem ``min ||d||`` subject to ``S^T d <= -1`` (S scaled by its
+    longest column) is one NNLS solve of ``[-S; 1^T] u = e`` (Lawson and
+    Hanson, ch. 23).  A zero residual means ``S u = 0`` with ``u >= 0``
+    summing to 1: the multipliers of ``0 in conv(S)``.  Otherwise ``d =
+    -r[:-1] / r[-1]`` (an n x N matrix) is a descent direction, and halving
+    from where the linear model reaches 0 finds an Armijo step.
     """
     obj = _Objective(param, kind)
     top = list(part.top)
-    _, state = obj.terms(np.zeros(param.dof))
+    _, state = obj.terms(np.zeros_like(obj.base))
     S = obj.gradients(state, top)
     scale = float(np.max(np.linalg.norm(S, axis=0)))
     E = np.vstack([-S / scale if scale > 0 else S, np.ones(len(top))])
-    e = np.zeros(param.dof + 1)
+    e = np.zeros(E.shape[0])
     e[-1] = 1.0
     u, r = _nnls(E, e)
     if math.sqrt(r @ r) <= RANK_TOL:
@@ -676,15 +698,16 @@ def _kkt_certificate(
         )
     d = -r[:-1] / r[-1]
     slope = float(np.max(d @ S))
+    direction = d.reshape(obj.base.shape)
     canonical_value = part.top_value
     step = canonical_value / -slope
     for _ in range(60):
-        improved = obj.value(step * d)
+        improved = obj.value(step * direction)
         if improved <= canonical_value + 0.5 * step * slope:
             return OptimalityCertificate(
                 Verdict.NOT_OPTIMAL,
                 {
-                    "direction": param.perturbation(d),
+                    "direction": direction,
                     "slope": slope,
                     "step": step,
                     "improved_value": improved,

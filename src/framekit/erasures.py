@@ -137,23 +137,6 @@ def _pair_radii(s: np.ndarray, disc: np.ndarray) -> np.ndarray:
     return np.maximum(np.abs((s + root) / 2.0), np.abs((s - root) / 2.0))
 
 
-def _pair_terms(
-    alpha: np.ndarray, diag: np.ndarray | None = None
-) -> tuple[tuple[np.ndarray, np.ndarray], np.ndarray, np.ndarray]:
-    """Pairs i < j, products ``alpha_ij alpha_ji`` and two-erasure radii.
-
-    Pairs run over ``np.triu_indices(N, 1)``, i.e. lexicographically.  The
-    nonzero eigenvalues of the error operator of pair (i, j) are
-    ``(d_i + d_j +/- sqrt(disc)) / 2`` with ``disc = (d_i - d_j)^2 + 4 prod``
-    and d the diagonal of alpha (or ``diag`` when given); the radius is the
-    larger modulus of the two (:func:`_pair_radii`).
-    """
-    d = np.diag(alpha) if diag is None else diag
-    (iu, ju), prods = _pair_products(alpha)
-    radii = _pair_radii(d[iu] + d[ju], (d[iu] - d[ju]) ** 2 + 4.0 * prods)
-    return (iu, ju), prods, radii
-
-
 # Rows of the upper triangle per step of _max_pair_radius: at N = 600 a
 # step's arrays stay near 300 kB, inside the cache, while a step costs far
 # more than its Python overhead.
@@ -162,8 +145,10 @@ _PAIR_BLOCK = 64
 
 def _max_pair_radius(alpha: np.ndarray, d: np.ndarray) -> tuple[float, tuple[int, int]]:
     """Largest two-erasure radius over pairs i < j and the lexicographically
-    first pair attaining it, as ``np.argmax`` over the radii of
-    :func:`_pair_terms` picks it (the first NaN, if any).
+    first pair attaining it (the first NaN, if any).  The error operator of
+    pair (i, j) has the nonzero eigenvalues ``(d_i + d_j +/- sqrt(disc)) /
+    2``, ``disc = (d_i - d_j)^2 + 4 alpha_ij alpha_ji``; the radius is the
+    larger modulus (:func:`_pair_radii`).
 
     Runs over blocks of _PAIR_BLOCK rows, each on the columns right of its
     first row; the entries with j <= i in a block are masked, and no array

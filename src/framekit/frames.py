@@ -10,13 +10,13 @@ function of ``alpha``.
 Duality is the synthesis-level identity ``F G^T = K`` (equivalently
 ``K f = sum_i <f, g_i> f_i`` for all f).  For a Parseval K-frame, i.e.
 ``F F^T = K K^T``, the pseudoinverse image ``{K^+ f_i}`` is the canonical
-K-dual and the full K-dual set is the affine space ``K^+ F + C W^T``, where
-the columns of W are an orthonormal basis of null(F) and C ranges over
-``R^{n x (N - rank F)}``; that chart is exposed through
-:func:`dual_parameterization`.  The chart also holds the spectral optimum
-in closed form: the diagonal with every matroid component of F at its
-mean, which no K-dual beats in one-erasure spectral radius, and its lift
-to the closest K-dual, each computed once per chart.
+K-dual and the full K-dual set is the affine space ``K^+ F + E`` over the
+n x N matrices E with ``E V = 0``, V an orthonormal basis of the row space
+of F; that chart, with the coordinates ``E = C W^T`` (W an orthonormal
+basis of null(F)), is exposed through :func:`dual_parameterization`.  It
+also holds the spectral optimum in closed form: the diagonal with every
+matroid component of F at its mean, which no K-dual beats in one-erasure
+spectral radius, and its lift to the closest K-dual, each computed once.
 
 All objects are immutable after construction (each copies its arrays and
 marks them read-only), so values can be shared freely across threads; every
@@ -405,44 +405,48 @@ class _CanonicalDual:
         return diag
 
 
+def _project(X: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """``X - (X V) V^T``: the n x N matrix X projected onto the admissible
+    perturbations ``{E : E V = 0}``, V having orthonormal columns."""
+    return X - (X @ V) @ V.T
+
+
 @dataclass(frozen=True, eq=False)
 class DualParameterization(_CanonicalDual):
-    """Affine chart of all K-duals of F: ``G(C) = K^+ F + C W^T``.
+    """The K-dual set of F: ``G = K^+ F + E`` over the admissible
+    perturbations, the n x N matrices E with ``E V = 0``.
 
-    ``frame`` and ``op`` are the Parseval K-frame F and its operator K, and
-    ``base`` is the canonical dual ``K^+ F``.  ``basis`` is W, an
-    N x (N - rank F) matrix with orthonormal columns spanning null(F), so
-    ``F W = 0`` to rounding and every ``C in R^{n x (N - rank F)}`` yields a
-    valid K-dual; ``row_basis`` is V, N x rank F, the orthonormal
-    complement of W (``V V^T + W W^T = I``).  A coefficient vector c of
-    length ``dof = n (N - rank F)`` stands for ``C[a, m] = c[m n + a]``; the
-    perturbations ``e_a w_m^T`` in that order are Frobenius-orthonormal.
+    ``frame`` and ``op`` are the Parseval K-frame F and its operator K,
+    ``base`` is ``K^+ F``, and ``row_basis`` is V, N x rank F with
+    orthonormal columns spanning the row space of F (a thin SVD); any X has
+    the admissible part ``X - (X V) V^T`` (:func:`_project`).  Every
+    fixed-frame answer works on these perturbations.  The coefficient API
+    is the orthonormal chart ``E = C W^T``: ``basis`` is W, N x (N - rank
+    F), an orthonormal basis of null(F) from a full SVD built on first
+    read, and c of length ``dof = n (N - rank F)`` stands for ``C[a, m] =
+    c[m n + a]`` (the ``e_a w_m^T`` are Frobenius-orthonormal).
 
-    The chart is the one context of every fixed-frame answer about F.  It
-    decides the matroid components of F once (:attr:`components`).  The
-    dual at c has the diagonal ``canonical_diagonal + D^T c``, D being the
-    dof x N diagonal map, and ``F diag(lam) W = 0`` holds exactly when lam
-    is constant on each component, so null(D) is the span of the component
-    indicators.  :attr:`_diagonal_factor` certifies that against D's rank
-    rule by one Cholesky of the N x N Gram ``D^T D`` and gives the
-    minimum-norm lift of a diagonal shift; :meth:`diagonal_coefficients`
-    and the spectral closed form read the components through it, and where
-    the certificate fails and D itself (:attr:`diagonal_map`) disagrees
-    with the components, they raise NumericalError.  So every dual has the
-    component sums of the canonical diagonal, and the smallest one-erasure
-    spectral radius is that of :attr:`_component_means`, attained by the
-    dual at :attr:`_component_mean_coefficients`: the spectral minimum,
-    search and construction all read these two, lifted once per chart.
-    Each is built when first read.
+    The chart decides the matroid components of F once
+    (:attr:`components`).  ``F diag(lam) (I - V V^T) = 0`` exactly when lam
+    is constant on each component, so no dual moves the component sums of
+    the diagonal; :attr:`_diagonal_factor` certifies that and lifts a
+    diagonal shift, or raises NumericalError.  The spectral minimum, search
+    and construction read :attr:`_component_means` and its lift
+    :attr:`_component_mean_perturbation`, each built when first read.
     """
 
-    basis: np.ndarray  # N x (N - rank F)
-    dof: int
     row_basis: np.ndarray  # N x rank F
 
     def __post_init__(self):
-        object.__setattr__(self, "basis", _readonly(self.basis))
         object.__setattr__(self, "row_basis", _readonly(self.row_basis))
+
+    @property
+    def dof(self) -> int:  # n (N - rank F), the dimension of the K-dual set
+        return self.frame.dim * (self.frame.n_vectors - self.row_basis.shape[1])
+
+    @cached_property
+    def basis(self) -> np.ndarray:  # W: F's right singular vectors beyond its rank
+        return _readonly(np.linalg.svd(self.frame.synthesis)[2][self.row_basis.shape[1] :].T)
 
     @cached_property
     def diagonal_map(self) -> np.ndarray:
@@ -459,34 +463,35 @@ class DualParameterization(_CanonicalDual):
 
     @cached_property
     def _diagonal_factor(self):
-        """(null, lift): E, the N x p normalized indicators of the p
-        :attr:`components` (``1/sqrt|B|`` on component B, exact zeros
-        elsewhere), which span null(D), the diagonal shifts no dual reaches;
-        and the map from a shift r to the minimum-norm c with ``D^T c`` the
-        projection of r onto range(D^T).
+        """(null, lift, embed): Z, the N x p normalized indicators of the p
+        :attr:`components` (``1/sqrt|B|`` on component B), which span
+        null(D), the diagonal shifts no dual reaches; the map from a shift r
+        to the coordinates of the minimum-norm perturbation whose diagonal
+        shift is r projected onto range(D^T); and the linear map from those
+        coordinates to the n x N perturbation.
 
-        With ``s = ||F||_F`` (``||D|| <= s``) and the Gram
-        ``M = D^T D = (F^T F) o (W W^T)``, built as ``(F^T F) o (I - V V^T)``,
-        the components are certified when
+        With ``s = ||F||_F`` (``||D|| <= s``), ``P = I - V V^T`` and the Gram
+        ``M = D^T D = (F^T F) o P``, the components are certified when
 
-        * ``||F_B W_B||_F <= RANK_TOL s`` for every component B: E lies in
-          null(D) by D's own rank rule, computed without squaring its
-          condition number; and
-        * ``M + s^2 E E^T - RANK_TOL s^2 I`` has a Cholesky factor: no
-          eigenvalue of M outside span(E) is at or below the cut.
+        * ``||X_B - (X_B V) V^T||_F <= RANK_TOL s`` for every component B,
+          X_B being F with the columns outside B set to 0, formed entry by
+          entry (it is ``||F_B W_B||_F``): Z lies in null(D) by D's own rank
+          rule, without squaring its condition number; and
+        * ``M + s^2 Z Z^T - RANK_TOL s^2 I`` has a Cholesky factor: no
+          eigenvalue of M outside span(Z) is at or below the cut.
 
-        Then ``c = F diag(mu) W`` with ``(M + s^2 E E^T) mu = r - E E^T r``,
-        solved with the Cholesky factor of ``M + s^2 E E^T``; no N x N
-        eigendecomposition runs.  Otherwise M cannot resolve a singular
-        value of D between ``RANK_TOL s`` and about ``1e-5 s``, or E misses
-        null(D): one SVD of D decides its rank by its own rule and gives the
-        lift, and its null space is accepted only when it is span(E).  When
-        it is not, the components and D disagree, and NumericalError names
-        the components rather than answer from either side.
+        Then the lift is ``F diag(mu) P``, projected twice, with ``(M + s^2
+        Z Z^T) mu = r - Z Z^T r``; no N x N eigendecomposition runs.
+        Otherwise M cannot resolve a singular value of D between ``RANK_TOL
+        s`` and about ``1e-5 s``, or Z misses null(D): one SVD of D decides
+        its rank and gives the lift in chart coefficients, embedded by
+        :meth:`perturbation` (whose rounding stays admissible).  Its null
+        space must be span(Z), or NumericalError names the components rather
+        than answer from either side.
         """
         from scipy.linalg import lapack
 
-        F, W, V = self.frame.synthesis, self.basis, self.row_basis
+        F, V = self.frame.synthesis, self.row_basis
         N = F.shape[1]
         scale = float(np.linalg.norm(F))
         label = np.empty(N, dtype=int)
@@ -495,13 +500,18 @@ class DualParameterization(_CanonicalDual):
         sizes = np.bincount(label)[label]  # |B| of the component of each index
         null = np.zeros((N, len(self.components)))
         null[np.arange(N), label] = 1.0 / np.sqrt(sizes)
-        residual = max(np.linalg.norm(F[:, c] @ W[c]) for c in map(list, self.components))
-        if residual <= RANK_TOL * scale:
+
+        def leak(component):  # ||X_B - (X_B V) V^T||_F, entry by entry
+            X = -((F[:, component] @ V[component]) @ V.T)
+            X[:, component] += F[:, component]
+            return np.linalg.norm(X)
+
+        if max(map(leak, map(list, self.components))) <= RANK_TOL * scale:
             gram = V @ V.T
             np.negative(gram, out=gram)
-            gram[np.diag_indices(N)] += 1.0  # W W^T = I - V V^T
+            gram[np.diag_indices(N)] += 1.0  # P = I - V V^T
             gram *= F.T @ F
-            gram += (label[:, None] == label) * (scale**2 / sizes)[:, None]  # s^2 E E^T
+            gram += (label[:, None] == label) * (scale**2 / sizes)[:, None]  # s^2 Z Z^T
             shifted = gram.copy()
             shifted[np.diag_indices(N)] -= RANK_TOL * scale**2
             try:
@@ -512,11 +522,14 @@ class DualParameterization(_CanonicalDual):
             else:
 
                 def lift(r):
-                    r = r - np.bincount(label, r)[label] / sizes  # r - E E^T r
+                    r = r - np.bincount(label, r)[label] / sizes  # r - Z Z^T r
                     mu = lapack.dtrtrs(upper, lapack.dtrtrs(upper, r, trans=1)[0])[0]
-                    return ((F * mu) @ W).T.ravel()
+                    # F diag(mu) can be cond(M) times longer than its
+                    # projection, whose rounding then leaves a part along V
+                    # that breaks F G^T = K: a second pass removes it.
+                    return _project(_project(F * mu, V), V)
 
-                return null, lift
+                return null, lift, lambda E: E
         # Vt needs N rows to hold a basis of null(D); the thin SVD keeps
         # only min(dof, N), and the full one costs nothing more when dof < N.
         U, s, Vt = np.linalg.svd(self.diagonal_map, full_matrices=self.dof < N)
@@ -532,7 +545,7 @@ class DualParameterization(_CanonicalDual):
                 f"span the {found.shape[1]} null directions of its diagonal map: "
                 "the frame is too close to one with other components to decide"
             )
-        return null, lambda r: U[:, :rank] @ ((Vt[:rank] @ r) / s[:rank])
+        return null, lambda r: U[:, :rank] @ ((Vt[:rank] @ r) / s[:rank]), self.perturbation
 
     @cached_property
     def _component_means(self) -> np.ndarray:
@@ -553,16 +566,16 @@ class DualParameterization(_CanonicalDual):
         return means
 
     @cached_property
-    def _component_mean_coefficients(self) -> np.ndarray:
-        """The :meth:`diagonal_coefficients` of :attr:`_component_means`:
-        the unique K-dual closest to the canonical dual among those of
-        smallest one-erasure spectral radius.  The diagonal is always
-        reachable, so a lift that misses it raises NumericalError."""
-        c = self.diagonal_coefficients(self.frame, self._component_means)
-        if c is None:
+    def _component_mean_perturbation(self) -> np.ndarray:
+        """:meth:`_diagonal_perturbation` of :attr:`_component_means`: with
+        it, ``K^+ F`` gives the K-dual closest to the canonical one among
+        those of smallest one-erasure spectral radius.  The diagonal is
+        always reachable, so a missed lift raises NumericalError."""
+        E = self._diagonal_perturbation(self._component_means)
+        if E is None:
             raise NumericalError("the chart lift missed the component-mean diagonal")
-        c.setflags(write=False)
-        return c
+        E.setflags(write=False)
+        return E
 
     def perturbation(self, coefficients) -> np.ndarray:
         """``C W^T`` for a coefficient vector, or a stack of them.
@@ -581,49 +594,49 @@ class DualParameterization(_CanonicalDual):
         ``W[j, m] X[a, t]`` for ``k = m n + a``.
         """
         W = self.basis[columns]
-        J = (W.T[:, None, :] * X[None, :, :]).reshape(self.dof, X.shape[1])
-        # Store zeros as +0.0: the signs of zero entries steer the sign
-        # conventions of SVDs taken of these rows (family directions).
-        return J + 0.0
+        return (W.T[:, None, :] * X[None, :, :]).reshape(self.dof, X.shape[1])
 
-    def diagonal_coefficients(self, frame: Frame, target):
-        """Minimum-norm c whose dual has ``<g_i, f_i> = target_i``, or None.
+    def _diagonal_perturbation(self, target) -> np.ndarray | None:
+        """Minimum-norm admissible E whose dual ``K^+ F + E`` has ``<g_i,
+        f_i> = target_i`` (the dual with that diagonal closest to the
+        canonical one), or None.
 
-        ``frame`` is the chart's own F.  The diagonal is affine in c, so this
-        is the dual with that diagonal closest to the canonical dual in
-        Frobenius norm.  c sums lifts of :attr:`_diagonal_factor`: of the
-        shift, then of what the exact diagonal of its dual still misses, for
-        as long as each lift halves the miss.  A lift on the Gram loses up to
-        cond(D)^2 * 1e-16 of the shift, and the refinement stops at rounding
-        or at the part of the miss in null(D), which no dual reaches.  None
-        when the final miss exceeds DEFAULT_TOL at the
+        E embeds the sum, in the lift's coordinates, of lifts of
+        :attr:`_diagonal_factor`: of the shift, then of what the exact
+        diagonal of its dual still misses, for as long as each lift halves
+        the miss (a Gram lift loses up to cond(D)^2 * 1e-16 of the shift).
+        None when the final miss exceeds DEFAULT_TOL at the
         :func:`_diagonal_scale` of the canonical dual (scale-free, and above
-        the rounding of a canonical diagonal that is exactly 0, as for a
-        skew K).
+        the rounding of an exactly zero diagonal).
         """
         rhs = target - self.canonical_diagonal
-        _, lift = self._diagonal_factor
+        _, lift, embed = self._diagonal_factor
         syn, base = self.frame.synthesis, self.base.synthesis
         scale = _diagonal_scale(syn, base, np.max(np.abs(target)))
-        c, miss = np.zeros(self.dof), rhs
+        step = lift(rhs)
+        x, miss = np.zeros_like(step), rhs
         while True:
-            step = lift(miss)
-            left = miss - np.einsum("ij,ij->j", self.perturbation(step), syn)
+            left = miss - np.einsum("ij,ij->j", embed(step), syn)
             if not np.max(np.abs(left)) < 0.5 * np.max(np.abs(miss)):  # also 0, NaN
                 break
-            c, miss = c + step, left
-        return c if np.all(_within(miss, scale)) else None
+            x, miss = x + step, left
+            step = lift(miss)
+        return embed(x) if np.all(_within(miss, scale)) else None
+
+    def diagonal_coefficients(self, frame: Frame, target):
+        """Minimum-norm c whose dual has ``<g_i, f_i> = target_i``, or None:
+        ``C = E W`` of :meth:`_diagonal_perturbation`.  ``frame`` is F."""
+        E = self._diagonal_perturbation(target)
+        return None if E is None else (E @ self.basis).T.ravel()
 
 
 def dual_parameterization(frame: Frame, op: OperatorSpec) -> DualParameterization:
-    """Orthonormal chart ``K^+ F + C W^T`` of the K-dual set of F.
-
-    W holds the right singular vectors of the synthesis matrix beyond its
-    numerical rank, i.e. an orthonormal basis of null(F) in coefficient space.
-    Raises NotParsevalError through :func:`canonical_k_dual`, and
-    NotDualError when the canonical dual fails :func:`verify_k_dual`, which
-    happens when F passes the Parseval test but K keeps a rounding-level
-    singular value in its rank.
+    """The K-dual set ``K^+ F + E``, ``E V = 0``, of F: V holds the right
+    singular vectors of F within its numerical rank (a thin SVD).  Raises
+    NotParsevalError through :func:`canonical_k_dual`, and NotDualError
+    when the canonical dual fails :func:`verify_k_dual`, which happens when
+    F passes the Parseval test but K keeps a rounding-level singular value
+    in its rank.
     """
     base = canonical_k_dual(frame, op)
     if verify_k_dual(frame, base, op) is DualKind.NOT_DUAL:
@@ -636,10 +649,9 @@ def dual_parameterization(frame: Frame, op: OperatorSpec) -> DualParameterizatio
             f" ({s[op.rank - 1] / s[0]:.1e} of the largest), is likely rounding"
             " noise"
         )
-    _, s, vt = np.linalg.svd(frame.synthesis)
+    _, s, vt = np.linalg.svd(frame.synthesis, full_matrices=False)
     rank = _rank(s, s[0] if s.size else 0.0)
-    W = vt[rank:].T
-    return DualParameterization(frame, op, base, W, frame.dim * W.shape[1], vt[:rank].T)
+    return DualParameterization(frame, op, base, vt[:rank].T)
 
 
 def reconstruct_dual(param: DualParameterization, coefficients) -> Frame:

@@ -1,24 +1,21 @@
 """Minimization over the K-dual affine space.
 
 Both one-erasure objectives are pointwise maxima of convex functions of the
-perturbation coefficients (a norm of an affine map for the operator norm,
-the absolute value of an affine functional for the spectral radius), so
-each is a convex min-max problem.  :func:`minimize_measure` solves it once,
-exactly, and keeps its point when the exact re-evaluated objective improves
-on the canonical value by more than DEFAULT_TOL of it, so reported values
-are always true measure values of verified duals.  A solve that returns no
-usable point raises :class:`~framekit.errors.NumericalError`.
+admissible perturbation E (n x N, ``E V = 0``, the dual being ``K^+ F + E``):
+a norm of an affine map for the operator norm, the absolute value of an
+affine functional for the spectral radius.  So each is a convex min-max
+problem, and :func:`minimize_measure` solves it once, exactly.  Reported
+values are always true measure values of verified duals, and a solve that
+returns no usable point raises :class:`~framekit.errors.NumericalError`.
 
-The spectral objective sees a dual only through its diagonal
-``d = a0 + D^T c``, D being the dof x N diagonal map of the chart, and the
-reachable diagonals are those with the component sums of a0 over the
-matroid components of F.  So the minimum is closed-form: the largest
-absolute component mean of a0, attained by the diagonal that puts every
-component at its mean.  The chart certifies the components and lifts that
-diagonal once (``_component_mean_coefficients``), to the K-dual closest to
-the canonical one; the tests check the result against an epigraph LP over
-all chart coefficients that knows nothing of components.  The spectral KKT
-gradients come from the dual's diagonal and the top columns of D alone.
+The spectral objective sees a dual only through its diagonal, and the
+reachable diagonals are those with the component sums of the canonical
+diagonal a0 over the matroid components of F.  So the minimum is the
+largest absolute component mean of a0, attained by the diagonal with every
+component at its mean; the chart certifies the components and lifts that
+diagonal once (``_component_mean_perturbation``), and the search returns
+that dual.  The tests check it against an epigraph LP over all chart
+coefficients that knows nothing of components.
 
 The operator norm ``min max_i ||f_i|| ||g_i||`` splits over the matroid
 components of F and is solved by Lawson's reweighting (C. L. Lawson, PhD
@@ -33,10 +30,10 @@ open.  The per-term gradients (:meth:`_Objective.gradients`) serve
 :func:`framekit.duals.canonical_certificate`, whose exact optimality test
 at the canonical dual is a KKT system in them.
 
-``minimize_r2_within_uniform`` restricts the chart to duals with constant
-diagonal trace(K)/N (an affine constraint) and minimizes the two-erasure
-spectral radius by direct search; that objective is not convex, hence the
-restarts actually matter there.
+``minimize_r2_within_uniform`` restricts the coefficient chart (``E = C
+W^T``) to duals with constant diagonal trace(K)/N (an affine constraint)
+and minimizes the two-erasure spectral radius by direct search; that
+objective is not convex, hence the restarts actually matter there.
 
 scipy is imported inside the functions that call it, so importing this
 module does not load it: the Nelder-Mead solver is looked up on the
@@ -65,7 +62,7 @@ from .frames import (
     reconstruct_dual,
     verify_k_dual,
 )
-from .erasures import Measure, _pair_terms
+from .erasures import Measure, _max_pair_radius
 from .pairs import pair_bounds
 
 # Points per chart axis and largest dof of brute_force_grid_oracle.
@@ -91,13 +88,10 @@ NEWTON_ACTIVE = 1e-6
 class SearchConfig:
     """Budget of the numerical searches.
 
-    No solver reads ``max_iters``: the exact solves of
-    :func:`minimize_measure` (the spectral closed form, and the op-norm
-    Lawson steps with their module constant LAWSON_MAX_STEPS) have no budget
-    here.  It
-    stays a validated field of the public configuration.  ``restarts`` and
-    ``seed`` drive only the Nelder-Mead starts of
-    :func:`minimize_r2_within_uniform`.
+    No solver reads ``max_iters``, a validated field of the public
+    configuration: the exact solves of :func:`minimize_measure` have no
+    budget here.  ``restarts`` and ``seed`` drive only the Nelder-Mead
+    starts of :func:`minimize_r2_within_uniform`.
     """
 
     max_iters: int = 200
@@ -121,7 +115,9 @@ class MinimizeResult:
 
 
 class _Objective:
-    """Vectorized one-erasure objectives over the coefficient chart."""
+    """Vectorized one-erasure objectives over the admissible perturbations:
+    the terms of the dual ``G = K^+ F + E`` for an n x N matrix E with
+    ``E V = 0`` (V the chart's row basis)."""
 
     def __init__(self, param: DualParameterization, kind: Measure):
         self.kind = kind
@@ -129,25 +125,21 @@ class _Objective:
         self.fsyn = param.frame.synthesis
         self.fnorms = np.linalg.norm(self.fsyn, axis=0)
         self.base = param.base.synthesis
-        self.dof = param.dof
 
-    def dual_syn(self, c: np.ndarray) -> np.ndarray:
-        return self.base + self.param.perturbation(c)
-
-    def value(self, c: np.ndarray) -> float:
-        return float(np.max(self.terms(c)[0]))
+    def value(self, E: np.ndarray) -> float:
+        return float(np.max(self.terms(E)[0]))
 
     @cached_property
     def canonical_value(self) -> float:
-        """The objective at the canonical dual (c = 0), the scale of the
+        """The objective at the canonical dual (E = 0), the scale of the
         keep rule of the search."""
-        return self.value(np.zeros(self.dof))
+        return self.value(np.zeros_like(self.base))
 
-    def terms(self, c: np.ndarray) -> tuple[np.ndarray, tuple]:
-        """Per-index terms at c, whose maximum is the objective, and the
-        state :meth:`gradients` needs.  A stack of points (..., dof) gives
-        terms of shape (..., N)."""
-        G = self.dual_syn(c)
+    def terms(self, E: np.ndarray) -> tuple[np.ndarray, tuple]:
+        """Per-index terms at E, whose maximum is the objective, and the
+        state :meth:`gradients` needs.  A stack of perturbations (..., n, N)
+        gives terms of shape (..., N)."""
+        G = self.base + E
         if self.kind is Measure.SPECTRAL:
             diag = np.einsum("...ij,ij->...j", G, self.fsyn)
             return np.abs(diag), (diag,)
@@ -155,21 +147,26 @@ class _Objective:
         return self.fnorms * gnorms, (G, gnorms)
 
     def gradients(self, state: tuple, indices) -> np.ndarray:
-        """Gradients (dof x len(indices)) of the terms at the given indices.
-
-        Spectral: ``sign(<g_i, f_i>)`` times the chart derivative of
-        ``<g_i, f_i>``, column i of the diagonal map.  Operator norm:
-        ``||f_i||`` times the chart derivative of ``||g_i||``, i.e. of
-        ``<g_i, g_i / ||g_i||>``; zero where ``g_i = 0``.
+        """Gradients of the terms at the given indices over the admissible
+        perturbations: column t of the nN x len(indices) result is the
+        n x N gradient of term ``i = indices[t]``, raveled.  Term i moves
+        with column i of E alone, so it is ``x_i (e_i - V v_i)^T``, the
+        admissible part of ``x_i e_i^T`` (v_i row i of V), with ``x_i =
+        sign(<g_i, f_i>) f_i`` (spectral) or ``||f_i|| g_i / ||g_i||``
+        (operator norm; 0 where ``g_i = 0``).
         """
+        idx = np.asarray(indices, dtype=int)
+        V = self.param.row_basis
+        P = -(V @ V[idx].T)  # column t: e_i - V v_i for i = idx[t]
+        P[idx, np.arange(idx.size)] += 1.0
         if self.kind is Measure.SPECTRAL:
             (diag,) = state
-            D_T = self.param.column_jacobian(self.fsyn[:, indices], indices)
-            return D_T * np.sign(diag[indices])
-        G, gnorms = state
-        norms = gnorms[indices]
-        U = G[:, indices] / np.where(norms > 0, norms, 1.0)
-        return self.fnorms[indices] * self.param.column_jacobian(U, indices)
+            X = self.fsyn[:, idx] * np.sign(diag[idx])
+        else:
+            G, gnorms = state
+            norms = gnorms[idx]
+            X = self.fnorms[idx] * G[:, idx] / np.where(norms > 0, norms, 1.0)
+        return (X[:, None, :] * P[None, :, :]).reshape(-1, idx.size)
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,17 +368,6 @@ def _lawson_op_norm(param: DualParameterization) -> _LawsonResult:
     return _LawsonResult(dual, value, bound, bound - safe, weights, tuple(steps))
 
 
-def _solve_op_norm(obj: _Objective) -> tuple[np.ndarray, float]:
-    """Chart coefficients of the op-norm Lawson dual and its certified
-    lower bound, less its rounding margin.  A component that hit
-    LAWSON_MAX_STEPS gives its best projected dual, and the interval to the
-    bound stays open."""
-    lawson = _lawson_op_norm(obj.param)
-    E = lawson.dual - obj.base
-    c = (E @ obj.param.basis).T.ravel()  # C = E W, with c[m n + a] = C[a, m]
-    return c, lawson.bound - lawson.margin
-
-
 def minimize_measure(
     frame: Frame,
     op: OperatorSpec,
@@ -390,21 +376,18 @@ def minimize_measure(
 ) -> MinimizeResult:
     """Minimize a one-erasure measure over all K-duals of F.
 
-    The exact solve of the measure (the spectral closed form, lifted once
-    per chart, or the op-norm Lawson solve) runs once, and its point is kept
-    when its exact value beats the canonical one by more than DEFAULT_TOL
-    of it; ``trace`` is the canonical value, followed by the solved one if
-    kept.  With no chart (dof 0) or a canonical value of 0 the canonical
-    dual is optimal and no solver runs.  For the operator norm
-    ``comparison`` holds the lower bound ``fixed_frame_lower_bound`` (the
-    value itself when no solver runs).  The Lawson bound carries a relative
-    rounding error of about cond(R) * 1e-16, R being the triangular factor
-    of the step that gave it, so the reported bound is lowered by a margin
-    built from LAPACK's condition estimate of R (see
-    :func:`_lawson_component`) that covers that error.  A solver failure
-    raises NumericalError.  The
-    result is deterministic, reads nothing from ``cfg``, and its value is
-    always an exact objective value at a verified dual.
+    The spectral result is the closed-form component-mean dual, lifted once
+    per chart.  The op-norm Lawson dual is kept when its exact value beats
+    the canonical one by more than DEFAULT_TOL of it.  ``trace`` is the
+    canonical value, then the solved one if kept.  With dof 0 or a
+    canonical value of 0 the canonical dual is optimal (and the
+    component-mean dual) and no solver runs.  For the operator norm
+    ``comparison`` holds ``fixed_frame_lower_bound``: the Lawson bound less
+    a margin from LAPACK's condition estimate of its triangular factor (see
+    :func:`_lawson_component`), or the value when no solver runs.  A solver
+    failure raises NumericalError.  The result is deterministic, reads
+    nothing from ``cfg``, and its value is an exact objective value at a
+    verified dual.
     """
     return _minimize_measure(dual_parameterization(frame, op), kind)
 
@@ -419,18 +402,20 @@ def _minimize_measure(param: DualParameterization, kind: Measure) -> MinimizeRes
             param.base, value, (value,), comparison=_lower_bound(kind, bound)
         )
 
-    if kind is Measure.SPECTRAL:  # the module docstring's closed form
-        c = param._component_mean_coefficients
-    else:
-        c, bound = _solve_op_norm(obj)
     trace = [value]
-    c_value = obj.value(c)
-    if c_value < value and not _within(value - c_value, value):
-        value = c_value
+    if kind is Measure.SPECTRAL:  # the module docstring's closed form
+        E = param._component_mean_perturbation
+    else:
+        lawson = _lawson_op_norm(param)
+        bound = lawson.bound - lawson.margin
+        E = lawson.dual - obj.base
+    solved = obj.value(E)
+    if kind is Measure.SPECTRAL or (solved < value and not _within(value - solved, value)):
+        value = solved
         trace.append(value)
     else:
-        c = np.zeros(param.dof)
-    dual = reconstruct_dual(param, c)
+        E = np.zeros_like(obj.base)
+    dual = Frame(obj.base + E)
     if verify_k_dual(param.frame, dual, param.op) is DualKind.NOT_DUAL:
         raise NumericalError("search result fails the K-duality check")
     return MinimizeResult(
@@ -469,19 +454,17 @@ def _minimize_r2_within_uniform(
     N = frame.n_vectors
     if N < 2:
         raise ValueError("two-erasure search needs at least 2 vectors")
-    obj = _Objective(param, Measure.SPECTRAL)
+    F, base = frame.synthesis, param.base.synthesis
     c0 = param.diagonal_coefficients(frame, np.full(N, op.trace / N))
     if c0 is None:
         raise InfeasibleError("no 1-uniform dual exists for this frame")
     _, s, vt = np.linalg.svd(param.diagonal_map.T, full_matrices=True)
     # Relative to ||F||_F >= ||D||, as in the chart's diagonal factor.
-    Z = vt[_rank(s, np.linalg.norm(obj.fsyn)) :]  # rows span the feasible directions
+    Z = vt[_rank(s, np.linalg.norm(F)) :]  # rows span the feasible directions
 
     def r2_of(z: np.ndarray) -> float:
-        c = c0 + z @ Z
-        alpha = obj.dual_syn(c).T @ obj.fsyn
-        _, _, radii = _pair_terms(alpha)
-        return float(np.max(radii))
+        alpha = (base + param.perturbation(c0 + z @ Z)).T @ F
+        return _max_pair_radius(alpha, np.diag(alpha))[0]
 
     q = Z.shape[0]
     best_idx = 0
@@ -557,7 +540,7 @@ def brute_force_grid_oracle(
     axis = np.linspace(-1.0, 1.0, GRID_POINTS_PER_DOF) * scale
     # P x dof in lexicographic order; one point, the canonical dual, at dof 0.
     points = np.array(list(itertools.product(axis, repeat=param.dof)))
-    values = np.max(obj.terms(points)[0], axis=1)
+    values = np.max(obj.terms(param.perturbation(points))[0], axis=1)
     arg = int(np.argmin(values))
     vmin = float(values[arg])
     n_min = int(np.count_nonzero(_within(values - vmin, obj.canonical_value)))

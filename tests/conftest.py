@@ -42,6 +42,17 @@ def reference_emit(doc):
     return json.dumps(round_floats(doc), indent=2)
 
 
+def complex_pair_terms(alpha, d):
+    """The pair kernel as it was first written: every radius from the
+    principal complex square root, both signs evaluated."""
+    iu, ju = np.triu_indices(alpha.shape[0], 1)
+    prods = alpha[iu, ju] * alpha[ju, iu]
+    s = d[iu] + d[ju]
+    root = np.sqrt(((d[iu] - d[ju]) ** 2 + 4.0 * prods).astype(complex))
+    radii = np.maximum(np.abs((s + root) / 2.0), np.abs((s - root) / 2.0))
+    return (iu, ju), prods, radii
+
+
 def random_psd(rng, n, rank=None):
     """Random well-conditioned PSD matrix, optionally rank-deficient.
 
@@ -305,6 +316,12 @@ def dense_diagonal_map(param):
     return param.column_jacobian(param.frame.synthesis)
 
 
+def chart_value(obj, c):
+    """The objective at chart coefficients c: at ``K^+ F + C W^T``, through
+    the public ``perturbation``."""
+    return obj.value(obj.param.perturbation(c))
+
+
 def coefficient_space_polish(obj):
     """Reference spectral minimum: the epigraph LP over all chart
     coefficients, which knows nothing of matroid components.
@@ -315,7 +332,7 @@ def coefficient_space_polish(obj):
     None when HiGHS reports failure.
     """
     a0 = obj.param.canonical_diagonal
-    dof, N = obj.dof, a0.shape[0]
+    dof, N = obj.param.dof, a0.shape[0]
     D = dense_diagonal_map(obj.param)
     cost = np.zeros(dof + 1)
     cost[-1] = 1.0
@@ -333,21 +350,22 @@ def coefficient_space_polish(obj):
 
 
 def reference_gradient(obj, G, i):
-    """Gradient of term i of the objective at the dual synthesis G, from
-    its definition."""
+    """Gradient in the chart coefficients of term i of the objective at the
+    dual synthesis G, from its definition."""
     if obj.kind is Measure.SPECTRAL:
         return np.sign(G[:, i] @ obj.fsyn[:, i]) * dense_diagonal_map(obj.param)[:, i]
     gnorm = np.linalg.norm(G[:, i])
     if gnorm == 0.0:
-        return np.zeros(obj.dof)
+        return np.zeros(obj.param.dof)
     u = G[:, [i]] / gnorm
     return obj.fnorms[i] * obj.param.column_jacobian(u, [i])[:, 0]
 
 
 def reference_subgradient(obj, c):
     """Objective at c and the mean gradient of the terms within DEFAULT_TOL
-    of the canonical value of the maximum, one term at a time."""
-    G = obj.dual_syn(c)
+    of the canonical value of the maximum, one term at a time, in the
+    chart coefficients."""
+    G = obj.base + obj.param.perturbation(c)
     if obj.kind is Measure.SPECTRAL:
         w = np.abs(np.einsum("ij,ij->j", G, obj.fsyn))
     else:
@@ -368,7 +386,7 @@ def coefficient_space_run(obj, start, cfg):
     """
     c = start.copy()
     best_c = c.copy()
-    best = obj.value(c)
+    best = chart_value(obj, c)
     trace = [best]
     stall_ref = best
     stall_count = 0
@@ -459,18 +477,21 @@ def loop_family_radius(frame, base_dual, direction, part, kind):
 
 
 def absolute_op_norm_polish(obj, c0):
-    """Reference op-norm polish: the SLSQP epigraph in absolute units,
-    warm-started at c0 with t = value(c0) + 1e-9."""
-    t0 = obj.value(c0)
+    """Reference op-norm polish: the SLSQP epigraph in absolute units over
+    the chart coefficients, warm-started at c0 with t = value(c0) + 1e-9."""
+    t0 = chart_value(obj, c0)
     x0 = np.concatenate([c0, [t0 + 1e-9]])
     fn2 = obj.fnorms**2
 
+    def dual_syn(c):
+        return obj.base + obj.param.perturbation(c)
+
     def cons_f(x):
-        G = obj.dual_syn(x[:-1])
+        G = dual_syn(x[:-1])
         return x[-1] ** 2 - fn2 * np.einsum("ij,ij->j", G, G)
 
     def cons_jac(x):
-        G = obj.dual_syn(x[:-1])
+        G = dual_syn(x[:-1])
         jac = np.zeros((G.shape[1], x.size))
         jac[:, :-1] = -2.0 * (fn2[None, :] * obj.param.column_jacobian(G)).T
         jac[:, -1] = 2.0 * x[-1]
@@ -481,7 +502,7 @@ def absolute_op_norm_polish(obj, c0):
         x0,
         jac=lambda x: np.eye(x0.size)[-1],
         constraints=[{"type": "ineq", "fun": cons_f, "jac": cons_jac}],
-        bounds=[(None, None)] * obj.dof + [(0.0, None)],
+        bounds=[(None, None)] * obj.param.dof + [(0.0, None)],
         method="SLSQP",
         options={"maxiter": 200, "ftol": 1e-12},
     )
@@ -508,18 +529,19 @@ def loop_then_polish(frame, op, kind, cfg):
         if val < best_val:
             best_c, best_val = c, val
     if kind is fk.Measure.SPECTRAL:
-        c_new = param._component_mean_coefficients
+        new_val = obj.value(param._component_mean_perturbation)
     else:
         c_new = absolute_op_norm_polish(obj, best_c)
-    if c_new is not None and best_val - obj.value(c_new) > DEFAULT_TOL * obj.canonical_value:
-        best_val = obj.value(c_new)
+        new_val = None if c_new is None else chart_value(obj, c_new)
+    if new_val is not None and best_val - new_val > DEFAULT_TOL * obj.canonical_value:
+        best_val = new_val
     return best_val
 
 
 def break_solvers(monkeypatch):
-    """Make every chart lift of a diagonal miss (``diagonal_coefficients``
-    returns None) and the QR of every op-norm Lawson step return NaN
-    factors, so its iterate is not finite."""
+    """Make every chart lift of a diagonal miss (``_diagonal_perturbation``,
+    and so ``diagonal_coefficients``, returns None) and the QR of every
+    op-norm Lawson step return NaN factors, so its iterate is not finite."""
     monkeypatch.setattr(
         scipy.linalg.lapack, "dgeqrf",
         lambda a, *args, **kwargs: (
@@ -527,6 +549,5 @@ def break_solvers(monkeypatch):
         ),
     )
     monkeypatch.setattr(
-        fk.DualParameterization, "diagonal_coefficients",
-        lambda self, frame, target: None,
+        fk.DualParameterization, "_diagonal_perturbation", lambda self, target: None
     )

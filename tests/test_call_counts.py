@@ -123,12 +123,23 @@ def test_cli_call_counts_on_example_1(command, ex1_file, calls):
         assert calls[function] <= cap, f"{function}: {calls[function]} calls, at most {cap}"
 
 
+def refuse_null_basis(monkeypatch):
+    """Make every read of the chart's null basis W fail."""
+
+    def refuse(self):
+        raise AssertionError("read the null basis W")
+
+    monkeypatch.setattr(DualParameterization, "basis", property(refuse))
+
+
 def test_operator_norm_paths_build_no_diagonal_map(monkeypatch):
-    # The dof x N diagonal map serves the spectral measure alone.
+    # The dof x N diagonal map serves the spectral measure alone, and no
+    # fixed-frame answer reads W.
     def refuse(self):
         raise AssertionError("operator-norm path read the diagonal map")
 
     monkeypatch.setattr(DualParameterization, "diagonal_map", property(refuse))
+    refuse_null_basis(monkeypatch)
     rng = np.random.default_rng(0)
     op = fk.build_operator(random_psd(rng, 2))
     frame = random_parseval_frame(rng, op, 4)
@@ -141,11 +152,12 @@ def test_operator_norm_paths_build_no_diagonal_map(monkeypatch):
 def test_spectral_paths_on_a_generic_chart_build_no_diagonal_map(monkeypatch, tmp_path):
     # The spectral solves read null(D) and the lift of a diagonal from the
     # N x N Gram; the dof x N map is only the fallback where that Gram
-    # cannot decide the rank of D.
+    # cannot decide the rank of D, and no answer here reads W.
     def refuse(self):
         raise AssertionError("spectral path read the diagonal map")
 
     monkeypatch.setattr(DualParameterization, "diagonal_map", property(refuse))
+    refuse_null_basis(monkeypatch)
     rng = np.random.default_rng(0)
     op = fk.build_operator(random_psd(rng, 3))
     frame = random_parseval_frame(rng, op, 7)
@@ -162,6 +174,42 @@ def test_spectral_paths_on_a_generic_chart_build_no_diagonal_map(monkeypatch, tm
         name, *flags = command.split()
         with contextlib.redirect_stdout(io.StringIO()):
             assert main([name, "--frame", str(path), *flags]) == 0
+
+
+NO_NULL_BASIS = (
+    "optimal-dual --measure spectral",
+    "optimal-dual --measure opnorm",
+    "search --measure o1",
+    "search --measure r1",
+    "analyze",
+    "canonical-dual",
+)
+
+
+@pytest.mark.parametrize("system", [*fixtures.EXAMPLE_NAMES, "one-block"])
+def test_cli_answers_read_no_null_basis(system, tmp_path, monkeypatch):
+    # Every fixed-frame CLI answer works on n x N perturbations: with W
+    # refused, each command prints what it prints with W.
+    if system == "one-block":
+        rng = np.random.default_rng(5)
+        op = fk.build_operator(random_psd(rng, 5))
+        frame = random_parseval_frame(rng, op, 50)
+    else:
+        frame, op = fixtures.get_example(system)
+    path = str(tmp_path / "frame.json")
+    save_frame_file(path, frame, op)
+
+    def run(command):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            rc = main([*command.split(), "--frame", path])
+        return rc, out.getvalue()
+
+    expected = {command: run(command) for command in NO_NULL_BASIS}
+    refuse_null_basis(monkeypatch)
+    for command in NO_NULL_BASIS:
+        assert run(command) == expected[command], command
+        assert expected[command][0] == 0
 
 
 def one_block_frame():
@@ -198,10 +246,10 @@ def test_spectral_cli_call_builds_one_chart_and_no_gram_eigh(
         raise AssertionError("a spectral CLI call ran linprog")
 
     monkeypatch.setattr(scipy.optimize, "linprog", refuse)
-    lift = DualParameterization.diagonal_coefficients
+    lift = DualParameterization._diagonal_perturbation
     monkeypatch.setattr(
-        DualParameterization, "diagonal_coefficients",
-        lambda self, frame, target: targets.append(np.array(target)) or lift(self, frame, target),
+        DualParameterization, "_diagonal_perturbation",
+        lambda self, target: targets.append(np.array(target)) or lift(self, target),
     )
     frames = sys.modules["framekit.frames"]
     decide, components = frames._matroid_components, []

@@ -579,16 +579,13 @@ class TestStdoutMatchesReferenceEmitter:
         assert self.run_both(["verify-example", name], capsys, monkeypatch)[0] == 0
 
 
-# Systems whose canonical dual already has the smallest one-erasure spectral
-# radius, so the search keeps it (see minimize_measure): all three fixtures.
-CANONICAL_OPTIMAL = set(fixtures.EXAMPLE_NAMES)
 
 
 class TestSpectralSearchMatchesConstruction:
     """``search --measure r1`` prints the K-dual that ``optimal-dual
     --measure spectral`` constructs: the closest to the canonical dual with
-    every component at its mean diagonal, unless the canonical dual is
-    already optimal."""
+    every component at its mean diagonal, also where the canonical dual is
+    already optimal (all three fixtures)."""
 
     @pytest.mark.parametrize("name", list(spectral_systems()))
     def test_best_dual_is_the_optimal_dual(self, name, tmp_path, capsys):
@@ -598,18 +595,13 @@ class TestSpectralSearchMatchesConstruction:
         for argv in (
             ["search", "--measure", "r1"],
             ["optimal-dual", "--measure", "spectral"],
-            ["canonical-dual"],
         ):
             assert main([*argv, "--frame", path]) == 0
             outputs[argv[0]] = json.loads(capsys.readouterr().out)
         search, optimal = outputs["search"], outputs["optimal-dual"]
-        canonical = outputs["canonical-dual"]["vectors"]
         assert search["value"] == optimal["minimal_value"] == optimal["search_value"]
-        if name in CANONICAL_OPTIMAL:
-            assert search["best_dual"] == canonical
-        else:
-            assert search["best_dual"] != canonical
-            assert search["best_dual"] == optimal["optimal_dual"]
+        # byte for byte, signed zeros included
+        assert json.dumps(search["best_dual"]) == json.dumps(optimal["optimal_dual"])
 
 
 class TestVerifyExample:
@@ -656,7 +648,7 @@ class TestVerifyExample:
         # The component-mean diagonal is always reachable, so a missed
         # chart solve is a numerical failure, not a domain error.
         monkeypatch.setattr(
-            fk.DualParameterization, "diagonal_coefficients", lambda *a, **k: None
+            fk.DualParameterization, "_diagonal_perturbation", lambda *a, **k: None
         )
         argv = ["optimal-dual", "--frame", ex1_file, "--measure", "spectral"]
         assert main(argv) == 4

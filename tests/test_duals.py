@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import framekit as fk
 import framekit.duals as duals_mod
 from framekit.erasures import Measure
+from framekit.frames import DEFAULT_TOL
 from framekit.duals import Verdict, _diag_inner, _family_radius
 from framekit.search import SearchConfig, minimize_measure
 from conftest import (
@@ -585,20 +586,29 @@ class TestPerturbationFamily:
             for t in (-1.0, 0.5):
                 weights = part_weights(frame, canonical + t * d, kind)
                 assert np.max(np.abs(weights[top] - part.weights[top])) <= 1e-12
-            # direction is a unit projected chart axis e_k with a largest
-            # projector diagonal entry, up to ties in rounding
-            P = ref.T @ ref
-            diag = np.diag(P)
-            axes = [
-                param.perturbation(P[:, k] / math.sqrt(diag[k]))
-                for k in np.flatnonzero(diag >= np.max(diag) - 1e-12)
+            # direction is the unit projection of an axis g_j e_j^T / ||g_j||
+            # that projects longest, up to ties in rounding, or of a standard
+            # axis e_a e_j^T where every such axis projects to about 0
+            R = param.perturbation(ref).reshape(ref.shape[0], -1)
+            projector = R.T @ R
+            assert np.max(np.abs(projector @ d.ravel() - d.ravel())) <= 1e-12
+            G0 = param.base.synthesis
+            axes = [np.outer(G0[:, j] / np.linalg.norm(G0[:, j]), np.eye(frame.n_vectors)[j])
+                    for j in range(frame.n_vectors) if np.any(G0[:, j])]
+            lengths = [a.ravel() @ projector @ a.ravel() for a in axes]
+            if not axes or max(lengths) <= DEFAULT_TOL:
+                axes = list(np.eye(frame.synthesis.size).reshape(-1, *frame.synthesis.shape))
+                lengths = list(np.diag(projector))
+            expected = [
+                (projector @ a.ravel()) / math.sqrt(length)
+                for a, length in zip(axes, lengths)
+                if length >= max(lengths) - 1e-12
             ]
-            assert min(np.max(np.abs(a - d)) for a in axes) <= 1e-9
+            assert min(np.max(np.abs(e - d.ravel())) for e in expected) <= 1e-9
             B = fam.basis.reshape(fam.dimension, -1)
             assert np.array_equal(fam.basis[0], d)
             assert np.max(np.abs(B @ B.T - np.eye(fam.dimension))) <= 1e-12
-            R = param.perturbation(ref).reshape(ref.shape[0], -1)
-            assert np.max(np.abs(B.T @ B - R.T @ R)) <= 1e-10
+            assert np.max(np.abs(B.T @ B - projector)) <= 1e-10
 
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
     def test_radius_matches_the_loop_reference(self, kind):
@@ -612,6 +622,25 @@ class TestPerturbationFamily:
             radius = _family_radius(param, direction, part, kind)
             expected = loop_family_radius(frame, param.base, direction, part, kind)
             assert radius == pytest.approx(expected, rel=1e-15, abs=0)
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    def test_rounding_noise_column_bounds_nothing(self, ex1, kind):
+        # A unit direction whose one rest column holds 1e-17 entries: that
+        # column is rounding noise of a zero and moves no weight.  At 1e-9
+        # it is a real column and bounds the radius.
+        frame, op = ex1
+        param = fk.dual_parameterization(frame, op)
+        part = fk.weight_partition(frame, op, kind)
+        i = part.rest[0]
+        column = frame.synthesis[:, i] + param.base.synthesis[:, i]
+        for size, bounded in ((1e-17, False), (1e-9, True)):
+            direction = np.zeros(frame.synthesis.shape)
+            direction[0, part.top[0]] = 1.0
+            direction[:, i] = size * column / np.linalg.norm(column)
+            radius = _family_radius(param, direction, part, kind)
+            assert (radius < math.inf) == bounded
+            expected = loop_family_radius(frame, param.base, direction, part, kind)
+            assert bounded == (expected == radius)
 
     def test_rounding_noise_slope_bounds_nothing(self):
         # A (2, 2) frame whose one family direction leaves every diagonal

@@ -12,6 +12,7 @@ from framekit.erasures import Measure
 from framekit.frames import RANK_TOL, DualParameterization
 from framekit.search import _Objective
 from conftest import (
+    chart_value,
     coefficient_space_polish,
     dense_diagonal_map,
     near_joined_components,
@@ -412,15 +413,25 @@ class TestDualParameterization:
         assert np.allclose(W.T @ W, np.eye(2), atol=1e-12)
         assert np.linalg.norm(frame.synthesis @ W) <= 1e-12
 
-    def test_chart_stores_only_the_null_basis(self):
+    def test_chart_stores_the_row_basis_and_builds_w_when_read(self):
+        # The chart keeps V (N x rank F) from a thin SVD; W, the null basis
+        # of the coefficient API, is absent until read, and then it is the
+        # full SVD's, bit for bit.
         rng = np.random.default_rng(3)
         n, N = 20, 600
         op = fk.build_operator(random_psd(rng, n))
         frame = random_parseval_frame(rng, op, N)
         param = fk.dual_parameterization(frame, op)
-        assert param.basis.shape == (N, N - n)
-        assert param.basis.nbytes == 8 * N * (N - n)
+        V = param.row_basis
+        assert V.shape == (N, n) and V.nbytes == 8 * N * n
+        assert np.max(np.abs(V.T @ V - np.eye(n))) <= 1e-12
         assert param.dof == n * (N - n)
+        assert "basis" not in vars(param)
+        W = param.basis
+        assert "basis" in vars(param) and param.basis is W
+        assert W.shape == (N, N - n) and not W.flags.writeable
+        assert np.array_equal(W, np.linalg.svd(frame.synthesis)[2][n:].T)
+        assert np.max(np.abs(V @ V.T + W @ W.T - np.eye(N))) <= 1e-12
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 10**6))
@@ -510,7 +521,7 @@ class TestDiagonalRoutes:
         assert map_reads
 
         obj = _Objective(param, Measure.SPECTRAL)
-        expected = obj.value(coefficient_space_polish(obj))
+        expected = chart_value(obj, coefficient_space_polish(obj))
         result = fk.minimize_measure(frame, op, Measure.SPECTRAL)
         assert result.value == pytest.approx(expected, rel=1e-9)
         assert result.value == pytest.approx(fk.min_r1_fixed_frame(frame, op), rel=1e-9)

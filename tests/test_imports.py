@@ -205,6 +205,39 @@ def test_scan_sees_scipy_optimize_imports(tmp_path):
     assert scipy_optimize_imports(path) == [(None, 2), ("f", 4), ("g", 7)]
 
 
+def basis_reads(path):
+    """Line numbers of every read of an attribute named ``basis``."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return sorted(
+        node.lineno
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+        and node.attr == "basis"
+        and isinstance(node.ctx, ast.Load)
+    )
+
+
+def test_only_the_chart_reads_its_null_basis():
+    # W serves the chart's coefficient API alone; every other module works
+    # on n x N perturbations or goes through that API.
+    found = {
+        p.name: lines
+        for p in sorted(SRC.joinpath("framekit").glob("*.py"))
+        if (lines := basis_reads(p))
+    }
+    assert set(found) == {"frames.py"}, found
+
+
+def test_scan_sees_basis_reads(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text(
+        "w = param.basis\nparam.basis = w\nbasis = 1\n"
+        "def f(p):\n    return p.basis[0].T\n"
+        "class C:\n    def g(self):\n        return self.row_basis, self.basis\n"
+    )
+    assert basis_reads(path) == [1, 5, 8]
+
+
 def test_import_loads_no_scipy():
     assert probe()["import"] == []
 

@@ -18,6 +18,7 @@ from conftest import (
     assert_value_scales,
     break_solvers,
     certificate_systems,
+    chart_value,
     coefficient_space_polish,
     degenerate_frame,
     loop_then_polish,
@@ -41,26 +42,35 @@ class TestObjective:
     def test_subgradient_matches_per_term_reference(self, mb, kind):
         # The gradients canonical_certificate builds its KKT test from.  All
         # three Mercedes weights tie at the canonical dual (c = 0).
+        # The gradients are n x N admissible perturbations; the references
+        # are chart-coefficient gradients, mapped through the chart.
         frame, op = mb
-        obj = _Objective(fk.dual_parameterization(frame, op), kind)
+        param = fk.dual_parameterization(frame, op)
+        obj = _Objective(param, kind)
         rng = np.random.default_rng(4)
-        points = np.vstack([np.zeros(obj.dof), rng.standard_normal((20, obj.dof))])
-        assert np.ptp(obj.terms(points[0])[0]) <= 1e-14
+        points = np.vstack([np.zeros(param.dof), rng.standard_normal((20, param.dof))])
+        assert np.ptp(obj.terms(param.perturbation(points[0]))[0]) <= 1e-14
+
+        def image(g):
+            return param.perturbation(g).ravel()
+
         for c in points:
-            w, state = obj.terms(c)
+            w, state = obj.terms(param.perturbation(c))
             grads = obj.gradients(state, np.arange(w.size))
-            G = obj.dual_syn(c)
+            assert grads.shape == (frame.synthesis.size, w.size)
+            G = obj.base + param.perturbation(c)
             for i in range(w.size):
-                reference = reference_gradient(obj, G, i)
+                reference = image(reference_gradient(obj, G, i))
                 assert np.max(np.abs(grads[:, i] - reference)) <= 1e-13
             val = float(np.max(w))
             ties = np.flatnonzero(val - w <= DEFAULT_TOL * obj.canonical_value)
             sub = grads[:, ties].mean(axis=1)
             ref_val, ref_sub = reference_subgradient(obj, c)
             assert ref_val == pytest.approx(val, rel=1e-14)
-            assert np.max(np.abs(sub - ref_sub)) <= 1e-13
-            for c2 in rng.standard_normal((10, obj.dof)):
-                assert obj.value(c2) >= val + sub @ (c2 - c) - 1e-12
+            assert np.max(np.abs(sub - image(ref_sub))) <= 1e-13
+            for c2 in rng.standard_normal((10, param.dof)):
+                step = image(c2 - c)
+                assert chart_value(obj, c2) >= val + sub @ step - 1e-12
 
 
 class TestMinimizeMeasure:
@@ -98,7 +108,7 @@ class TestMinimizeMeasure:
         import framekit.search as search_mod
 
         frame, op = ex1
-        monkeypatch.setattr(search_mod, "reconstruct_dual", lambda param, c: frame)
+        monkeypatch.setattr(search_mod, "Frame", lambda synthesis: frame)
         with pytest.raises(fk.NumericalError):
             fk.minimize_measure(frame, op, Measure.OP_NORM, CFG)
 
@@ -269,10 +279,12 @@ class TestExactSolveFirst:
         # miss is far above the cut.
         frame, op = ex1
         factor = fk.DualParameterization._diagonal_factor.func
-        monkeypatch.setattr(
-            fk.DualParameterization, "_diagonal_factor",
-            property(lambda self: (factor(self)[0], lambda r: np.zeros(self.dof))),
-        )
+
+        def no_shift(self):
+            null, _, embed = factor(self)
+            return null, lambda r: np.zeros(self.base.synthesis.shape), embed
+
+        monkeypatch.setattr(fk.DualParameterization, "_diagonal_factor", property(no_shift))
         with pytest.raises(fk.NumericalError, match="missed the component-mean diagonal"):
             fk.minimize_measure(frame, op, Measure.SPECTRAL, CFG)
 
@@ -397,7 +409,7 @@ class TestLawson:
         frame, op = nth_system(seed, count, draw)
         param = fk.dual_parameterization(frame, op)
         obj = _Objective(param, Measure.OP_NORM)
-        reference = obj.value(absolute_op_norm_polish(obj, np.zeros(param.dof)))
+        reference = chart_value(obj, absolute_op_norm_polish(obj, np.zeros(param.dof)))
         result = lawson(frame, op)
         assert_certified(result)
         assert max(result.steps) <= 30
@@ -424,7 +436,7 @@ class TestLawson:
             for c in rng.standard_normal((50, param.dof)) * scale * rng.uniform(0, 1, (50, 1)):
                 dual = fk.reconstruct_dual(param, c)
                 assert fk.o1(fk.build_dual_system(frame, dual, op)) >= bound * (1 - DEFAULT_TOL)
-            assert obj.value(np.zeros(param.dof)) >= bound * (1 - DEFAULT_TOL)
+            assert obj.canonical_value >= bound * (1 - DEFAULT_TOL)
 
     def test_gap_on_fixtures_and_frames(self, ex1, ex2, mb):
         for frame, op in (ex1, ex2, mb, *lawson_systems()):
@@ -487,10 +499,9 @@ class TestPolishSpectral:
                 continue  # minimize_measure polishes only when dof > 0
             reference = coefficient_space_polish(obj)
             assert reference is not None
-            c = param._component_mean_coefficients
-            assert c is not None
-            expected = obj.value(reference)
-            assert abs(obj.value(c) - expected) <= 1e-9 * expected
+            expected = chart_value(obj, reference)
+            value = obj.value(param._component_mean_perturbation)
+            assert abs(value - expected) <= 1e-9 * expected
             checked += 1
         assert checked >= 100
 
@@ -511,9 +522,9 @@ class TestPolishSpectral:
                 sizes = dims + rng.integers(1, 4, size=dims.size)
                 frame, op = non_orthogonal_components(rng, dims, sizes)
             obj = _Objective(fk.dual_parameterization(frame, op), Measure.SPECTRAL)
-            if obj.dof == 0 or not np.any(obj.param.canonical_diagonal):
+            if obj.param.dof == 0 or not np.any(obj.param.canonical_diagonal):
                 continue
-            expected = obj.value(coefficient_space_polish(obj))
+            expected = chart_value(obj, coefficient_space_polish(obj))
             scale = 10.0 ** rng.integers(-9, 10)
             scaled = _Objective(
                 fk.dual_parameterization(
@@ -521,8 +532,8 @@ class TestPolishSpectral:
                 ),
                 Measure.SPECTRAL,
             )
-            c = scaled.param._component_mean_coefficients
-            assert scaled.value(c) / scale == pytest.approx(expected, rel=1e-9)
+            value = scaled.value(scaled.param._component_mean_perturbation)
+            assert value / scale == pytest.approx(expected, rel=1e-9)
             checked += 1
         assert checked >= 30
 

@@ -19,6 +19,8 @@ import framekit as fk
 from framekit import fixtures
 from framekit.erasures import Measure
 from conftest import (
+    certificate_systems,
+    complex_pair_terms,
     fixed_frame_answers,
     near_joined_components,
     random_block_frame,
@@ -194,7 +196,7 @@ def test_permuting_the_vectors_permutes_the_indices(seed):
         fk.Frame(ds.frame.synthesis[:, perm]), fk.Frame(ds.dual.synthesis[:, perm]), ds.op
     )
     # The argmax is the first maximal index; a tie would follow the order.
-    _, _, radii = fk.erasures._pair_terms(ds.cross_gram)
+    _, _, radii = complex_pair_terms(ds.cross_gram, ds.diag)
     for w in (ds.frame.norms() * ds.dual.norms(), np.abs(ds.diag), radii):
         w = np.sort(w)[::-1]
         assume(w.size < 2 or w[0] - w[1] > 1e-9 * w[0])
@@ -236,6 +238,69 @@ def test_one_decision_follows_scale_and_order(weight):
     assert {tuple(sorted(perm[list(c)])) for c in components} == set(
         fk.dual_parameterization(frame, op).components
     )
+
+
+def family_lengths(frame, op, family):
+    """``||Pi A_j||^2`` of each axis ``A_j = g_j e_j^T / ||g_j||`` (g_j the
+    canonical dual's nonzero columns), Pi projecting onto the family, from
+    its dense basis."""
+    B = family.basis.reshape(family.dimension, -1)
+    G0 = fk.canonical_k_dual(frame, op).synthesis
+    eye = np.eye(frame.n_vectors)
+    return np.array([
+        np.sum((B @ np.outer(G0[:, j] / np.linalg.norm(G0[:, j]), eye[j]).ravel()) ** 2)
+        for j in range(frame.n_vectors) if np.any(G0[:, j])
+    ])
+
+
+@pytest.mark.parametrize("seed", [37, 101, 104])
+@pytest.mark.parametrize("kind", KINDS)
+def test_certificate_follows_permutation_transport_and_scale(seed, kind):
+    # Reordering the frame, transporting it (F -> Q F, K -> Q K Q^T, Q
+    # orthogonal) or scaling F and K by 1e+-6 keeps the verdict, the family
+    # dimension and radius.  The family direction moves with the frame,
+    # except where a standard axis stands in (every A_j projects to about
+    # 0) and, under a reordering, where two axes tie for the longest.  The
+    # descent direction of a NOT_OPTIMAL verdict, a least-distance point, moves
+    # with the frame.
+    families = fallbacks = 0
+    for idx, (frame, op) in enumerate(certificate_systems(np.random.default_rng(seed), kind, 200)):
+        cert = fk.canonical_certificate(frame, op, kind)
+        ev = cert.evidence
+        rng = np.random.default_rng([seed, idx])
+        perm = rng.permutation(frame.n_vectors)
+        Q, _ = np.linalg.qr(rng.standard_normal((frame.dim, frame.dim)))
+        maps = {
+            "permutation": (fk.Frame(frame.synthesis[:, perm]), op, lambda d: d[:, perm]),
+            "transport": (
+                fk.Frame(Q @ frame.synthesis),
+                fk.build_operator(Q @ op.matrix @ Q.T),
+                lambda d: Q @ d,
+            ),
+            "1e6": (*scaled(frame, op, 1e6), lambda d: d),
+            "1e-6": (*scaled(frame, op, 1e-6), lambda d: d),
+        }
+        family = cert.verdict is fk.Verdict.OPTIMAL_UNCOUNTABLE_FAMILY
+        moves = cert.verdict is fk.Verdict.NOT_OPTIMAL
+        tie = False
+        if family:
+            families += 1
+            assert ev["radius"] == math.inf or ev["radius"] < 1e12  # no noise bound
+            lengths = family_lengths(frame, op, fk.perturbation_family(frame, op, kind))
+            moves = lengths.size and lengths.max() > fk.DEFAULT_TOL
+            fallbacks += not moves
+            tie = moves and np.count_nonzero(lengths >= lengths.max() - fk.DEFAULT_TOL) > 1
+        for name, (moved, moved_op, move) in maps.items():
+            got = fk.canonical_certificate(moved, moved_op, kind)
+            assert got.verdict is cert.verdict, (idx, name)
+            if family:
+                assert got.evidence["family_dim"] == ev["family_dim"]
+                radius = got.evidence["radius"]
+                assert radius == pytest.approx(ev["radius"], rel=1e-9, abs=0), (idx, name)
+            if moves and not (tie and name == "permutation"):
+                d, moved_d = ev["direction"], got.evidence["direction"]
+                assert np.max(np.abs(move(d) - moved_d)) <= 1e-9 * np.max(np.abs(d)), (idx, name)
+    assert families >= 8 and fallbacks >= 1
 
 
 # ---------------------------------------------------------------------------
