@@ -23,11 +23,9 @@ from . import fixtures
 from .duals import (
     Measure,
     Verdict,
-    _canonical_certificate,
+    _certificate_and_family,
     _connected_decomposition,
-    _family,
     _min_r1,
-    _weight_partition,
 )
 from .erasures import build_report, report_to_dict
 from .errors import FrameKitError, NotParsevalError, NumericalError
@@ -181,7 +179,7 @@ def cmd_optimal_dual(args) -> int:
     frame, op, _ = _load_system(args.frame, args.tol)
     kind = Measure.OP_NORM if args.measure == "opnorm" else Measure.SPECTRAL
     param = dual_parameterization(frame, op)  # the one chart of this call
-    cert = _canonical_certificate(param, kind)
+    cert, family = _certificate_and_family(param, kind)
     decomp = _connected_decomposition(frame, op, param.components)
     search = _minimize_measure(param, kind)
 
@@ -189,7 +187,6 @@ def cmd_optimal_dual(args) -> int:
     minimal = _min_r1(param) if kind is Measure.SPECTRAL else search.value
     canonical_optimal = kind is Measure.OP_NORM and cert.verdict is not Verdict.NOT_OPTIMAL
     constructed = param.base if canonical_optimal else search.frame
-    family = _family(param, _weight_partition(param, kind), kind)
     doc = {
         "measure": args.measure,
         "certificate": _certificate_dict(cert),

@@ -51,10 +51,9 @@ function that takes it, so a caller holding a chart (the CLI) builds it
 once.
 
 The least-distance problem of the KKT test is solved by a Lawson-Hanson
-NNLS written here (:func:`_nnls`); its least-squares steps on two or more
-columns call LAPACK's QR solver from ``scipy.linalg.lapack``, imported
-inside the function, so importing this module loads no scipy and no
-certificate loads ``scipy.optimize``.
+NNLS written here (:func:`_nnls`), whose least-squares steps on two or
+more columns run numpy's QR (:func:`_least_squares`): no certificate loads
+scipy.
 """
 
 from __future__ import annotations
@@ -592,6 +591,27 @@ class OptimalityCertificate:
     evidence: dict
 
 
+def _least_squares(Ab: np.ndarray) -> np.ndarray:
+    """``argmin ||A x - b||`` for ``Ab = [A | b]``, A of full column rank k.
+
+    The triangular factor of a QR of ``[A | b]`` is ``[[R, Q^T b], [0,
+    rho]]``, so one factorization gives both sides of ``R x = Q^T b``, and
+    Q, m x k, is never formed (LAPACK's dgels applies it the same way).  LU
+    factors the upper triangular R without a row exchange, so
+    ``np.linalg.solve`` runs a plain back substitution.  A singular R, or a
+    point that is not finite, raises NumericalError.
+    """
+    k = Ab.shape[1] - 1
+    R = np.linalg.qr(Ab, mode="r")
+    try:
+        x = np.linalg.solve(R[:k, :k], R[:k, k])
+    except np.linalg.LinAlgError as exc:
+        raise NumericalError(f"KKT NNLS least-squares step: {exc}") from exc
+    if not np.isfinite(x).all():
+        raise NumericalError("KKT NNLS least-squares step is not finite")
+    return x
+
+
 def _nnls(E: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """``min ||E u - e||`` over ``u >= 0``: the point u and its residual
     ``E u - e``, by Lawson and Hanson's active-set NNLS (ch. 23).
@@ -606,11 +626,14 @@ def _nnls(E: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     column qualifies or the residual is at rounding level, ``tol (||e|| +
     sum_j u_j ||E_j||)``.  The residual and the gradient are formed from
     E's columns.  A least-squares step on one column is a ratio of dot
-    products, and on more a QR solve of those columns (LAPACK ``dgels``),
-    never their Gram.  Past 3 k least-squares steps, or on a failed QR,
+    products, and on more :func:`_least_squares`, a QR of those columns,
+    never their Gram (nor ``np.linalg.lstsq``, whose singular-value cutoff
+    leaves residuals far above rounding on near-parallel columns).  Past
+    3 k least-squares steps, or on a singular triangular factor,
     NumericalError.
     """
     m, k = E.shape
+    Ee = np.column_stack([E, e])  # [E | e]: each step factors its columns of E with e
     tol = 10.0 * _EPS * max(m, k)
     squares = np.einsum("ij,ij->j", E, E)
     norms = np.sqrt(squares)
@@ -627,12 +650,7 @@ def _nnls(E: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             raise NumericalError(f"KKT NNLS: no solution within {3 * k} steps")
         if len(idx) < 2:
             return np.array([E[:, j] @ e / squares[j] for j in idx])
-        from scipy.linalg import lapack
-
-        _, x, info = lapack.dgels(E[:, idx], e)
-        if info:
-            raise NumericalError(f"KKT NNLS least-squares step: LAPACK info {info}")
-        return x[: len(idx)]
+        return _least_squares(Ee[:, [*idx, k]])
 
     while True:
         rnorm = math.sqrt(r @ r)
@@ -740,24 +758,37 @@ def canonical_certificate(
        it), ``step``, ``improved_value`` (the exact measure of
        ``canonical + step * direction``) and ``canonical_value``.
     """
-    return _canonical_certificate(dual_parameterization(frame, op), kind)
+    return _canonical_certificate(dual_parameterization(frame, op), kind)[0]
+
+
+def _certificate_and_family(
+    param: DualParameterization, kind: Measure
+) -> tuple[OptimalityCertificate, PerturbationFamily]:
+    """:func:`canonical_certificate` and :func:`perturbation_family` on a
+    chart, from one weight partition and one family: the certificate's, or
+    built after it where the certificate needed none."""
+    cert, part, family = _canonical_certificate(param, kind)
+    if family is None:
+        family = _family(param, _weight_partition(param, kind) if part is None else part, kind)
+    return cert, family
 
 
 def _canonical_certificate(
     param: DualParameterization, kind: Measure
-) -> OptimalityCertificate:
-    """:func:`canonical_certificate` on a chart."""
+) -> tuple[OptimalityCertificate, WeightPartition | None, PerturbationFamily | None]:
+    """:func:`canonical_certificate` on a chart, with the weight partition
+    and the family it built on the way (None where its rung needed none)."""
     if not param.op.psd_flag:
         raise NotPSDError("certificate requires a PSD operator")
     if param.dof == 0:
         return OptimalityCertificate(
             Verdict.UNIQUE_OPTIMAL,
             {"hypothesis": "no_admissible_perturbations", "dof": 0},
-        )
+        ), None, None
 
     part = _weight_partition(param, kind)
     if not spans_intersect_trivially(part):
-        return _kkt_certificate(param, part, kind)
+        return _kkt_certificate(param, part, kind), part, None
 
     family = _family(param, part, kind)
     if not family.exists:
@@ -772,7 +803,7 @@ def _canonical_certificate(
                 "hypothesis": "trivial_span_intersection",
                 "uniqueness_reason": reason,
             },
-        )
+        ), part, family
     return OptimalityCertificate(
         Verdict.OPTIMAL_UNCOUNTABLE_FAMILY,
         {
@@ -781,7 +812,7 @@ def _canonical_certificate(
             "radius": family.radius,
             "family_dim": family.dimension,
         },
-    )
+    ), part, family
 
 
 # ---------------------------------------------------------------------------

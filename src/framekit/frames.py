@@ -20,12 +20,12 @@ spectral radius, and its lift to the closest K-dual, each computed once.
 
 All objects are immutable after construction (each copies its arrays and
 marks them read-only), so values can be shared freely across threads; every
-operation here is a pure function.  The K-frame bounds need numpy alone:
-they reduce their generalized eigenproblem to standard form by a Cholesky
-factor.  scipy is imported inside the two chart steps that use it, so
-importing this module does not load it: the pivoted QR of
-:func:`_matroid_components` and the LAPACK triangular solves of the chart's
-diagonal factor.
+operation here is a pure function.  Everything here runs on numpy alone:
+the K-frame bounds reduce their generalized eigenproblem to standard form
+by a Cholesky factor, the matroid components come from a column-pivoted
+Householder QR written here (:func:`_pivoted_qr`), and the chart's lift
+solves with its Cholesky factor by blocked substitution
+(:func:`_cholesky_solver`).
 """
 
 from __future__ import annotations
@@ -367,25 +367,110 @@ def _components(linked: np.ndarray) -> tuple[tuple[int, ...], ...]:
     return tuple(components)
 
 
+def _pivoted_qr(syn: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """Column-pivoted Householder QR of ``syn`` (Businger and Golub, Numer.
+    Math. 7, 1965), stopped at its numerical rank r: ``(R, basis)``, with R
+    the first r rows of ``Q^T syn`` in the columns' own order and basis the
+    pivots, in the order taken.
+
+    Each step pivots on the first column of largest remaining norm, as
+    LAPACK's ``dgeqp3`` does, and the run stops when that norm is at most
+    RANK_TOL times the first pivot's (the rank rule on ``|R_kk|``).  The
+    remaining norms are recomputed after every step, never downdated, so
+    the cut sees the true residual, not the cancellation of a downdate.  A
+    column already taken keeps a remaining norm of rounding size, far below
+    the cut, so it is never taken again while a column above the cut is
+    left.
+    """
+    A = np.array(syn, dtype=float)
+    sq = np.einsum("ij,ij->j", A, A)
+    cut = RANK_TOL**2 * sq.max()
+    basis: list[int] = []
+    for k in range(min(A.shape)):
+        p = int(sq.argmax())
+        top = float(sq[p])  # ||x||^2, x the rows k: of column p
+        if not top > cut:
+            break
+        basis.append(p)
+        rows = A[k:]
+        v = rows[:, p].copy()  # the Householder vector v = x + sign(x_0) ||x|| e_0
+        head, norm = abs(v[0]), math.sqrt(top)
+        v[0] += math.copysign(norm, v[0])
+        rows -= np.multiply.outer(v, v.dot(rows) / (top + head * norm))  # 2 / v^T v
+        rest = A[k + 1 :]
+        sq = np.einsum("ij,ij->j", rest, rest)
+    return A[: len(basis)], basis
+
+
 def _matroid_components(syn: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """Components of the vector matroid on the columns of ``syn``.
 
-    Pivoted QR picks a basis B; linking each basis index to the columns with
-    a coordinate above DEFAULT_TOL on it in ``B^+ F`` (the fundamental
-    circuits) gives a graph with the same components.  The coordinates are
-    ratios of columns, so the cut does not depend on units.  Zero columns
-    stay singletons.
+    A pivoted QR (:func:`_pivoted_qr`) picks a basis B; the coordinates
+    ``B^+ F``, read from its triangular factor, are the fundamental
+    circuits: basis index k is linked to the columns with a coordinate
+    above DEFAULT_TOL on it.  Basis indices that share a linked column are
+    in one component, and each column joins the component of its linked
+    basis indices.  The coordinates are ratios of columns, so the cut does
+    not depend on units.  Columns linked to no basis index (zero columns)
+    stay singletons.  Components are sorted, and listed by their first
+    index.
     """
-    import scipy.linalg
-
     N = syn.shape[1]
-    _, R, piv = scipy.linalg.qr(syn, mode="economic", pivoting=True)
-    pivots = np.abs(np.diag(R))
-    basis = piv[: _rank(pivots, pivots[0])]
-    coords, *_ = np.linalg.lstsq(syn[:, basis], syn, rcond=None)
-    linked = np.zeros((N, N), dtype=bool)
-    linked[basis] = ~_within(coords, 1.0)
-    return _components(linked | linked.T)
+    R, basis = _pivoted_qr(syn)
+    label = np.arange(len(basis), len(basis) + N)  # unlinked: one label each
+    if basis:
+        # R[:, basis] is triangular and of rank r: its inverse is cheap, and
+        # the coordinates need only stay clear of the cut.
+        links = ~_within(np.linalg.inv(R[:, basis]) @ R, 1.0)  # r x N
+        share = (links.astype(float) @ links.T) > 0.0  # basis indices with a common column
+        group = np.arange(len(basis))
+        while True:  # each basis index takes the least label it reaches
+            reached = np.where(share, group, len(basis)).min(axis=1)
+            if np.array_equal(reached, group):
+                break
+            group = reached
+        label = np.where(links.any(axis=0), group[links.argmax(axis=0)], label)
+    order = np.argsort(label, kind="stable")
+    bounds = [0, *(np.flatnonzero(np.diff(label[order])) + 1).tolist(), N]
+    order = order.tolist()
+    return tuple(sorted(tuple(order[a:b]) for a, b in zip(bounds, bounds[1:])))
+
+
+# Largest diagonal block of :func:`_cholesky_solver`.
+CHOLESKY_BLOCK = 64
+
+
+def _cholesky_solver(gram: np.ndarray):
+    """The solve ``x -> gram^{-1} x`` by the Cholesky factor ``L L^T =
+    gram``; LinAlgError when gram is not positive definite.
+
+    numpy has no triangular solve, so both substitutions run by blocks: L
+    is cut into diagonal blocks of at most CHOLESKY_BLOCK rows, of equal
+    size, whose inverses are computed once, in one stacked call; each
+    block row then costs two matrix-vector products.  The explicit inverse
+    of a diagonal block carries a forward error of its own condition times
+    eps, and that block is at most CHOLESKY_BLOCK wide.
+    """
+    L = np.linalg.cholesky(gram)
+    N = L.shape[0]
+    count = -(-N // CHOLESKY_BLOCK)
+    size = -(-N // count)
+    spans = [(s, min(s + size, N)) for s in range(0, N, size)]
+    blocks = np.broadcast_to(np.eye(size), (len(spans), size, size)).copy()
+    for block, (s, e) in zip(blocks, spans):
+        block[: e - s, : e - s] = L[s:e, s:e]  # the last one is padded with I
+    inverses = [inv[: e - s, : e - s] for inv, (s, e) in zip(np.linalg.inv(blocks), spans)]
+
+    def solve(x: np.ndarray) -> np.ndarray:
+        y = np.empty(N)  # L y = x
+        for (s, e), inv in zip(spans, inverses):
+            y[s:e] = inv @ (x[s:e] - L[s:e, :s] @ y[:s])
+        z = np.empty(N)  # L^T z = y
+        for (s, e), inv in zip(reversed(spans), reversed(inverses)):
+            z[s:e] = (y[s:e] - z[e:] @ L[e:, s:e]) @ inv
+        return z
+
+    return solve
 
 
 @dataclass(frozen=True, eq=False)
@@ -489,8 +574,6 @@ class DualParameterization(_CanonicalDual):
         space must be span(Z), or NumericalError names the components rather
         than answer from either side.
         """
-        from scipy.linalg import lapack
-
         F, V = self.frame.synthesis, self.row_basis
         N = F.shape[1]
         scale = float(np.linalg.norm(F))
@@ -516,14 +599,13 @@ class DualParameterization(_CanonicalDual):
             shifted[np.diag_indices(N)] -= RANK_TOL * scale**2
             try:
                 np.linalg.cholesky(shifted)
-                upper = np.linalg.cholesky(gram).T  # U^T U = gram, Fortran order for LAPACK
+                solve = _cholesky_solver(gram)
             except np.linalg.LinAlgError:
                 pass
             else:
 
                 def lift(r):
-                    r = r - np.bincount(label, r)[label] / sizes  # r - Z Z^T r
-                    mu = lapack.dtrtrs(upper, lapack.dtrtrs(upper, r, trans=1)[0])[0]
+                    mu = solve(r - np.bincount(label, r)[label] / sizes)  # r - Z Z^T r
                     # F diag(mu) can be cond(M) times longer than its
                     # projection, whose rounding then leaves a part along V
                     # that breaks F G^T = K: a second pass removes it.

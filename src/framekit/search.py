@@ -22,7 +22,7 @@ components of F and is solved by Lawson's reweighting (C. L. Lawson, PhD
 thesis, UCLA, 1961; Rice and Usow, Math. Comp. 22, 1968) in the rank F
 dimensional range of each component: every step is a weighted least-squares
 dual, which gives a lower bound, and a candidate, projected back onto the
-K-duals and evaluated exactly.  Where Lawson's update converges slowly,
+K-duals and evaluated exactly.  Once the two are within NEWTON_GAP,
 Newton steps on the weights take over.  A component stops when the two
 meet within LAWSON_GAP, so the value comes with a certified interval; one
 that hits LAWSON_MAX_STEPS keeps its best dual and leaves the interval
@@ -35,10 +35,11 @@ W^T``) to duals with constant diagonal trace(K)/N (an affine constraint)
 and minimizes the two-erasure spectral radius by direct search; that
 objective is not convex, hence the restarts actually matter there.
 
-scipy is imported inside the functions that call it, so importing this
-module does not load it: the Nelder-Mead solver is looked up on the
-``scipy.optimize`` module at each call, and the Lawson QR on
-``scipy.linalg.lapack``.
+The fixed-frame solves run on numpy alone.  scipy is imported by the
+two-erasure search alone, inside :func:`_minimize_r2_within_uniform`, so
+importing this module does not load it, and no other command does: the
+Nelder-Mead solver is looked up on the ``scipy.optimize`` module at each
+call.
 """
 
 from __future__ import annotations
@@ -206,17 +207,24 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
     ``lam ~ ||f_i||^-2`` gives the canonical dual; the update is
     ``lam_i <- lam_i w_i^LAWSON_POWER`` with ``w_i = ||f_i|| ||g_i||``,
     floored at LAWSON_FLOOR of the largest weight.  Once the gap is below
-    NEWTON_GAP and two updates have not halved it, :func:`_newton_weights`
-    steps instead, for as long as each Newton step halves the gap; a step
-    that does not is undone, and after two such misses only Lawson's update
-    runs.  Every step's candidate and bound are exact whatever the weights,
-    so neither update can spoil the interval.  Computed, the bound carries a
+    NEWTON_GAP, :func:`_newton_weights` steps instead, for as long as each
+    Newton step halves the gap; a step that does not is undone, and after
+    two such misses only Lawson's update runs.  Newton goes first because
+    Lawson's update converges linearly: on the one-block frames of the
+    benchmark (seeds 1-3, n <= 5) Newton-first takes 9-12 steps where
+    Lawson's update alone takes 31-55.  That pays for numpy: its QR and
+    solve cost about 37 us a step, against 11 us for LAPACK's QR and
+    triangular solve called directly (one BLAS thread, 2-vCPU VM), so a
+    component that Lawson's update closes in a few steps anyway (Mercedes,
+    the blk20 frames) costs up to 1.4 times what those direct calls cost.
+    Every step's candidate and bound are exact whatever the weights, so
+    neither update can spoil the interval.  Computed, the bound carries a
     relative rounding error of about cond(R) * eps, R the triangular factor
-    of the step that gave it; ``margin`` is ``rank * eps / rcond`` of the
-    bound, rcond being LAPACK's ``dtrcon`` estimate of 1 / cond_1(R), so
-    ``bound - margin`` is a lower bound in floating point too.  The stop
-    rule reads the bound without the margin.  A LAPACK call that reports
-    failure, or a non-finite candidate, raises NumericalError.
+    of the step that gave it; ``margin`` is ``rank * eps * cond_1(R)`` of
+    the bound, the exact 1-norm condition, so ``bound - margin`` is a lower
+    bound in floating point too.  The stop rule reads the bound without the
+    margin.  A singular R, whose ``R^T Y = T`` gives no bound, or a
+    non-finite candidate raises NumericalError.
     """
     fnorms = np.linalg.norm(F, axis=0)
     size = F.shape[1]
@@ -228,29 +236,25 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
     rank = _rank(s, s[0])
     if rank in (0, size):  # a loop or a coloop: its dual does not matter
         return G0, value, value, 0.0, lam, 0
-    # LAPACK's QR and triangular solve directly: on components of a few
-    # vectors numpy's wrappers cost three times the factorization.
-    from scipy.linalg import lapack
-
     V = Vt[:rank].T  # orthonormal basis of the row space of F
     coords = s[:rank, None] * Vt[:rank]  # F in an orthonormal basis of range F
-    U = coords / fnorms
-    T = coords @ G0.T
+    Ut = (coords / fnorms).T  # row i is u_i
+    T = (coords @ G0.T)[::-1]  # T, rows reversed (see the solve below)
     G0V = G0 @ V
     lam = fnorms**-2.0
     lam /= lam.sum()
     best, bound, factor = (G0, value), 0.0, None  # factor: the bound's R
-    gaps = [math.inf, math.inf]  # relative gaps of the last two steps
+    last_gap = math.inf  # the relative gap of the step before
     before_newton, misses = None, 0
     for step in range(1, LAWSON_MAX_STEPS + 1):
         root = lam**-0.5
-        qr, tau, _, info = lapack.dgeqrf(U.T * root[:, None])
-        Y, solved = lapack.dtrtrs(qr[:rank], T, trans=1)  # R^T Y = T
-        Q, _, built = lapack.dorgqr(qr, tau)
-        if info or solved or built:  # a singular R leaves Y = T: no bound
-            raise NumericalError(
-                f"opnorm Lawson step {step}: LAPACK info {info}, {solved}, {built}"
-            )
+        Q, R = np.linalg.qr(Ut * root[:, None])
+        if not R.diagonal().all():  # R^T Y = T has no solution: no bound
+            raise NumericalError(f"opnorm Lawson step {step}: singular triangular factor")
+        # R^T Y = T with the order of the unknowns reversed: an upper
+        # triangular system, which LU factors without a row exchange, so
+        # np.linalg.solve runs a plain substitution, as LAPACK's dtrtrs.
+        Y = np.linalg.solve(R.T[::-1, ::-1], T)[::-1]
         H = (Q @ Y) * root[:, None]  # row i is ||f_i|| g_i
         G = H.T / fnorms
         G -= (G @ V - G0V) @ V.T  # the projection onto the K-duals
@@ -260,20 +264,20 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
             raise NumericalError(f"opnorm Lawson step {step} gave a non-finite iterate")
         weighted = math.sqrt(np.vdot(Y, Y))
         if weighted > bound:
-            bound, factor = weighted, qr
+            bound, factor = weighted, R
         if top < best[1]:
             best = (G, top)
         if best[1] <= max(bound, known) * (1.0 + LAWSON_GAP):
-            return best[0], best[1], bound, _margin(bound, factor, rank), lam, step
+            return best[0], best[1], bound, _margin(bound, factor), lam, step
         gap = best[1] / bound - 1.0
         if before_newton is None:  # Lawson's update made this step
-            newton = gap <= NEWTON_GAP and gap > 0.5 * gaps[0]
+            newton = gap <= NEWTON_GAP
         else:  # a Newton step made it: go on while each halves the gap
-            newton = gap <= 0.5 * gaps[1]
+            newton = gap <= 0.5 * last_gap
             if not newton:  # back to where the Newton step started
                 misses += 1
                 lam, w = before_newton
-        gaps, before_newton = [gaps[1], gap], None
+        last_gap, before_newton = gap, None
         if newton and misses < 2:
             new = _newton_weights(lam, H, Q)
             if new is not None:
@@ -282,21 +286,21 @@ def _lawson_component(F: np.ndarray, G0: np.ndarray, known: float):
         lam = lam * w**LAWSON_POWER
         np.maximum(lam, LAWSON_FLOOR * lam.max(), out=lam)
         lam /= lam.sum()
-    return best[0], best[1], bound, _margin(bound, factor, rank), lam, LAWSON_MAX_STEPS
+    return best[0], best[1], bound, _margin(bound, factor), lam, LAWSON_MAX_STEPS
 
 
-def _margin(bound: float, factor: np.ndarray | None, rank: int) -> float:
-    """Rounding margin ``rank * eps * bound / rcond`` of a Lawson bound
-    computed with the QR ``factor`` (R in its first rank rows; None when no
-    step raised the bound above 0)."""
+def _margin(bound: float, factor: np.ndarray | None) -> float:
+    """Rounding margin ``rank * eps * bound * cond_1(R)`` of a Lawson bound
+    computed with the triangular factor R (rank x rank; None when no step
+    raised the bound above 0)."""
     if factor is None:
         return 0.0
-    from scipy.linalg import lapack
-
-    rcond, info = lapack.dtrcon(factor[:rank])
-    if info or not rcond > 0.0:
-        raise NumericalError(f"opnorm Lawson bound: LAPACK dtrcon info {info}, rcond {rcond}")
-    return rank * np.finfo(float).eps * bound / rcond
+    # np.linalg.cond(factor, 1), without its wrapper: the column sums of
+    # |R| and of |R^-1|.  R's diagonal is nonzero, so R^-1 exists.
+    cond = np.abs(factor).sum(axis=0).max() * np.abs(np.linalg.inv(factor)).sum(axis=0).max()
+    if not math.isfinite(cond):
+        raise NumericalError(f"opnorm Lawson bound: triangular factor of condition {cond}")
+    return factor.shape[0] * np.finfo(float).eps * bound * float(cond)
 
 
 def _newton_weights(lam: np.ndarray, H: np.ndarray, Q: np.ndarray):
@@ -317,7 +321,7 @@ def _newton_weights(lam: np.ndarray, H: np.ndarray, Q: np.ndarray):
     norms = np.sqrt(np.einsum("ij,ij->i", H, H))
     roots = np.sqrt(lam)
     J = (H @ H.T) * (Q @ Q.T) / np.outer(norms * roots, roots)
-    J[np.diag_indices_from(J)] -= norms / lam
+    J.flat[:: J.shape[0] + 1] -= norms / lam  # the diagonal
     active = lam > NEWTON_ACTIVE * lam.max()
     while np.any(active):
         idx = np.flatnonzero(active)
@@ -383,7 +387,7 @@ def minimize_measure(
     canonical value of 0 the canonical dual is optimal (and the
     component-mean dual) and no solver runs.  For the operator norm
     ``comparison`` holds ``fixed_frame_lower_bound``: the Lawson bound less
-    a margin from LAPACK's condition estimate of its triangular factor (see
+    a margin from the condition number of its triangular factor (see
     :func:`_lawson_component`), or the value when no solver runs.  A solver
     failure raises NumericalError.  The result is deterministic, reads
     nothing from ``cfg``, and its value is an exact objective value at a

@@ -280,6 +280,23 @@ def kkt_instance(rng, kind):
     return fk.Frame(syn), fk.build_operator(K)
 
 
+def kv_block_frame(rng, dims, sizes):
+    """Parseval K-frame of blocks K_j V_j (V_j with orthonormal rows) in
+    mutually orthogonal subspaces of the given dimensions, columns
+    shuffled."""
+    n = sum(dims)
+    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    K, cols, start = np.zeros((n, n)), [], 0
+    for dim, size in zip(dims, sizes):
+        Q = basis[:, start : start + dim]
+        start += dim
+        Kj = Q @ random_psd(rng, dim) @ Q.T
+        K += Kj
+        cols.append(Kj @ Q @ random_orthonormal_rows(rng, dim, size))
+    F = np.hstack(cols)[:, rng.permutation(sum(sizes))]
+    return fk.Frame(F), fk.build_operator(0.5 * (K + K.T))
+
+
 def certificate_systems(rng, kind, count):
     """One-block, block, degenerate and KKT-tied Parseval K-frames."""
     for k in range(count):
@@ -538,16 +555,24 @@ def loop_then_polish(frame, op, kind, cfg):
     return best_val
 
 
-def break_solvers(monkeypatch):
-    """Make every chart lift of a diagonal miss (``_diagonal_perturbation``,
-    and so ``diagonal_coefficients``, returns None) and the QR of every
-    op-norm Lawson step return NaN factors, so its iterate is not finite."""
-    monkeypatch.setattr(
-        scipy.linalg.lapack, "dgeqrf",
-        lambda a, *args, **kwargs: (
-            np.full_like(a, np.nan), np.full(min(a.shape), np.nan), None, 0
-        ),
-    )
+def nan_qr(a, mode="reduced"):
+    """``np.linalg.qr`` in mode "reduced" or "r" with factors all NaN."""
+    k = min(a.shape)
+    r = np.full((k, a.shape[1]), np.nan)
+    return r if mode == "r" else (np.full((a.shape[0], k), np.nan), r)
+
+
+def break_lifts(monkeypatch):
+    """Make every chart lift of a diagonal miss: ``_diagonal_perturbation``,
+    and so ``diagonal_coefficients``, returns None."""
     monkeypatch.setattr(
         fk.DualParameterization, "_diagonal_perturbation", lambda self, target: None
     )
+
+
+def break_solvers(monkeypatch):
+    """:func:`break_lifts`, and make every numpy QR, the one of each op-norm
+    Lawson step among them, return NaN factors, so the Lawson iterate is
+    not finite."""
+    monkeypatch.setattr(np.linalg, "qr", nan_qr)
+    break_lifts(monkeypatch)

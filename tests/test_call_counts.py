@@ -10,6 +10,7 @@ import collections
 import contextlib
 import functools
 import io
+import json
 import sys
 
 import numpy as np
@@ -29,6 +30,7 @@ COUNTED = {
         "is_parseval_k_frame", "dual_parameterization", "k_frame_bounds", "_matroid_components"
     ),
     "erasures": ("uniformity",),
+    "duals": ("_weight_partition", "_family"),
 }
 CFG = fk.SearchConfig(max_iters=200, restarts=2, seed=0)
 
@@ -121,6 +123,26 @@ def test_cli_call_counts_on_example_1(command, ex1_file, calls):
         assert main([name, "--frame", ex1_file, *flags]) == 0
     for function, cap in CLI_CAPS[command].items():
         assert calls[function] <= cap, f"{function}: {calls[function]} calls, at most {cap}"
+
+
+@pytest.mark.parametrize("measure", ["spectral", "opnorm"])
+@pytest.mark.parametrize("example", ["example-2", "mercedes"])
+def test_optimal_dual_builds_one_partition_and_one_family(example, measure, calls, tmp_path):
+    # The certificate's weight partition, and where the spans meet only in
+    # 0 its family, are the ones the command prints from.
+    frame, op = fixtures.get_example(example)
+    path = str(tmp_path / "frame.json")
+    save_frame_file(path, frame, op)
+    out = io.StringIO()
+    calls.clear()
+    with contextlib.redirect_stdout(out):
+        assert main(["optimal-dual", "--frame", path, "--measure", measure]) == 0
+    assert (calls["_weight_partition"], calls["_family"]) == (1, 1)
+    family = json.loads(out.getvalue())["perturbation_family"]
+    kind = Measure.OP_NORM if measure == "opnorm" else Measure.SPECTRAL
+    cert = fk.canonical_certificate(frame, op, kind)
+    if "family_dim" in cert.evidence:
+        assert family["dimension"] == cert.evidence["family_dim"]
 
 
 def refuse_null_basis(monkeypatch):

@@ -17,6 +17,7 @@ from framekit.io import (
     save_frame_file,
 )
 from conftest import (
+    break_lifts,
     break_solvers,
     degenerate_frame,
     near_joined_components,
@@ -669,13 +670,17 @@ class TestVerifyExample:
         # The chart lift of the component-mean diagonal misses; the op-norm
         # Lawson step gets NaN QR factors.  Example-1's op-norm minimum is
         # the weight of a coloop, so the Lawson solve takes no step there:
-        # Mercedes does.
+        # Mercedes does.  Example-1's spectral certificate runs the KKT
+        # NNLS, whose QR is numpy's too, so the spectral commands break the
+        # lift alone.
         op_norm = argv[-1] in ("o1", "opnorm")
         path = ex1_file
         if op_norm:
             path = str(tmp_path / "mercedes.json")
             save_frame_file(path, *mb)
-        break_solvers(monkeypatch)
+            break_solvers(monkeypatch)
+        else:
+            break_lifts(monkeypatch)
         assert main([*argv, "--frame", path]) == 4
         captured = capsys.readouterr()
         assert captured.out == ""

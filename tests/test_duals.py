@@ -21,6 +21,7 @@ from conftest import (
     dense_family_rows,
     fixed_frame_answers,
     kkt_instance,
+    nan_qr,
     loop_family_radius,
     near_joined_components,
     non_orthogonal_components,
@@ -931,25 +932,56 @@ class TestNNLS:
         # A least-squares step that keeps the new column (the last one
         # passed) and pushes the other one out makes the two columns take
         # turns: the cap of 3 k steps stops it with an error, not a point.
-        import scipy.linalg
+        def newest_wins(Ab):
+            return np.array([-1.0, 1.0])
 
-        def newest_wins(a, b, *args, **kwargs):
-            x = np.zeros_like(b)
-            x[:2] = (-1.0, 1.0)
-            return a, x, 0
-
-        monkeypatch.setattr(scipy.linalg.lapack, "dgels", newest_wins)
+        monkeypatch.setattr(duals_mod, "_least_squares", newest_wins)
         with pytest.raises(fk.NumericalError, match="within 6 steps"):
             duals_mod._nnls(np.eye(2), np.ones(2))
 
     def test_lapack_failure_raises(self, monkeypatch):
-        import scipy.linalg
+        # A QR whose triangular factor is singular: np.linalg.solve raises
+        # LinAlgError, which the step reports as a NumericalError.
+        qr = np.linalg.qr
 
-        monkeypatch.setattr(
-            scipy.linalg.lapack, "dgels", lambda a, b, *args, **kwargs: (a, b, 2)
-        )
-        with pytest.raises(fk.NumericalError, match="LAPACK info 2"):
+        def singular(a, mode="reduced"):
+            r = qr(a, mode=mode).copy()
+            r[0, 0] = 0.0
+            return r
+
+        monkeypatch.setattr(np.linalg, "qr", singular)
+        with pytest.raises(fk.NumericalError, match="least-squares step: Singular matrix"):
             duals_mod._nnls(np.eye(3), np.ones(3))
+
+    def test_non_finite_step_raises(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "qr", nan_qr)
+        with pytest.raises(fk.NumericalError, match="step is not finite"):
+            duals_mod._nnls(np.eye(3), np.ones(3))
+
+    @pytest.mark.parametrize("gap", [1e-3, 1e-7, 1e-10])
+    def test_least_squares_step_matches_dgels(self, gap):
+        # The step against LAPACK's dgels (QR, then a triangular solve) on
+        # near-parallel columns: the points agree to their condition times
+        # eps, and the residuals, orthogonal to the columns, to rounding.
+        from scipy.linalg import lapack
+
+        rng = np.random.default_rng(67)
+        for k in range(2, 7):
+            for m in (k, k + 1, 30, 2000):
+                E = rng.standard_normal((m, k))
+                E[:, k - 1] = E[:, 0] + gap * rng.standard_normal(m)
+                e = rng.standard_normal(m)
+                x = duals_mod._least_squares(np.column_stack([E, e]))
+                _, ref, info = lapack.dgels(E, e)
+                ref = ref[:k]
+                assert info == 0
+                cond = np.linalg.cond(E)
+                assert np.max(np.abs(x - ref)) <= 1e-14 * cond * np.max(np.abs(ref))
+                r, ref_r = E @ x - e, E @ ref - e
+                assert np.linalg.norm(r - ref_r) <= 1e-14 * cond * np.linalg.norm(e)
+                norm_E = np.linalg.norm(E)
+                scale = norm_E * (norm_E * np.linalg.norm(x) + np.linalg.norm(e))
+                assert np.linalg.norm(E.T @ r) <= 1e-13 * scale
 
 
 def constant_product_system(rng, case):

@@ -9,13 +9,26 @@ from hypothesis import strategies as st
 import framekit as fk
 from framekit import fixtures
 from framekit.erasures import Measure
-from framekit.frames import RANK_TOL, DualParameterization
+from framekit.frames import (
+    CHOLESKY_BLOCK,
+    DEFAULT_TOL,
+    RANK_TOL,
+    DualParameterization,
+    _cholesky_solver,
+    _components,
+    _matroid_components,
+    _pivoted_qr,
+)
 from framekit.search import _Objective
 from conftest import (
+    certificate_systems,
     chart_value,
     coefficient_space_polish,
+    degenerate_frame,
     dense_diagonal_map,
+    kv_block_frame,
     near_joined_components,
+    non_orthogonal_components,
     random_block_frame,
     random_parseval_frame,
     random_psd,
@@ -557,6 +570,112 @@ class TestDiagonalRoutes:
         target = np.full(frame.n_vectors, op.trace / frame.n_vectors)
         assert param.diagonal_coefficients(frame, target) is None
         assert not map_reads
+
+
+def lapack_components(syn):
+    """The matroid components from LAPACK's pivoted QR (``dgeqp3``, through
+    scipy) and least-squares coordinates on its basis, linked as an N x N
+    graph: an independent reference for :func:`_matroid_components`."""
+    N = syn.shape[1]
+    _, R, piv = scipy.linalg.qr(syn, mode="economic", pivoting=True)
+    pivots = np.abs(np.diag(R))
+    basis = piv[: np.count_nonzero(pivots > RANK_TOL * pivots[0])]
+    coords, *_ = np.linalg.lstsq(syn[:, basis], syn, rcond=None)
+    linked = np.zeros((N, N), dtype=bool)
+    linked[basis] = np.abs(coords) > DEFAULT_TOL
+    return _components(linked | linked.T)
+
+
+def bench_shaped_syntheses(seed):
+    """One-block frames and the block layouts of the chart-scale benchmark."""
+    rng = np.random.default_rng(seed)
+    for n, N in ((5, 50), (10, 200), (20, 600)):
+        op = fk.build_operator(random_psd(rng, n))
+        yield random_parseval_frame(rng, op, N).synthesis
+    yield kv_block_frame(rng, (3, 3, 3, 3), (6, 8, 10, 12))[0].synthesis
+    yield kv_block_frame(rng, (4, 4, 4, 4, 4), (6, 8, 10, 12, 12))[0].synthesis
+
+
+class TestMatroidComponents:
+    """The numpy pivoted QR decides the components LAPACK's does."""
+
+    def assert_matches_lapack(self, syn):
+        assert _matroid_components(syn) == lapack_components(syn)
+
+    @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
+    @pytest.mark.parametrize("seed, count", [(37, 104), (101, 200), (104, 104)])
+    def test_certificate_suites(self, seed, count, kind):
+        for frame, _ in certificate_systems(np.random.default_rng(seed), kind, count):
+            self.assert_matches_lapack(frame.synthesis)
+
+    def test_near_joined_sweep(self):
+        # Across and around the window where the components are hard to
+        # decide, with the weights of TestOneMatroidDecision among them,
+        # reordered and rescaled too.
+        rng = np.random.default_rng(71)
+        weights = [*np.geomspace(1e-3, 1e-12, 28), 3e-8, 3e-9, 3e-10]
+        for seed in range(4):
+            for weight in weights:
+                syn = near_joined_components(weight, seed)[0].synthesis
+                self.assert_matches_lapack(syn)
+                self.assert_matches_lapack(1e-6 * syn[:, rng.permutation(syn.shape[1])])
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_bench_shaped_frames(self, seed):
+        for syn in bench_shaped_syntheses(seed):
+            self.assert_matches_lapack(syn)
+
+    def test_degenerate_frames(self):
+        rng = np.random.default_rng(73)
+        for _ in range(50):
+            self.assert_matches_lapack(degenerate_frame(rng).synthesis)
+            self.assert_matches_lapack(non_orthogonal_components(rng)[0].synthesis)
+        self.assert_matches_lapack(np.zeros((3, 4)))
+        self.assert_matches_lapack(np.array([[1.0, 0.0, 2.0, 0.0], [0.0, 0.0, 0.0, 1.0]]))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_pivots_and_rank_follow_dgeqp3(self, seed):
+        # The same pivots (these frames have no ties), and R, the pivot
+        # norms |R_kk| among its entries, up to the signs of its rows.
+        for syn in bench_shaped_syntheses(seed):
+            R, basis = _pivoted_qr(syn)
+            _, ref, piv = scipy.linalg.qr(syn, mode="economic", pivoting=True)
+            assert basis == piv[: len(basis)].tolist()
+            np.testing.assert_allclose(
+                np.abs(np.diag(R[:, basis])), np.abs(np.diag(ref))[: len(basis)], rtol=1e-12
+            )
+            np.testing.assert_allclose(
+                np.abs(R[:, basis]), np.abs(ref[: len(basis), : len(basis)]),
+                atol=1e-12 * np.abs(ref[0, 0]),
+            )
+
+
+def spd_matrix(rng, N, cond):
+    Q, _ = np.linalg.qr(rng.standard_normal((N, N)))
+    return (Q * np.geomspace(1.0, 1.0 / cond, N)) @ Q.T
+
+
+class TestCholeskySolver:
+    @pytest.mark.parametrize("N", [1, 63, CHOLESKY_BLOCK, 65, 200])
+    @pytest.mark.parametrize("cond", [1e2, 5e4, 1e10])
+    def test_matches_lapack_triangular_solves(self, N, cond):
+        # The reference: LAPACK's two triangular solves on the same factor.
+        # Either substitution has a forward error of at most about
+        # cond(L) eps = sqrt(cond) eps.
+        rng = np.random.default_rng(N)
+        gram = spd_matrix(rng, N, cond)
+        r = rng.standard_normal(N)
+        L = np.linalg.cholesky(gram)
+        ref = scipy.linalg.solve_triangular(
+            L, scipy.linalg.solve_triangular(L, r, lower=True), lower=True, trans=1
+        )
+        x = _cholesky_solver(gram)(r)
+        eps = np.finfo(float).eps
+        assert np.linalg.norm(x - ref) <= 10 * eps * math.sqrt(cond) * np.linalg.norm(ref)
+
+    def test_not_positive_definite_raises(self):
+        with pytest.raises(np.linalg.LinAlgError):
+            _cholesky_solver(-np.eye(3))
 
 
 class TestDualSystem:

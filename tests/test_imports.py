@@ -1,5 +1,6 @@
-"""scipy is imported by the exact solvers alone, never by ``import framekit``,
-and ``scipy.optimize`` by the two-erasure slice search alone.
+"""scipy is imported by the two-erasure slice search alone (``search
+--measure r2u``), never by ``import framekit`` or any other command: the
+fixed-frame solvers run on numpy.
 
 Importing the CLI builds no argument parser; ``main`` builds one on its first
 call and reuses it.  conftest.py imports scipy into this process, so the
@@ -100,15 +101,6 @@ def module_level_scipy_imports(path):
     return sorted(line for function, line, _ in scipy_imports(path) if function is None)
 
 
-def scipy_optimize_imports(path):
-    """(enclosing function, line) of every ``scipy.optimize`` import."""
-    return [
-        (function, line)
-        for function, line, names in scipy_imports(path)
-        if any(name == "scipy.optimize" or name.startswith("scipy.optimize.") for name in names)
-    ]
-
-
 def probe(argv=(), script=PROBE):
     path = [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
@@ -131,13 +123,11 @@ COMMANDS = {
     "analyze": ["analyze", "--frame", "{frame}"],
     "canonical-dual": ["canonical-dual", "--frame", "{frame}"],
     "pair-bounds": ["pair-bounds", "--k", "{k}", "--n-vectors", "3"],
-    "verify-example": ["verify-example", "example-1"],
     "search-r1": ["search", "--frame", "{frame}", "--measure", "r1"],
     "search-o1": ["search", "--frame", "{frame}", "--measure", "o1"],
     "search-r2u": ["search", "--frame", "{frame}", "--measure", "r2u"],
     "optimal-dual-spectral": ["optimal-dual", "--frame", "{frame}", "--measure", "spectral"],
     "optimal-dual-opnorm": ["optimal-dual", "--frame", "{frame}", "--measure", "opnorm"],
-    "verify-example-2": ["verify-example", "example-2"],
 }
 
 
@@ -184,17 +174,16 @@ def test_scan_sees_module_level_imports(tmp_path):
     assert module_level_scipy_imports(path) == [2, 4, 6]
 
 
-def test_only_the_slice_search_imports_scipy_optimize():
-    found = {
-        p.name: imports
+def test_only_the_slice_search_imports_scipy():
+    found = [
+        (p.name, function, names)
         for p in sorted(SRC.joinpath("framekit").glob("*.py"))
-        if (imports := scipy_optimize_imports(p))
-    }
-    assert set(found) == {"search.py"}, found
-    assert [function for function, _ in found["search.py"]] == ["_minimize_r2_within_uniform"]
+        for function, _, names in scipy_imports(p)
+    ]
+    assert found == [("search.py", "_minimize_r2_within_uniform", ["scipy.optimize"])]
 
 
-def test_scan_sees_scipy_optimize_imports(tmp_path):
+def test_scan_sees_scipy_imports_in_functions(tmp_path):
     path = tmp_path / "m.py"
     path.write_text(
         "import scipy.linalg\nfrom scipy import optimize\n"
@@ -202,7 +191,13 @@ def test_scan_sees_scipy_optimize_imports(tmp_path):
         "class C:\n    def g(self):\n        from scipy.optimize import nnls\n"
         "def h():\n    from scipy import linalg\n"
     )
-    assert scipy_optimize_imports(path) == [(None, 2), ("f", 4), ("g", 7)]
+    assert scipy_imports(path) == [
+        (None, 1, ["scipy.linalg"]),
+        (None, 2, ["scipy", "scipy.optimize"]),
+        ("f", 4, ["scipy.optimize"]),
+        ("g", 7, ["scipy.optimize", "scipy.optimize.nnls"]),
+        ("h", 9, ["scipy", "scipy.linalg"]),
+    ]
 
 
 def basis_reads(path):
@@ -242,7 +237,7 @@ def test_import_loads_no_scipy():
     assert probe()["import"] == []
 
 
-@pytest.mark.parametrize("name", ["analyze", "canonical-dual", "pair-bounds", "verify-example"])
+@pytest.mark.parametrize("name", ["analyze", "canonical-dual", "pair-bounds"])
 def test_closed_form_commands_load_no_scipy(name, inputs):
     argv = argv_for(name, inputs)
     result = probe(argv)
@@ -251,39 +246,29 @@ def test_closed_form_commands_load_no_scipy(name, inputs):
     assert result["rc"] == 0
 
 
-def test_solver_command_loads_scipy_with_unchanged_output(inputs):
-    # The spectral minimum is closed-form: the chart's pivoted QR and
-    # Cholesky solves need scipy.linalg, and no optimizer is loaded.
-    argv = argv_for("search-r1", inputs)
-    result = probe(argv)
-    assert result["import"] == []
-    assert "scipy.linalg" in result["run"]
-    assert "scipy.optimize" not in result["run"]
-    assert (result["rc"], result["out"]) == in_process(argv)
-    doc = json.loads(result["out"])
-    assert result["rc"] == 0 and abs(doc["value"] - 1.0) <= 1e-9
-
-
 @pytest.mark.parametrize("frame", ["frame", "ob10x200"])
 @pytest.mark.parametrize(
-    "name", ["optimal-dual-spectral", "optimal-dual-opnorm", "search-o1"]
+    "name", ["search-r1", "search-o1", "optimal-dual-spectral", "optimal-dual-opnorm"]
 )
-def test_fixed_frame_solvers_load_no_optimizer(name, frame, inputs):
-    # The KKT certificate's NNLS and the op-norm Lawson solve run on numpy
-    # and scipy.linalg's LAPACK wrappers alone.
+def test_fixed_frame_solvers_load_no_scipy(name, frame, inputs):
+    # The chart's pivoted QR and Cholesky solves, the KKT certificate's
+    # NNLS and the op-norm Lawson solve run on numpy alone.
     argv = argv_for(name, inputs, frame)
     result = probe(argv)
     assert result["import"] == []
-    assert "scipy.linalg" in result["run"]
-    assert "scipy.optimize" not in result["run"], f"{name} loaded scipy.optimize"
+    assert result["run"] == [], f"{name} loaded {result['run']}"
     assert (result["rc"], result["out"]) == in_process(argv)
     assert result["rc"] == 0
+    if (name, frame) == ("search-r1", "frame"):  # example-1's spectral minimum
+        assert abs(json.loads(result["out"])["value"] - 1.0) <= 1e-9
 
 
-def test_example_2_loads_no_optimizer():
-    result = probe(COMMANDS["verify-example-2"])
-    assert "scipy.optimize" not in result["run"]
-    assert (result["rc"], result["out"]) == in_process(COMMANDS["verify-example-2"])
+@pytest.mark.parametrize("example", fixtures.EXAMPLE_NAMES)
+def test_verify_example_loads_no_scipy(example):
+    argv = ["verify-example", example]
+    result = probe(argv)
+    assert result["run"] == [], f"{example} loaded {result['run']}"
+    assert (result["rc"], result["out"]) == in_process(argv)
     assert result["rc"] == 0
 
 

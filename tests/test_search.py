@@ -3,7 +3,6 @@ import json
 
 import numpy as np
 import pytest
-import scipy.linalg
 import scipy.optimize
 
 import framekit as fk
@@ -21,12 +20,12 @@ from conftest import (
     chart_value,
     coefficient_space_polish,
     degenerate_frame,
+    kv_block_frame,
     loop_then_polish,
     non_orthogonal_components,
     parseval_operator,
     random_block_frame,
     random_psd,
-    random_orthonormal_rows,
     random_parseval_frame,
     reference_gradient,
     reference_subgradient,
@@ -210,23 +209,6 @@ def assert_bound_below_value_and_reference(frame, op):
     assert bound <= result.value and bound <= reference
     return result.value, reference
 
-
-
-def kv_block_frame(rng, dims, sizes):
-    """Parseval K-frame of blocks K_j V_j (V_j with orthonormal rows) in
-    mutually orthogonal subspaces of the given dimensions, columns
-    shuffled."""
-    n = sum(dims)
-    basis, _ = np.linalg.qr(rng.normal(size=(n, n)))
-    K, cols, start = np.zeros((n, n)), [], 0
-    for dim, size in zip(dims, sizes):
-        Q = basis[:, start : start + dim]
-        start += dim
-        Kj = Q @ random_psd(rng, dim) @ Q.T
-        K += Kj
-        cols.append(Kj @ Q @ random_orthonormal_rows(rng, dim, size))
-    F = np.hstack(cols)[:, rng.permutation(sum(sizes))]
-    return fk.Frame(F), fk.build_operator(0.5 * (K + K.T))
 
 class TestExactSolveFirst:
     @pytest.mark.parametrize("kind", [Measure.OP_NORM, Measure.SPECTRAL])
@@ -417,12 +399,18 @@ class TestLawson:
         assert value <= reference * (1 + 1e-9)
 
     def test_failed_triangular_solve_is_numerical_error(self, mb, monkeypatch):
-        # dtrtrs reports a singular R and leaves the right-hand side in
-        # place; that is no lower bound, so it must not certify anything.
-        monkeypatch.setattr(
-            scipy.linalg.lapack, "dtrtrs", lambda a, b, *args, **kwargs: (b, 1)
-        )
-        with pytest.raises(fk.NumericalError, match="LAPACK info"):
+        # A singular R leaves R^T Y = T without a solution, so the step has
+        # no lower bound: it must not certify anything.
+        qr = np.linalg.qr
+
+        def singular(a, *args, **kwargs):
+            q, r = qr(a, *args, **kwargs)
+            r = r.copy()
+            r[-1, -1] = 0.0
+            return q, r
+
+        monkeypatch.setattr(np.linalg, "qr", singular)
+        with pytest.raises(fk.NumericalError, match="singular triangular factor"):
             fk.minimize_measure(*mb, Measure.OP_NORM, CFG)
 
     def test_weak_duality(self):
